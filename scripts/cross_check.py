@@ -2,10 +2,11 @@
 """Cross-validate every representation of the partition function over a
 grid of disordered-phase parameter samples.
 
-For each (lambda, eta) sample and each N, computes Z_N by exact
-enumeration (N <= 6), transfer DP, the moment (Hankel-type) determinant,
-the finite W determinant, its Gauss-factorized variant, and the Nystrom
-Fredholm determinant, then prints the worst pairwise relative deviation.
+For each (lambda, eta) sample and each N, computes Z_N by every route that
+`icewall compute --rep all` runs there (exact enumeration for N <= 6, the
+transfer DP, the moment (Hankel-type) determinant, the finite W determinant,
+its Gauss-factorized variant, and the Nystrom Fredholm determinant), then
+prints the worst pairwise relative deviation.
 """
 
 import argparse
@@ -13,35 +14,16 @@ import itertools
 import sys
 import time
 
-from icewall import (
-    LogScaledValue,
-    ModelParams,
-    PrecisionContext,
-    VertexWeights,
-    enumerate_configs,
-    full_partition,
-    full_partition_fredholm,
-    full_partition_gauss,
-    partition_dp,
-    partition_hankel,
-    symmetric_weights,
-)
+from icewall import ModelParams, PrecisionContext, VertexWeights, symmetric_weights
+from icewall.cli import applicable
 
 SAMPLES = [(0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.15)]
 
 
-def routes(n: int, p: ModelParams, ctx: PrecisionContext) -> dict:
+def routes(n: int, p: ModelParams) -> dict:
+    ctx = PrecisionContext.for_size(n)
     vw = VertexWeights.symmetric(*symmetric_weights(p))
-    out = {
-        "dp": partition_dp(n, vw),
-        "hankel": partition_hankel(n, p, ctx),
-        "wdet": full_partition(n, p, ctx),
-        "gauss": full_partition_gauss(n, p),
-        "fredholm": full_partition_fredholm(n, p),
-    }
-    if n <= 6:
-        out["enumerate"] = enumerate_configs(n, vw).z_value
-    return out
+    return {r.name: r.fn(n, p, vw, ctx)[0] for r in applicable(n, p, None)}
 
 
 def main() -> int:
@@ -55,7 +37,7 @@ def main() -> int:
     for lam, eta in SAMPLES:
         p = ModelParams(lam, eta)
         for n in range(1, args.n_max + 1):
-            vals = routes(n, p, PrecisionContext.for_size(n))
+            vals = routes(n, p)
             worst = max(a.rel_diff(b)
                         for a, b in itertools.combinations(vals.values(), 2))
             worst_overall = max(worst_overall, worst)

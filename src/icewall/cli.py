@@ -9,7 +9,6 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import hashlib
 import io
@@ -17,31 +16,27 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .enumeration import DP_LIMIT, ENUM_LIMIT, ASM_COUNTS, dump_configs, \
     enumerate_configs, config_iterator, partition_dp
 from .errors import SingularParameterError
-from .fredholm import KernelSpec, default_plan, fredholm_det, \
-    full_partition_fredholm, trace_moments
-from .hankel import det_a_deviation, alpha_det_deviation, partition_hankel
+from .fredholm import KernelSpec, fredholm_det, full_partition_fredholm, \
+    trace_moments
+from .hankel import det_a_deviation, partition_hankel
 from .logscale import LogScaledValue, PrecisionContext
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, mp_eval, su11_matrices
 from .params import ModelParams, VertexWeights, check_unitarity, \
-    symmetric_weights
+    qgroup_prefactor, symmetric_weights
 from .wmatrix import BetaGamma, full_partition, full_partition_gauss, \
-    rational_z_tilde, w_entry, w_matrix, w_matrix_gauss
-
-REPRESENTATIONS = ("enumerate", "dp", "hankel", "wdet", "gauss",
-                   "fredholm-disordered", "fredholm-discrete",
-                   "fredholm-rational")
+    rational_z_tilde, w_matrix
 
 SCHEMA = 1
 
@@ -167,88 +162,133 @@ def cache_load(path: Optional[str], cfg: JobConfig) -> Optional[ResultRecord]:
 
 
 def cache_store(path: Optional[str], cfg: JobConfig, rec: ResultRecord):
+    """Write to a temporary file beside the entry, then rename it into place,
+    so that an interrupted write never leaves a truncated entry."""
     if not path:
         return
-    fn = os.path.join(path, cfg.cache_key() + ".json")
-    with open(fn, "w", encoding="utf-8") as fh:
-        json.dump(rec.to_dict(), fh, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(dir=path, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(rec.to_dict(), fh, sort_keys=True)
+        os.replace(tmp, os.path.join(path, cfg.cache_key() + ".json"))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # --------------------------------------------------------------------------
-# single-point dispatch
+# route registry
 
 
-def _ferro_tilde(p: ModelParams) -> tuple:
-    """phi~_+/- for purely imaginary spectral parameters."""
+@dataclass(frozen=True)
+class Route:
+    """One representation of Z_N.  `valid(n, params, weights)` returns why the
+    route cannot run there, or None; `fn(n, params, vertex_weights, ctx)`
+    returns (value, extra record fields).  The route functions are looked up
+    in this module's globals when called, not bound when it is imported."""
+
+    name: str
+    valid: Callable[[int, ModelParams, Optional[tuple]], Optional[str]]
+    fn: Callable[..., tuple]
+    in_all: bool = True     # False for a route that computes another model
+
+
+def _up_to(limit: int):
+    def valid(n, p, weights):
+        return None if n <= limit else f"supports N <= {limit}"
+    return valid
+
+
+def _lambda_eta(check=lambda p: None):
+    """valid() of a route that takes lambda, eta and no explicit weights."""
+    def valid(n, p, weights):
+        if weights:
+            return "takes lambda, eta, not --weights (only enumerate and dp do)"
+        return check(p)
+    return valid
+
+
+def _disordered(p: ModelParams) -> Optional[str]:
+    if not 0 < complex(p.phi_plus).real < math.pi:
+        return "needs 0 < Re(lambda + eta) < pi"
+    return None
+
+
+def _ferroelectric(p: ModelParams) -> Optional[str]:
     pp, pm = complex(p.phi_plus), complex(p.phi_minus)
-    if abs(pp.real) > 1e-12 or abs(pm.real) > 1e-12:
-        raise SingularParameterError(
-            "the discrete kernel needs purely imaginary lambda, eta "
-            "(ferroelectric regime)")
-    return pp.imag, pm.imag
+    if not (abs(pp.real) < 1e-12 and abs(pm.real) < 1e-12 and pp.imag > 0):
+        return "needs purely imaginary lambda, eta with Im(lambda + eta) > 0"
+    return None
 
 
-def compute_one(rep: str, n: int, lam: complex, eta: complex,
-                weights: Optional[tuple] = None,
-                bits: Optional[int] = None) -> ResultRecord:
-    ctx = PrecisionContext(bits) if bits else PrecisionContext.for_size(n)
-    p = ModelParams(lam, eta)
-    extra: dict = {}
+def _real(p: ModelParams) -> Optional[str]:
+    return "needs real lambda, eta" if p.lam.imag or p.eta.imag else None
+
+
+def _enumerate(n, p, vw, ctx):
+    res = enumerate_configs(n, vw)
+    return res.z_value, {"config_count": res.config_count}
+
+
+def _discrete(n, p, vw, ctx):
+    spec = KernelSpec.discrete(n, complex(p.phi_plus).imag, complex(p.phi_minus).imag)
+    return fredholm_det(spec).scale_log(qgroup_prefactor(n, p)), {}
+
+
+def _rational(n, p, vw, ctx):
+    # rational degeneration: weights (lam+eta, lam-eta, 2 eta)
+    lam, eta = p.lam.real, p.eta.real
+    zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
+    return zt.scale_log(n * n * math.log(lam + eta)), {}
+
+
+ROUTES = (
+    Route("enumerate", _up_to(ENUM_LIMIT), _enumerate),
+    Route("dp", _up_to(DP_LIMIT), lambda n, p, vw, ctx: (partition_dp(n, vw), {})),
+    Route("hankel", _lambda_eta(),
+          lambda n, p, vw, ctx: (partition_hankel(n, p, ctx), {})),
+    Route("wdet", _lambda_eta(),
+          lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
+    Route("gauss", _lambda_eta(),
+          lambda n, p, vw, ctx: (full_partition_gauss(n, p), {})),
+    Route("fredholm-disordered", _lambda_eta(_disordered),
+          lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {})),
+    Route("fredholm-discrete", _lambda_eta(_ferroelectric), _discrete),
+    Route("fredholm-rational", _lambda_eta(_real), _rational, in_all=False),
+)
+ROUTES_BY_NAME = {r.name: r for r in ROUTES}
+
+
+def applicable(n: int, p: ModelParams, weights: Optional[tuple]) -> list:
+    """The routes 'all' runs, in registry order."""
+    return [r for r in ROUTES if r.in_all and r.valid(n, p, weights) is None]
+
+
+def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
+    """(record, whether it came from the cache) for one route at one N.
+    Raises when the route refuses the inputs or fails; nothing is cached then."""
+    p = ModelParams(args.lam, args.eta)
+    reason = route.valid(n, p, args.weights)
+    if reason:
+        raise ValueError(f"{route.name} {reason}")
+    cfg = JobConfig("compute", route.name, n, args.lam, args.eta,
+                    args.weights, args.bits, args.tol)
+    rec = cache_load(cdir, cfg)
+    if rec is not None:
+        return rec, True
+    ctx = PrecisionContext(args.bits) if args.bits else PrecisionContext.for_size(n)
+    vw = (VertexWeights(*args.weights) if args.weights
+          else VertexWeights.symmetric(*symmetric_weights(p)))
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if rep == "enumerate":
-            vw = (VertexWeights(*weights) if weights
-                  else VertexWeights.symmetric(*symmetric_weights(p)))
-            res = enumerate_configs(n, vw)
-            value, extra = res.z_value, {"config_count": res.config_count}
-        elif rep == "dp":
-            vw = (VertexWeights(*weights) if weights
-                  else VertexWeights.symmetric(*symmetric_weights(p)))
-            value = partition_dp(n, vw)
-        elif rep == "hankel":
-            value = partition_hankel(n, p, ctx)
-        elif rep == "wdet":
-            value = full_partition(n, p, ctx)
-        elif rep == "gauss":
-            value = full_partition_gauss(n, p)
-        elif rep == "fredholm-disordered":
-            value = full_partition_fredholm(n, p)
-        elif rep == "fredholm-discrete":
-            pt_p, pt_m = _ferro_tilde(p)
-            zt = fredholm_det(KernelSpec.discrete(n, pt_p, pt_m))
-            value = zt.scale_log(n * n * cmath.log(cmath.sin(p.phi_plus))
-                                 - 1j * complex(p.nu) * n)
-        elif rep == "fredholm-rational":
-            # rational degeneration: weights (lam+eta, lam-eta, 2 eta)
-            lr, er = lam.real, eta.real
-            xi = (lr - er) / (lr + er)
-            zt = fredholm_det(KernelSpec.rational(n, xi))
-            value = zt.scale_log(n * n * math.log(lr + er))
-        else:
-            raise ValueError(f"unknown representation {rep!r}")
+        value, extra = route.fn(n, p, vw, ctx)
     elapsed = 1000.0 * (time.perf_counter() - t0)
-    return ResultRecord(rep, n, lam, eta, value.log_magnitude, value.angle,
-                        elapsed, ctx.mantissa_bits,
-                        [str(w.message) for w in caught], extra)
-
-
-def valid_representations(n: int, lam: complex, eta: complex) -> list:
-    """Every representation applicable at the given point (used by 'all')."""
-    p = ModelParams(lam, eta)
-    reps = []
-    if n <= ENUM_LIMIT:
-        reps.append("enumerate")
-    if n <= DP_LIMIT:
-        reps.append("dp")
-    reps += ["hankel", "wdet", "gauss"]
-    pp = complex(p.phi_plus)
-    if 0 < pp.real < math.pi:
-        reps.append("fredholm-disordered")
-    if abs(pp.real) < 1e-12 and abs(complex(p.phi_minus).real) < 1e-12 \
-            and pp.imag > 0:
-        reps.append("fredholm-discrete")
-    return reps
+    rec = ResultRecord(route.name, n, args.lam, args.eta, value.log_magnitude,
+                       value.angle, elapsed, ctx.mantissa_bits,
+                       [str(w.message) for w in caught], extra)
+    cache_store(cdir, cfg, rec)
+    return rec, False
 
 
 # --------------------------------------------------------------------------
@@ -301,20 +341,18 @@ def emit(records: list, fmt: str, out_path: Optional[str],
 
 
 def run_compute(args) -> int:
-    reps = (valid_representations(args.n, args.lam, args.eta)
-            if args.rep == "all" else [args.rep])
+    if args.rep == "all":
+        routes = applicable(args.n, ModelParams(args.lam, args.eta), args.weights)
+        if not routes:
+            raise ValueError(f"no route takes these inputs at N={args.n}")
+    else:
+        routes = [ROUTES_BY_NAME[args.rep]]
     cdir = cache_dir(args.cache)
     records = []
-    for rep in reps:
-        cfg = JobConfig("compute", rep, args.n, args.lam, args.eta,
-                        args.weights, args.bits, args.tol)
-        rec = cache_load(cdir, cfg)
-        if rec is None:
-            rec = compute_one(rep, args.n, args.lam, args.eta,
-                              args.weights, args.bits)
-            cache_store(cdir, cfg, rec)
-        else:
-            print(f"cache hit: {rep}", file=sys.stderr)
+    for route in routes:
+        rec, hit = compute_one(route, args.n, args, cdir)
+        if hit:
+            print(f"cache hit: {route.name}", file=sys.stderr)
         records.append(rec)
     summary = None
     status = 0
@@ -333,36 +371,32 @@ def run_compute(args) -> int:
 
 
 def run_sweep(args) -> int:
-    ns = list(range(args.n, args.n_max + 1))
+    """Points run in order, one at a time: mpmath's working precision is
+    process-global.  A failed point is recorded, never cached, and makes the
+    sweep exit 1."""
+    ns = range(args.n, args.n_max + 1)
     if len(ns) > 10_000:
         print("sweep grid exceeds 10^4 points", file=sys.stderr)
         return 2
+    route = ROUTES_BY_NAME[args.rep]
     cdir = cache_dir(args.cache)
-    cfgs = [JobConfig("compute", args.rep, n, args.lam, args.eta,
-                      args.weights, args.bits, args.tol) for n in ns]
-    cached = [cache_load(cdir, c) for c in cfgs]
-
-    def work(idx: int) -> ResultRecord:
-        if cached[idx] is not None:
-            return cached[idx]
+    records, hits, failed = [], 0, 0
+    for n in ns:
         try:
-            return compute_one(args.rep, ns[idx], args.lam, args.eta,
-                               args.weights, args.bits)
+            rec, hit = compute_one(route, n, args, cdir)
         except Exception as exc:  # per-point errors recorded, sweep continues
-            return ResultRecord(args.rep, ns[idx], args.lam, args.eta,
-                                float("nan"), float("nan"), 0.0, 0,
-                                [f"error: {exc}"])
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        records = list(pool.map(work, range(len(ns))))
-    hits = sum(c is not None for c in cached)
+            rec, hit = ResultRecord(args.rep, n, args.lam, args.eta,
+                                    float("nan"), float("nan"), 0.0, 0,
+                                    [f"error: {exc}"]), False
+            failed += 1
+        records.append(rec)
+        hits += hit
     if cdir:
-        for cfg, rec, was_hit in zip(cfgs, records, cached):
-            if was_hit is None:
-                cache_store(cdir, cfg, rec)
         print(f"cache: {hits} hits, {len(ns) - hits} computed", file=sys.stderr)
+    if failed:
+        print(f"sweep: {failed} of {len(ns)} points failed", file=sys.stderr)
     emit(records, args.format, args.out)
-    return 0
+    return 1 if failed else 0
 
 
 def _verify_identities() -> list:
@@ -503,15 +537,14 @@ def run_enumerate_dump(args) -> int:
 # argument parsing
 
 
-def _add_common(sub, with_rep=True, rep_choices=REPRESENTATIONS + ("all",)):
-    if with_rep:
-        sub.add_argument("--rep", default="all", choices=rep_choices)
+def _add_common(sub, rep_choices):
+    sub.add_argument("--rep", default="all", choices=rep_choices)
     sub.add_argument("--lambda", dest="lam", type=parse_complex,
                      default=complex(0.9), help="spectral parameter, 're[,im]'")
     sub.add_argument("--eta", type=parse_complex, default=complex(0.3),
                      help="crossing parameter, 're[,im]'")
     sub.add_argument("--weights", type=parse_weights, default=None,
-                     help="explicit w1,...,w6 (enumerate/dp only)")
+                     help="explicit w1,...,w6 (enumerate and dp only)")
     sub.add_argument("--bits", type=int, default=None,
                      help="mantissa bits (default: size-adaptive)")
     sub.add_argument("--tol", type=float, default=1e-8)
@@ -530,13 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = subs.add_parser("compute", help="compute Z_N by one or all representations")
     c.add_argument("--n", type=int, required=True)
-    _add_common(c)
+    _add_common(c, tuple(ROUTES_BY_NAME) + ("all",))
     c.set_defaults(fn=run_compute)
 
     s = subs.add_parser("sweep", help="sweep N over a range")
     s.add_argument("--n", type=int, default=1, help="first N")
     s.add_argument("--n-max", type=int, required=True)
-    _add_common(s, rep_choices=REPRESENTATIONS)
+    _add_common(s, tuple(ROUTES_BY_NAME))
     s.set_defaults(fn=run_sweep, rep="wdet")
 
     v = subs.add_parser("verify", help="run the invariant suites")

@@ -13,7 +13,6 @@ the left of each row points left (False) and to the right points right
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterator

@@ -15,13 +15,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .errors import ConvergenceWarning, SingularParameterError
 from .logscale import LogScaledValue
-from .orthopoly import laguerre_deriv, laguerre_eval, meixner_poly, mp_deriv, mp_eval
-from .params import ModelParams
+from .orthopoly import (cd_bracket, cd_pointwise, laguerre_deriv, laguerre_eval,
+                        meixner_poly, mp_deriv, mp_eval, weight_shifted)
+from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
 
 CONVERGENCE_TOL = 1e-8
@@ -30,13 +30,13 @@ CONVERGENCE_TOL = 1e-8
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str                      # disordered | discrete | rational
-    n: float                       # operator order; non-integer is experimental
+    n: int                         # operator order
     params: Optional[ModelParams] = None
     phi_tilde: Optional[tuple] = None   # (phi~_+, phi~_-) for the discrete kernel
     xi: Optional[float] = None          # phi_- / phi_+ for the rational kernel
 
     @classmethod
-    def disordered(cls, n: float, p: ModelParams) -> "KernelSpec":
+    def disordered(cls, n: int, p: ModelParams) -> "KernelSpec":
         if not 0 < complex(p.phi_plus).real < math.pi:
             raise SingularParameterError("disordered kernel needs 0 < Re phi_+ < pi")
         return cls("disordered", n, params=p)
@@ -56,81 +56,72 @@ class KernelSpec:
 # kernels
 
 
-def _weight_plus(y: np.ndarray, phi_plus: complex) -> np.ndarray:
-    # e^{2 phi_+ y} / (1 + e^{2 pi y}), overflow-safe
-    return np.exp(2 * phi_plus * y - np.logaddexp(0.0, 2 * math.pi * y))
+def _kernel(spec: KernelSpec, x: np.ndarray, dx: Optional[np.ndarray] = None,
+            zeta: complex = 1) -> np.ndarray:
+    """zeta K(x_i, x_j) dx_j over all node pairs, where K(x, y) = c_N B(x, y) w(y)
+    with B the bracket of the kernel's polynomial family:
+
+    disordered  c_N = N,                  w(y) = e^{2 phi_+ y}/(1 + e^{2 pi y}),
+                P = Meixner-Pollaczek P^{(1/2)}(.; phi_-);
+    rational    c_N = -N,                 w(y) = e^{-y},  P = L(xi .);
+    discrete    c_N = -N e^{-2N phi~_-},  w(y) = e^{-2 phi~_+ y},
+                P = Meixner M(.; 1, e^{-2 phi~_-}).
+    """
+    n = spec.n
+    if spec.kind == "disordered":
+        phi = spec.params.phi_minus
+        polys = [np.array([f(k, 0.5, xi, phi) for xi in x])
+                 for f, k in ((mp_eval, n), (mp_eval, n - 1),
+                              (mp_deriv, n), (mp_deriv, n - 1))]
+        c, w = n, weight_shifted(2 * x, spec.params.phi_plus)
+    elif spec.kind == "rational":
+        s = spec.xi
+        ln, ln1, dln, dln1 = [np.array([f(k, s * xi) for xi in x])
+                              for f, k in ((laguerre_eval, n), (laguerre_eval, n - 1),
+                                           (laguerre_deriv, n), (laguerre_deriv, n - 1))]
+        polys = [ln, ln1, s * dln, s * dln1]
+        c, w = -n, np.exp(-x)
+    elif spec.kind == "discrete":
+        pt_plus, pt_minus = spec.phi_tilde
+        q = cmath.exp(-2 * pt_minus)
+        q = q.real if abs(q.imag) < 1e-15 else q
+        mn, mn1 = meixner_poly(n, 1.0, q), meixner_poly(n - 1, 1.0, q)
+        polys = [mn(x), mn1(x), mn.deriv()(x), mn1.deriv()(x)]
+        c, w = -n * cmath.exp(-2 * n * pt_minus), np.exp(-2 * pt_plus * x)
+    else:
+        raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    if dx is not None:
+        w = w * dx
+    return zeta * c * cd_bracket(x, *polys) * w[None, :]
 
 
-def _mp_pair(n: float, xs: np.ndarray, phi: complex):
-    """P_n and P_{n-1} (family parameter 1/2) at all nodes, plus derivatives."""
-    if float(n) == int(n):
-        n = int(n)
-        pn = np.array([mp_eval(n, 0.5, x, phi) for x in xs])
-        pn1 = np.array([mp_eval(n - 1, 0.5, x, phi) for x in xs])
-        dpn = np.array([mp_deriv(n, 0.5, x, phi) for x in xs])
-        dpn1 = np.array([mp_deriv(n - 1, 0.5, x, phi) for x in xs])
-        return pn, pn1, dpn, dpn1
-    # experimental non-integer order: terminating recurrences are out,
-    # evaluate the hypergeometric form directly
-    z = 1 - cmath.exp(-2j * complex(phi))
-
-    def p_nu(nu, x):
-        val = mpmath.exp(1j * nu * complex(phi)) * mpmath.hyp2f1(-nu, 0.5 + 1j * x, 1, z)
-        return complex(val)
-
-    eps = 1e-6
-    pn = np.array([p_nu(n, x) for x in xs])
-    pn1 = np.array([p_nu(n - 1, x) for x in xs])
-    dpn = np.array([(p_nu(n, x + eps) - p_nu(n, x - eps)) / (2 * eps) for x in xs])
-    dpn1 = np.array([(p_nu(n - 1, x + eps) - p_nu(n - 1, x - eps)) / (2 * eps) for x in xs])
-    return pn, pn1, dpn, dpn1
+def _pointwise(spec: KernelSpec, x: float, y: float):
+    return cd_pointwise(lambda nodes: _kernel(spec, nodes), float(x), float(y))
 
 
-def kernel_disordered(x: float, y: float, n: float, p: ModelParams) -> complex:
+def kernel_disordered(x: float, y: float, n: int, p: ModelParams) -> complex:
     """N [P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)]/(x - y) * e^{2 phi_+ y}/(1 + e^{2 pi y}).
 
     The loop factor zeta multiplies the operator, not this kernel.
     """
-    spec = KernelSpec.disordered(n, p)  # validates the strip
-    xs = np.array([x, y], dtype=float)
-    pn, pn1, dpn, dpn1 = _mp_pair(spec.n, xs, p.phi_minus)
-    w = complex(_weight_plus(np.array([y]), complex(p.phi_plus))[0])
-    if abs(x - y) < 1e-6 * (1 + abs(x) + abs(y)):
-        bracket = dpn[0] * pn1[0] - dpn1[0] * pn[0]
-    else:
-        bracket = (pn[0] * pn1[1] - pn1[0] * pn[1]) / (x - y)
-    return n * bracket * w
+    return _pointwise(KernelSpec.disordered(n, p), x, y)
 
 
 def kernel_discrete(x: int, y: int, n: int, phi_tilde_plus: complex,
                     phi_tilde_minus: complex) -> complex:
     """Discrete Meixner kernel on nonnegative integers; the x = y value is
     the Christoffel-Darboux confluent limit of the polynomial bracket."""
-    KernelSpec.discrete(n, phi_tilde_plus, phi_tilde_minus)
+    spec = KernelSpec.discrete(n, phi_tilde_plus, phi_tilde_minus)
     if x < 0 or y < 0 or x != int(x) or y != int(y):
         raise ValueError("discrete kernel arguments are nonnegative integers")
-    c = cmath.exp(-2 * phi_tilde_minus)
-    mn = meixner_poly(n, 1.0, c)
-    mn1 = meixner_poly(n - 1, 1.0, c)
-    if x == y:
-        bracket = mn(x) * mn1.deriv()(x) - mn1(x) * mn.deriv()(x)
-    else:
-        bracket = -(mn(x) * mn1(y) - mn1(x) * mn(y)) / (x - y)
-    return (n * cmath.exp(-2 * n * phi_tilde_minus) * bracket
-            * cmath.exp(-2 * phi_tilde_plus * y))
+    return _pointwise(spec, x, y)
 
 
 def kernel_rational(x: float, y: float, n: int, xi: float) -> float:
     """-N [L_N(xi x) L_{N-1}(xi y) - L_{N-1}(xi x) L_N(xi y)]/(x - y) * e^{-y}."""
     if x < 0 or y < 0:
         raise ValueError("rational kernel lives on the positive half-axis")
-    if abs(x - y) < 1e-6 * (1 + abs(x) + abs(y)):
-        bracket = xi * (laguerre_deriv(n, xi * x) * laguerre_eval(n - 1, xi * x)
-                        - laguerre_deriv(n - 1, xi * x) * laguerre_eval(n, xi * x))
-    else:
-        bracket = (laguerre_eval(n, xi * x) * laguerre_eval(n - 1, xi * y)
-                   - laguerre_eval(n - 1, xi * x) * laguerre_eval(n, xi * y)) / (x - y)
-    return -n * bracket * math.exp(-y)
+    return _pointwise(KernelSpec.rational(n, xi), x, y)
 
 
 # --------------------------------------------------------------------------
@@ -140,12 +131,12 @@ def kernel_rational(x: float, y: float, n: int, xi: float) -> float:
 def default_plan(spec: KernelSpec) -> QuadraturePlan:
     if spec.kind == "disordered":
         pp = complex(spec.params.phi_plus)
-        order = int(2 * spec.n) + 1
+        order = 2 * spec.n + 1
         hi = decay_cutoff(2 * math.pi - 2 * pp.real, poly_order=order)
         lo = -decay_cutoff(2 * pp.real, poly_order=order)
         return QuadraturePlan.on_interval(lo, hi, panel_width=1.0, nodes_per_panel=32)
     if spec.kind == "rational":
-        hi = decay_cutoff(1.0, poly_order=int(2 * spec.n) + 1)
+        hi = decay_cutoff(1.0, poly_order=2 * spec.n + 1)
         return QuadraturePlan.on_interval(0.0, hi, panel_width=1.0, nodes_per_panel=32)
     raise ValueError("the discrete kernel uses truncation, not quadrature")
 
@@ -163,48 +154,14 @@ def operator_matrix(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
     """The finite matrix whose determinant of (I - .) approximates the
     Fredholm determinant.  zeta is folded in for the disordered kernel; the
     discrete and rational kernels carry their own prefactors."""
-    if spec.kind == "disordered":
-        plan = plan or default_plan(spec)
-        p = spec.params
-        x = plan.nodes
-        pn, pn1, dpn, dpn1 = _mp_pair(spec.n, x, p.phi_minus)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bracket = (np.outer(pn, pn1) - np.outer(pn1, pn)) / np.subtract.outer(x, x)
-        np.fill_diagonal(bracket, dpn * pn1 - dpn1 * pn)
-        w = _weight_plus(x, complex(p.phi_plus)) * plan.weights
-        zeta = cmath.exp(1j * (complex(p.phi_minus) - complex(p.phi_plus)))
-        return zeta * spec.n * bracket * w[None, :]
-
-    if spec.kind == "rational":
-        plan = plan or default_plan(spec)
-        x = plan.nodes
-        ln = np.array([laguerre_eval(int(spec.n), spec.xi * xi) for xi in x])
-        ln1 = np.array([laguerre_eval(int(spec.n) - 1, spec.xi * xi) for xi in x])
-        dln = spec.xi * np.array([laguerre_deriv(int(spec.n), spec.xi * xi) for xi in x])
-        dln1 = spec.xi * np.array([laguerre_deriv(int(spec.n) - 1, spec.xi * xi) for xi in x])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bracket = (np.outer(ln, ln1) - np.outer(ln1, ln)) / np.subtract.outer(x, x)
-        np.fill_diagonal(bracket, dln * ln1 - dln1 * ln)
-        w = np.exp(-x) * plan.weights
-        return -spec.n * bracket * w[None, :]
-
     if spec.kind == "discrete":
-        x_max = x_max or discrete_cutoff(spec)
-        pt_plus, pt_minus = spec.phi_tilde
-        n = int(spec.n)
-        c = cmath.exp(-2 * pt_minus)
-        mn = meixner_poly(n, 1.0, complex(c).real if abs(c.imag) < 1e-15 else c)
-        mn1 = meixner_poly(n - 1, 1.0, complex(c).real if abs(c.imag) < 1e-15 else c)
-        x = np.arange(x_max, dtype=float)
-        vn, vn1 = mn(x), mn1(x)
-        dvn, dvn1 = mn.deriv()(x), mn1.deriv()(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bracket = -(np.outer(vn, vn1) - np.outer(vn1, vn)) / np.subtract.outer(x, x)
-        np.fill_diagonal(bracket, vn * dvn1 - vn1 * dvn)
-        w = np.exp(-2 * pt_plus * x)
-        return n * cmath.exp(-2 * n * pt_minus) * bracket * w[None, :]
-
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+        return _kernel(spec, np.arange(x_max or discrete_cutoff(spec), dtype=float))
+    plan = plan or default_plan(spec)
+    zeta = 1
+    if spec.kind == "disordered":
+        p = spec.params
+        zeta = cmath.exp(1j * (complex(p.phi_minus) - complex(p.phi_plus)))
+    return _kernel(spec, plan.nodes, plan.weights, zeta)
 
 
 def _logdet_i_minus(matrix: np.ndarray) -> LogScaledValue:
@@ -240,8 +197,7 @@ def full_partition_fredholm(n: int, p: ModelParams,
                             plan: Optional[QuadraturePlan] = None) -> LogScaledValue:
     """Symmetric-weight Z_N through the disordered Nystrom determinant."""
     zt = fredholm_det(KernelSpec.disordered(n, p), plan=plan)
-    log = n * n * cmath.log(cmath.sin(p.phi_plus)) - 1j * complex(p.nu) * n
-    return zt.scale_log(log)
+    return zt.scale_log(qgroup_prefactor(n, p))
 
 
 def trace_moments(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,

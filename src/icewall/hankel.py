@@ -20,7 +20,7 @@ import mpmath
 from .determinants import lu_det, mp_logdet
 from .errors import SingularParameterError
 from .logscale import LogScaledValue, PrecisionContext
-from .params import SIN_CUTOFF, ModelParams
+from .params import SIN_CUTOFF, ModelParams, qgroup_prefactor
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,4 @@ def z_tilde_via_ratio(n: int, p: ModelParams,
                       ctx: Optional[PrecisionContext] = None) -> LogScaledValue:
     """Quantum-group-normalized partition value from the Hankel route:
     Z / ([sin phi_+]^{N^2} e^{-i N phi_-})."""
-    z = partition_hankel(n, p, ctx)
-    log = -n * n * cmath.log(cmath.sin(p.phi_plus)) + 1j * n * complex(p.phi_minus)
-    return z.scale_log(log)
+    return partition_hankel(n, p, ctx).scale_log(-qgroup_prefactor(n, p))

@@ -8,7 +8,7 @@ antiferroelectric regimes through the same code path.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ SIN_CUTOFF = 1e-9
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Spectral parameters (radians); phi_pm and nu are always derived."""
+    """Spectral parameters (radians); phi_pm are always derived."""
 
     lam: complex
     eta: complex
@@ -38,10 +38,6 @@ class ModelParams:
 
     @property
     def phi_minus(self) -> complex:
-        return self.lam - self.eta
-
-    @property
-    def nu(self) -> complex:
         return self.lam - self.eta
 
 
@@ -96,30 +92,26 @@ def classify_phase(a: complex, b: complex, c: complex, tol: float = 1e-12) -> st
 def qgroup_weights(p: ModelParams) -> VertexWeights:
     """Quantum-group normalized weights: w1 = w2 = 1, asymmetric w5/w6.
 
-    The phase split e^{-i nu} / e^{+i nu} on w5/w6 uses n6 - n5 = N to strip
-    the boundary factor from the partition function.
+    The phase split e^{-i phi_-} / e^{+i phi_-} on w5/w6 uses n6 - n5 = N to
+    strip the boundary factor from the partition function.
     """
     a, b, c = symmetric_weights(p)
     if abs(a) < SIN_CUTOFF:
         raise SingularParameterError("qgroup weights need sin(lambda+eta) != 0")
-    ph = cmath.exp(1j * p.nu)
+    ph = cmath.exp(1j * p.phi_minus)
     return VertexWeights(1.0, 1.0, b / a, b / a, (c / a) / ph, (c / a) * ph)
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    """4x4 vertex matrix on pairs of two-state edge labels."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __matmul__(self, other: "RMatrix") -> np.ndarray:
-        return self.entries @ other.entries
+def qgroup_prefactor(n: int, p: ModelParams) -> complex:
+    """log of [sin phi_+]^{N^2} e^{-i phi_- N}: Z_N = Z~_N exp(this), where
+    Z~_N is the partition function at the qgroup_weights normalization."""
+    return n * n * cmath.log(cmath.sin(p.phi_plus)) - 1j * complex(p.phi_minus) * n
 
 
-def r_matrix(nu: complex, eta: complex) -> RMatrix:
-    """Unitarity-normalized R-matrix: corners 1, center [[beta, e^{i nu} gamma],
-    [e^{-i nu} gamma, beta]] with beta = sin nu / sin(nu+2 eta),
-    gamma = sin 2 eta / sin(nu+2 eta)."""
+def r_matrix(nu: complex, eta: complex) -> np.ndarray:
+    """Unitarity-normalized 4x4 R-matrix on pairs of two-state edge labels:
+    corners 1, center [[beta, e^{i nu} gamma], [e^{-i nu} gamma, beta]] with
+    beta = sin nu / sin(nu+2 eta), gamma = sin 2 eta / sin(nu+2 eta)."""
     denom = cmath.sin(nu + 2 * eta)
     if abs(denom) < SIN_CUTOFF:
         raise SingularParameterError("sin(nu + 2 eta) vanishes")
@@ -130,13 +122,13 @@ def r_matrix(nu: complex, eta: complex) -> RMatrix:
     m[1, 1] = m[2, 2] = beta
     m[1, 2] = cmath.exp(1j * nu) * gamma
     m[2, 1] = cmath.exp(-1j * nu) * gamma
-    return RMatrix(m)
+    return m
 
 
 def check_unitarity(nu: complex, eta: complex) -> float:
     """max |(R(nu) P R(-nu) P - I)_ij| with P = R(0) the permutation."""
-    perm = r_matrix(0.0, eta).entries
-    r_pos = r_matrix(nu, eta).entries
-    r_neg = r_matrix(-nu, eta).entries
+    perm = r_matrix(0.0, eta)
+    r_pos = r_matrix(nu, eta)
+    r_neg = r_matrix(-nu, eta)
     resid = r_pos @ perm @ r_neg @ perm - np.eye(4)
     return float(np.max(np.abs(resid)))

@@ -15,10 +15,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .determinants import mp_logdet
-from .errors import BranchError, SingularParameterError
+from .errors import SingularParameterError
 from .logscale import LogScaledValue, PrecisionContext
-from .orthopoly import exp_jplus_entries, hyp2f1_terminating, mp_eval, su11_matrices
-from .params import ModelParams
+from .orthopoly import (exp_jplus_entries, hyp2f1_terminating, mp_eval,
+                        su11_matrices, weight_shifted)
+from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
 
 
@@ -47,12 +48,18 @@ class BetaGamma:
         return cls(beta=(lam - eta) / (lam + eta), gamma=2 * eta / (lam + eta), zeta=1.0)
 
 
-def w_entry(j: int, k: int, bg: BetaGamma, branch: str = "binomial") -> complex:
-    """W_jk = sum_n C(j,n) C(k,n) beta^{2n+1} gamma^{j+k-2n}; symmetric in (j, k).
+def w_binomial(j: int, k: int, beta, gamma):
+    """W_jk = sum_m C(j,m) C(k,m) beta^{2m+1} gamma^{j+k-2m}, symmetric in
+    (j, k), for complex or mpmath scalars alike.  gamma = 0 needs no special
+    case: only the diagonal survives."""
+    return sum(math.comb(j, m) * math.comb(k, m) * beta ** (2 * m + 1)
+               * gamma ** (j + k - 2 * m) for m in range(min(j, k) + 1))
 
-    The equivalent hypergeometric branch beta gamma^{j+k} 2F1(-j,-k;1;(beta/gamma)^2)
-    is kept for cross-checks and needs gamma != 0; the binomial sum handles
-    gamma = 0 (only the diagonal survives) without special-casing.
+
+def w_entry(j: int, k: int, bg: BetaGamma, branch: str = "binomial") -> complex:
+    """W_jk by the binomial sum, or by the equivalent hypergeometric branch
+    beta gamma^{j+k} 2F1(-j,-k;1;(beta/gamma)^2), which is kept for
+    cross-checks and needs gamma != 0.
     """
     if branch == "hyp":
         if bg.gamma == 0:
@@ -62,12 +69,7 @@ def w_entry(j: int, k: int, bg: BetaGamma, branch: str = "binomial") -> complex:
                                      (bg.beta / bg.gamma) ** 2))
     if branch != "binomial":
         raise ValueError(f"unknown branch {branch!r}")
-    acc = 0j
-    for n in range(min(j, k) + 1):
-        power = j + k - 2 * n
-        g = bg.gamma ** power if power else 1.0
-        acc += math.comb(j, n) * math.comb(k, n) * bg.beta ** (2 * n + 1) * g
-    return acc
+    return w_binomial(j, k, bg.beta, bg.gamma)
 
 
 def w_matrix(n: int, bg: BetaGamma) -> np.ndarray:
@@ -97,7 +99,7 @@ def w_entry_integral(j: int, k: int, p: ModelParams,
         lo = -decay_cutoff(2 * pp.real, poly_order=j + k)
         plan = QuadraturePlan.on_interval(lo, hi)
     x = plan.nodes
-    weight = np.exp(2 * pp * x - np.logaddexp(0.0, 2 * math.pi * x))
+    weight = weight_shifted(2 * x, pp)
     pj = np.array([mp_eval(j, 0.5, xi, p.phi_minus) for xi in x])
     pk = np.array([mp_eval(k, 0.5, xi, p.phi_minus) for xi in x])
     return 2 * cmath.sin(p.phi_minus) * complex(np.sum(pj * pk * weight * plan.weights))
@@ -113,11 +115,7 @@ def _w_matrix_mp(n: int, p: ModelParams):
     w = mpmath.zeros(n, n)
     for j in range(n):
         for k in range(j + 1):
-            acc = mpmath.mpc(0)
-            for m in range(min(j, k) + 1):
-                acc += (math.comb(j, m) * math.comb(k, m)
-                        * beta ** (2 * m + 1) * gamma ** (j + k - 2 * m))
-            w[j, k] = w[k, j] = acc
+            w[j, k] = w[k, j] = w_binomial(j, k, beta, gamma)
     return w, zeta
 
 
@@ -134,10 +132,8 @@ def z_tilde_det(n: int, p: ModelParams,
 def full_partition(n: int, p: ModelParams,
                    ctx: Optional[PrecisionContext] = None) -> LogScaledValue:
     """Restore the symmetric-weight normalization:
-    Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i nu N}."""
-    zt = z_tilde_det(n, p, ctx)
-    log = n * n * cmath.log(cmath.sin(p.phi_plus)) - 1j * complex(p.nu) * n
-    return zt.scale_log(log)
+    Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i phi_- N}."""
+    return z_tilde_det(n, p, ctx).scale_log(qgroup_prefactor(n, p))
 
 
 def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
@@ -147,8 +143,7 @@ def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
     m = np.eye(n) - bg.zeta * w_matrix_gauss(n, bg)
     sign, logabs = np.linalg.slogdet(m)
     zt = LogScaledValue(float(logabs), float(np.angle(sign)))
-    log = n * n * cmath.log(cmath.sin(p.phi_plus)) - 1j * complex(p.nu) * n
-    return zt.scale_log(log)
+    return zt.scale_log(qgroup_prefactor(n, p))
 
 
 def rational_z_tilde(n: int, lam: float, eta: float) -> LogScaledValue:
@@ -157,36 +152,6 @@ def rational_z_tilde(n: int, lam: float, eta: float) -> LogScaledValue:
     m = np.eye(n) - bg.zeta * w_matrix(n, bg)
     sign, logabs = np.linalg.slogdet(m)
     return LogScaledValue(float(logabs), float(np.angle(sign)))
-
-
-def k_infty_matrix(m: int, nu: complex) -> np.ndarray:
-    """Truncated Jacobi matrix (J_- + J_+ - 2 cos(nu) J_0) / sin(nu)."""
-    if m < 2:
-        raise ValueError("need dimension >= 2")
-    s = cmath.sin(complex(nu))
-    if abs(s) < 1e-12:
-        raise SingularParameterError("sin(nu) vanishes")
-    su = su11_matrices(m, convention="fixed-half")
-    k = (su.j_minus + su.j_plus - 2 * cmath.cos(complex(nu)) * su.j_zero) / s
-    if abs(complex(nu).imag) == 0:
-        return k.real
-    return k
-
-
-def k_n_log(n: int, p: ModelParams) -> np.ndarray:
-    """K_N = ln(W) / (2 eta) through the eigendecomposition of symmetric W.
-
-    Restricted to real spectral parameters: the principal branch for a
-    complex W spectrum is ambiguous, so that case is refused.
-    """
-    if abs(p.lam.imag) > 1e-14 or abs(p.eta.imag) > 1e-14:
-        raise BranchError("matrix log restricted to real (lambda, eta)")
-    bg = BetaGamma.from_params(p)
-    w = w_matrix(n, bg).real
-    evals, evecs = np.linalg.eigh(w)
-    if np.any(evals <= 0):
-        raise BranchError("W has eigenvalues on the closed negative real axis")
-    return (evecs * (np.log(evals) / (2 * p.eta.real))) @ evecs.T
 
 
 def trace_identity_check(matrices: list, multiplier: complex = 1.0,

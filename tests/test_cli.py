@@ -1,12 +1,16 @@
 """Command-line interface: dispatch, formats, cache, exit codes."""
 
+import argparse
 import csv
 import json
 import math
 
+import mpmath
 import pytest
 
+from icewall import cli
 from icewall.cli import main, parse_complex, parse_weights
+from icewall.params import ModelParams
 
 
 def run(capsys, *argv):
@@ -101,6 +105,93 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, *args, "--out", str(f2))
     assert code == 0 and "3 hits, 0 computed" in err
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_sweep_failed_point_is_not_cached(capsys, tmp_path, monkeypatch):
+    # enumeration stops at N=6: the N=7 point fails, exits 1, and is
+    # recomputed (and fails again) rather than re-emitted from the cache
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    args = ["sweep", "--rep", "enumerate", "--n", "5", "--n-max", "7",
+            "--cache", str(tmp_path)]
+    code, _, err = run(capsys, *args)
+    assert code == 1 and "0 hits, 3 computed" in err
+    code, _, err = run(capsys, *args)
+    assert code == 1 and "2 hits, 1 computed" in err
+
+
+def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
+    cfg = cli.JobConfig("compute", "dp", 2, 0.9 + 0j, 0.3 + 0j)
+    rec = cli.ResultRecord("dp", 2, 0.9 + 0j, 0.3 + 0j, 0.0, 0.0, 0.0, 128)
+
+    def interrupted_dump(obj, fh, **kwargs):
+        fh.write('{"schema"')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.json, "dump", interrupted_dump)
+    with pytest.raises(KeyboardInterrupt):
+        cli.cache_store(str(tmp_path), cfg, rec)
+    assert list(tmp_path.iterdir()) == []
+    assert cli.cache_load(str(tmp_path), cfg) is None
+
+
+@pytest.mark.parametrize("argv, route", [
+    (["--rep", "wdet", "--weights", "1,1,1,1,1,1"], "wdet"),
+    (["--rep", "fredholm-rational", "--lambda", "0.9,0.1"], "fredholm-rational"),
+])
+def test_route_refuses_inputs_it_cannot_take(capsys, argv, route):
+    code, out, err = run(capsys, "compute", "--n", "3", *argv)
+    assert code == 2 and out == ""
+    assert route in err
+
+
+def test_compute_all_with_weights_runs_weighted_routes_only(capsys):
+    code, out, _ = run(capsys, "compute", "--rep", "all", "--n", "3",
+                       "--weights", "1,1,1,1,1,1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["representation"] for r in doc["records"]] == ["enumerate", "dp"]
+    assert doc["records"][0]["log_abs_z"] == pytest.approx(math.log(7))
+
+
+def test_sweep_matches_single_points(capsys):
+    # points run one at a time: each record is the single-point value, bit
+    # for bit, and mpmath's global precision is left as it was
+    code, out, _ = run(capsys, "sweep", "--rep", "wdet", "--n", "1",
+                       "--n-max", "12", "--format", "json")
+    assert code == 0
+    assert mpmath.mp.prec == 53
+    for rec in json.loads(out)["records"]:
+        code, single, _ = run(capsys, "compute", "--rep", "wdet",
+                              "--n", str(rec["n"]), "--format", "json")
+        ref = json.loads(single)["records"][0]
+        assert (rec["log_abs_z"], rec["phase"]) == (ref["log_abs_z"], ref["phase"])
+
+
+@pytest.mark.parametrize("n, lam, eta, expected", [
+    (5, 0.55j, 0.25j, ["enumerate", "dp", "hankel", "wdet", "gauss",
+                       "fredholm-discrete"]),
+    (6, math.pi / 2, math.pi / 6, ["enumerate", "dp", "hankel", "wdet", "gauss",
+                                   "fredholm-disordered"]),
+    (7, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
+    (12, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
+    (15, 0.9, 0.3, ["hankel", "wdet", "gauss", "fredholm-disordered"]),
+])
+def test_all_route_selection(n, lam, eta, expected):
+    routes = cli.applicable(n, ModelParams(lam, eta), None)
+    assert [r.name for r in routes] == expected
+
+
+def test_rep_choices_follow_the_registry():
+    names = [r.name for r in cli.ROUTES]
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command):
+        action = next(a for a in subs.choices[command]._actions if a.dest == "rep")
+        return list(action.choices)
+
+    assert choices("compute") == names + ["all"]
+    assert choices("sweep") == names
 
 
 def test_cache_env_var_override(capsys, tmp_path, monkeypatch):

@@ -169,17 +169,6 @@ def test_trace_moment_order_limit():
         trace_moments(KernelSpec.rational(2, 0.5), n_max=7)
 
 
-def test_non_integer_order_smoke():
-    # analytic continuation in N: experimental, only well-definedness is
-    # claimed, so a coarse plan keeps the hypergeometric evaluations cheap
-    from icewall.quadrature import QuadraturePlan
-    plan = QuadraturePlan.on_interval(-12.0, 8.0, panel_width=2.0,
-                                      nodes_per_panel=8)
-    zt = fredholm_det(KernelSpec.disordered(2.5, P_REF), plan=plan,
-                      check_convergence=False)
-    assert np.isfinite(zt.log_magnitude)
-
-
 # --------------------------------------------------------------------------
 # degeneration limits
 

@@ -1,5 +1,4 @@
-"""Finite W-matrix determinant, its Gauss factorization, and the spectral
-probes."""
+"""Finite W-matrix determinant and its Gauss factorization."""
 
 import cmath
 import math
@@ -10,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icewall.enumeration import enumerate_configs
-from icewall.errors import BranchError
 from icewall.logscale import PrecisionContext
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
 from icewall.wmatrix import (BetaGamma, full_partition, full_partition_gauss,
-                             k_infty_matrix, k_n_log, rational_z_tilde,
+                             rational_z_tilde,
                              reconstruction_deviation, w_entry,
                              w_entry_integral, w_matrix, w_matrix_gauss,
                              z_tilde_det)
@@ -98,21 +96,6 @@ def test_rational_small_determinants():
 def test_triangular_reconstruction():
     for n in (2, 4, 6):
         assert reconstruction_deviation(n, P_REF) < 1e-12
-
-
-def test_spectral_probe_shape_and_convergence_direction():
-    # the log-spectrum probe is informational: finite, symmetric, and its
-    # top-left entries drift toward the fixed tridiagonal generator
-    kn = k_n_log(8, P_REF)
-    assert kn.shape == (8, 8)
-    assert np.max(np.abs(kn - kn.T)) < 1e-10
-    ki = k_infty_matrix(8, P_REF.nu)
-    assert np.isfinite(ki).all()
-
-
-def test_spectral_probe_branch_guard():
-    with pytest.raises(BranchError):
-        k_n_log(4, ModelParams(0.7 + 0.1j, 0.2))
 
 
 def test_z_tilde_matches_qgroup_enumeration():
