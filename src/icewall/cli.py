@@ -35,8 +35,8 @@ from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, mp_eval, su11_matrices
 from .params import ModelParams, VertexWeights, check_unitarity, \
     qgroup_prefactor, symmetric_weights
-from .wmatrix import BetaGamma, full_partition, full_partition_gauss, \
-    rational_z_tilde, w_matrix
+from .wmatrix import GAUSS_LIMIT, BetaGamma, full_partition, \
+    full_partition_gauss, rational_z_tilde, w_matrix
 
 SCHEMA = 1
 
@@ -208,6 +208,10 @@ def _lambda_eta(check=lambda p: None):
     return valid
 
 
+def _gauss(n, p, weights):
+    return _lambda_eta()(n, p, weights) or _up_to(GAUSS_LIMIT)(n, p, weights)
+
+
 def _disordered(p: ModelParams) -> Optional[str]:
     if not 0 < complex(p.phi_plus).real < math.pi:
         return "needs 0 < Re(lambda + eta) < pi"
@@ -249,7 +253,7 @@ ROUTES = (
           lambda n, p, vw, ctx: (partition_hankel(n, p, ctx), {})),
     Route("wdet", _lambda_eta(),
           lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
-    Route("gauss", _lambda_eta(),
+    Route("gauss", _gauss,
           lambda n, p, vw, ctx: (full_partition_gauss(n, p), {})),
     Route("fredholm-disordered", _lambda_eta(_disordered),
           lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {})),

@@ -78,7 +78,6 @@ class LatticeConfig:
 class EnumerationResult:
     config_count: int
     z_value: LogScaledValue
-    type_histogram: tuple  # one 6-tuple (n1..n6) per configuration
 
 
 def config_iterator(n: int) -> Iterator[LatticeConfig]:
@@ -121,16 +120,14 @@ def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
     """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6)."""
     weights = w.as_tuple()
     total = 0j
-    histogram = []
+    count = 0
     for cfg in config_iterator(n):
-        counts = cfg.type_counts()
         term = 1.0 + 0j
-        for wi, ni in zip(weights, counts):
+        for wi, ni in zip(weights, cfg.type_counts()):
             term *= wi ** ni
         total += term
-        histogram.append(counts)
-    return EnumerationResult(len(histogram), LogScaledValue.from_complex(total),
-                             tuple(histogram))
+        count += 1
+    return EnumerationResult(count, LogScaledValue.from_complex(total))
 
 
 def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:

@@ -169,27 +169,24 @@ def _logdet_i_minus(matrix: np.ndarray) -> LogScaledValue:
     return LogScaledValue(float(logabs), float(np.angle(sign)))
 
 
-def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
-                 check_convergence: bool = True) -> LogScaledValue:
+def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> LogScaledValue:
     """Fredholm determinant det(I - operator), with a refinement check:
     the result is accepted only if doubling the discretization moves the
     log-determinant by less than the convergence tolerance."""
     if spec.kind == "discrete":
         x_max = discrete_cutoff(spec)
         result = _logdet_i_minus(operator_matrix(spec, x_max=x_max))
-        if check_convergence:
-            refined = _logdet_i_minus(operator_matrix(spec, x_max=x_max + 10))
-            if abs(refined.log_magnitude - result.log_magnitude) > 1e-10:
-                warnings.warn("discrete kernel truncation not converged",
-                              ConvergenceWarning)
+        refined = _logdet_i_minus(operator_matrix(spec, x_max=x_max + 10))
+        if abs(refined.log_magnitude - result.log_magnitude) > 1e-10:
+            warnings.warn("discrete kernel truncation not converged",
+                          ConvergenceWarning)
         return result
     plan = plan or default_plan(spec)
     result = _logdet_i_minus(operator_matrix(spec, plan=plan))
-    if check_convergence:
-        refined = _logdet_i_minus(operator_matrix(spec, plan=plan.refined()))
-        if abs(refined.log_magnitude - result.log_magnitude) > CONVERGENCE_TOL:
-            warnings.warn("Nystrom determinant not plan-converged",
-                          ConvergenceWarning)
+    refined = _logdet_i_minus(operator_matrix(spec, plan=plan.refined()))
+    if abs(refined.log_magnitude - result.log_magnitude) > CONVERGENCE_TOL:
+        warnings.warn("Nystrom determinant not plan-converged",
+                      ConvergenceWarning)
     return result
 
 

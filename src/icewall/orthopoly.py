@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .errors import BranchError, SingularParameterError
 from .params import SIN_CUTOFF
@@ -241,7 +240,7 @@ def moment_via_contour(m: int, phi: complex, plan: Optional[QuadraturePlan] = No
 
 def _gamma_ratio(n: int, k: int, two_lam: float) -> float:
     # Gamma(n + 2 lam) / Gamma(k + 2 lam)
-    return math.exp(gammaln(n + two_lam) - gammaln(k + two_lam))
+    return math.exp(math.lgamma(n + two_lam) - math.lgamma(k + two_lam))
 
 
 def connection_coeffs(n: int, lam: float, tau: complex, phi: complex) -> list:
@@ -288,11 +287,24 @@ def inm_closed(n: int, m: int, lam: float, tau: complex, omega: complex,
     norm = (2 * s_phi) ** (-2 * lam)
     acc = 0j
     for k in range(min(n, m) + 1):
-        c = math.exp(gammaln(n + 2 * lam) + gammaln(m + 2 * lam) - gammaln(k + 2 * lam)
-                     - gammaln(n - k + 1) - gammaln(m - k + 1) - gammaln(k + 1))
+        c = math.exp(math.lgamma(n + 2 * lam) + math.lgamma(m + 2 * lam)
+                     - math.lgamma(k + 2 * lam) - math.lgamma(n - k + 1)
+                     - math.lgamma(m - k + 1) - math.lgamma(k + 1))
         acc += (c * _pow(dt, n - k) * _pow(do, m - k) * _pow(st * so, k)
                 / _pow(s_phi, n + m))
     return norm * acc
+
+
+def _log_abs_gamma_sq(lam: float, x: np.ndarray) -> np.ndarray:
+    """log |Gamma(lam + ix)|^2 for real lam > 0 and real x: Stirling's series
+    through the z^-9 term at z = lam + K + ix with Re z >= 12, brought back
+    by Gamma(z + 1) = z Gamma(z)."""
+    shift = max(0, math.ceil(12 - lam))
+    z = lam + shift + 1j * np.asarray(x, dtype=float)
+    r = 1 / (z * z)
+    series = ((z - 0.5) * np.log(z) - z + 0.5 * math.log(2 * math.pi)
+              + (1 / 12 + r * (-1 / 360 + r * (1 / 1260 + r * (-1 / 1680 + r / 1188)))) / z)
+    return 2 * series.real - sum(np.log((lam + j) ** 2 + z.imag ** 2) for j in range(shift))
 
 
 def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
@@ -307,7 +319,7 @@ def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
         lo = -decay_cutoff(2 * phi, poly_order=order)
         plan = QuadraturePlan.on_interval(lo, hi)
     x = plan.nodes
-    log_w = 2 * np.real(loggamma(lam + 1j * x)) + (2 * phi - math.pi) * x
+    log_w = _log_abs_gamma_sq(lam, x) + (2 * phi - math.pi) * x
     pn = np.array([mp_eval(n, lam, xi, tau) for xi in x])
     pm = np.array([mp_eval(m, lam, xi, omega) for xi in x])
     vals = pn * pm * np.exp(log_w)
@@ -321,31 +333,24 @@ def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
 @dataclass(frozen=True)
 class Su11Matrices:
     dimension: int
-    convention: str
     j_plus: np.ndarray
     j_zero: np.ndarray
     j_minus: np.ndarray
 
 
-def su11_matrices(m: int, lam: float = 0.5, convention: str = "fixed-half") -> Su11Matrices:
-    """Truncated raising/diagonal/lowering matrices.
-
-    'fixed-half' is the lam = 1/2 realization (J_+ entries n, J_0 entries
-    n + 1/2); 'general' carries arbitrary lam (J_+ entries n + 2 lam - 1,
-    J_0 entries n + lam).  Commutators close exactly on the top-left
-    (m-1) x (m-1) block; the truncation corrupts the final row/column.
+def su11_matrices(m: int, lam: float) -> Su11Matrices:
+    """Truncated raising/diagonal/lowering matrices of weight lam: J_+
+    entries n + 2 lam - 1, J_0 entries n + lam, J_- entries n.  Commutators
+    close exactly on the top-left (m-1) x (m-1) block; the truncation
+    corrupts the final row/column.
     """
     if m < 2:
         raise ValueError("need dimension >= 2")
-    if convention == "fixed-half":
-        lam = 0.5
-    elif convention != "general":
-        raise ValueError(f"unknown convention {convention!r}")
     n_idx = np.arange(m, dtype=float)
     j_plus = np.diag(n_idx[1:] + 2 * lam - 1, k=-1)
     j_zero = np.diag(n_idx + lam)
     j_minus = np.diag(n_idx[1:], k=1)
-    return Su11Matrices(m, convention, j_plus, j_zero, j_minus)
+    return Su11Matrices(m, j_plus, j_zero, j_minus)
 
 
 def exp_jplus_entries(alpha: complex, lam: float, m: int) -> np.ndarray:
@@ -364,7 +369,7 @@ def key_conjugation_check(alpha: complex, lam: float, m: int) -> float:
     on the masked top-left block."""
     if m < 3:
         raise ValueError("need dimension >= 3")
-    su = su11_matrices(m, lam, convention="general")
+    su = su11_matrices(m, lam)
     e = exp_jplus_entries(alpha, lam, m)
     lhs = e @ (su.j_minus + su.j_plus)
     rhs = (su.j_minus - 2 * alpha * su.j_zero + (1 + alpha * alpha) * su.j_plus) @ e

@@ -12,11 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
-from icewall.enumeration import (ASM_COUNTS, config_iterator,
-                                 enumerate_configs, partition_dp)
+from icewall.cli import applicable
+from icewall.enumeration import ASM_COUNTS, config_iterator, enumerate_configs
 from icewall.errors import PrecisionWarning
-from icewall.fredholm import (KernelSpec, fredholm_det,
-                              full_partition_fredholm, trace_moments)
+from icewall.fredholm import KernelSpec, fredholm_det, trace_moments
 from icewall.hankel import alpha_det_deviation, det_a_deviation, partition_hankel
 from icewall.logscale import PrecisionContext
 from icewall.orthopoly import (connection_coeffs, inm_closed, inm_quadrature,
@@ -42,19 +41,19 @@ def report(index: int, label: str, ok: bool, detail: str):
 
 
 def test_criterion_1_cross_representation_equality():
+    names = ["enumerate", "dp", "hankel", "wdet", "gauss", "fredholm-disordered"]
     worst_all, worst_exact = 0.0, 0.0
     for lam, eta in DISORDERED_SAMPLES:
         p = ModelParams(lam, eta)
         vw = VertexWeights.symmetric(*symmetric_weights(p))
         for n in range(1, 7):
             ctx = PrecisionContext.for_size(n)
-            exact = [enumerate_configs(n, vw).z_value,
-                     partition_dp(n, vw),
-                     partition_hankel(n, p, ctx),
-                     full_partition(n, p, ctx)]
-            values = exact + [full_partition_fredholm(n, p)]
+            routes = applicable(n, p, None)
+            assert [r.name for r in routes] == names
+            values = {r.name: r.fn(n, p, vw, ctx)[0] for r in routes}
+            exact = [v for name, v in values.items() if name != "fredholm-disordered"]
             worst_all = max(worst_all, max(
-                a.rel_diff(b) for a, b in itertools.combinations(values, 2)))
+                a.rel_diff(b) for a, b in itertools.combinations(values.values(), 2)))
             worst_exact = max(worst_exact, max(
                 a.rel_diff(b) for a, b in itertools.combinations(exact, 2)))
     report(1, "cross-representation equality",

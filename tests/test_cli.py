@@ -4,6 +4,10 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -11,6 +15,9 @@ import pytest
 from icewall import cli
 from icewall.cli import main, parse_complex, parse_weights
 from icewall.params import ModelParams
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -135,11 +142,13 @@ def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, route", [
-    (["--rep", "wdet", "--weights", "1,1,1,1,1,1"], "wdet"),
-    (["--rep", "fredholm-rational", "--lambda", "0.9,0.1"], "fredholm-rational"),
+    (["--n", "3", "--rep", "wdet", "--weights", "1,1,1,1,1,1"], "wdet"),
+    (["--n", "3", "--rep", "fredholm-rational", "--lambda", "0.9,0.1"],
+     "fredholm-rational"),
+    (["--n", "13", "--rep", "gauss"], "gauss"),
 ])
 def test_route_refuses_inputs_it_cannot_take(capsys, argv, route):
-    code, out, err = run(capsys, "compute", "--n", "3", *argv)
+    code, out, err = run(capsys, "compute", *argv)
     assert code == 2 and out == ""
     assert route in err
 
@@ -174,7 +183,7 @@ def test_sweep_matches_single_points(capsys):
                                    "fredholm-disordered"]),
     (7, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
     (12, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
-    (15, 0.9, 0.3, ["hankel", "wdet", "gauss", "fredholm-disordered"]),
+    (15, 0.9, 0.3, ["hankel", "wdet", "fredholm-disordered"]),
 ])
 def test_all_route_selection(n, lam, eta, expected):
     routes = cli.applicable(n, ModelParams(lam, eta), None)
@@ -228,3 +237,13 @@ def test_enumerate_dump_text(capsys):
     code, out, _ = run(capsys, "enumerate-dump", "--n", "1")
     assert code == 0
     assert "# configuration 0" in out
+
+
+def test_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, icewall.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icewall.enumeration import enumerate_configs
-from icewall.logscale import PrecisionContext
+from icewall.hankel import partition_hankel
+from icewall.logscale import LogScaledValue, PrecisionContext
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
 from icewall.wmatrix import (BetaGamma, full_partition, full_partition_gauss,
                              rational_z_tilde,
@@ -108,3 +109,18 @@ def test_z_tilde_matches_qgroup_enumeration():
         ref = enumerate_configs(n, w).z_value
         zt = z_tilde_det(n, P_REF, ctx)
         assert zt.rel_diff(ref) < 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 40])
+def test_ice_point_closed_form_large_n(n):
+    # Z_N = (sqrt(3)/2)^{N^2} A_N with A_N = prod_{k<N} (3k+1)!/(N+k)!, the
+    # alternating-sign-matrix count, exact in integers
+    num = den = 1
+    for k in range(n):
+        num *= math.factorial(3 * k + 1)
+        den *= math.factorial(n + k)
+    assert num % den == 0
+    exact = LogScaledValue(n * n * math.log(math.sqrt(3) / 2) + math.log(num // den), 0.0)
+    p = ModelParams(math.pi / 2, math.pi / 6)
+    assert full_partition(n, p).rel_diff(exact) <= 1e-10
+    assert partition_hankel(n, p).rel_diff(exact) <= 1e-10
