@@ -5,7 +5,7 @@ grid of disordered-phase parameter samples.
 For each (lambda, eta) sample and each N, computes Z_N by every route that
 `icewall compute --rep all` runs there (exact enumeration for N <= 6, the
 transfer DP, the moment (Hankel-type) determinant, the finite W determinant,
-its Gauss-factorized variant, and the Nystrom Fredholm determinant), then
+its Gauss-factorized variant, and the rank-N Fredholm determinant), then
 prints the worst pairwise relative deviation.
 """
 

@@ -27,8 +27,8 @@ import numpy as np
 from .enumeration import DP_LIMIT, ENUM_LIMIT, ASM_COUNTS, dump_configs, \
     enumerate_configs, config_iterator, partition_dp
 from .errors import SingularParameterError
-from .fredholm import KernelSpec, fredholm_det, full_partition_fredholm, \
-    trace_moments
+from .fredholm import DISORDERED_LIMIT, KernelSpec, fredholm_det, \
+    full_partition_fredholm, trace_moments
 from .hankel import det_a_deviation, partition_hankel
 from .logscale import LogScaledValue, PrecisionContext
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
@@ -208,8 +208,9 @@ def _lambda_eta(check=lambda p: None):
     return valid
 
 
-def _gauss(n, p, weights):
-    return _lambda_eta()(n, p, weights) or _up_to(GAUSS_LIMIT)(n, p, weights)
+def _capped(valid, limit: int):
+    """valid(), and N <= limit."""
+    return lambda n, p, weights: valid(n, p, weights) or _up_to(limit)(n, p, weights)
 
 
 def _disordered(p: ModelParams) -> Optional[str]:
@@ -253,9 +254,9 @@ ROUTES = (
           lambda n, p, vw, ctx: (partition_hankel(n, p, ctx), {})),
     Route("wdet", _lambda_eta(),
           lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
-    Route("gauss", _gauss,
+    Route("gauss", _capped(_lambda_eta(), GAUSS_LIMIT),
           lambda n, p, vw, ctx: (full_partition_gauss(n, p), {})),
-    Route("fredholm-disordered", _lambda_eta(_disordered),
+    Route("fredholm-disordered", _capped(_lambda_eta(_disordered), DISORDERED_LIMIT),
           lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {})),
     Route("fredholm-discrete", _lambda_eta(_ferroelectric), _discrete),
     Route("fredholm-rational", _lambda_eta(_real), _rational, in_all=False),

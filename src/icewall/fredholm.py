@@ -1,10 +1,12 @@
-"""Fredholm-determinant representations and their Nystrom evaluation.
+"""Fredholm-determinant representations and their evaluation in rank-N form.
 
 Three kernel families share one entry point: the continuous kernel on the
 real line (real spectral parameters), the discrete kernel on the
 nonnegative integers (imaginary parameters), and the Laguerre kernel on
-the positive half-axis (rational degeneration).  Each is discretized to a
-finite matrix and the determinant of I minus that matrix is taken.
+the positive half-axis (rational degeneration).  Each kernel is a
+Christoffel-Darboux sum of N rank-one terms, so on any set of nodes the
+determinant of I minus the m x m Nystrom matrix equals that of an N x N
+Gram matrix (Sylvester's identity); only the N x N matrix is built.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceWarning, SingularParameterError
+from .errors import ConvergenceWarning, SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue
-from .orthopoly import (cd_bracket, cd_pointwise, laguerre_deriv, laguerre_eval,
-                        meixner_poly, mp_deriv, mp_eval, weight_shifted)
+# mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
+from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
+                        mp_deriv, mp_eval, weight_shifted)
 from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
 
 CONVERGENCE_TOL = 1e-8
+DISORDERED_LIMIT = 16  # past it, double-precision roundoff in the Gram matrix shows
 
 
 @dataclass(frozen=True)
@@ -56,47 +60,44 @@ class KernelSpec:
 # kernels
 
 
-def _kernel(spec: KernelSpec, x: np.ndarray, dx: Optional[np.ndarray] = None,
-            zeta: complex = 1) -> np.ndarray:
-    """zeta K(x_i, x_j) dx_j over all node pairs, where K(x, y) = c_N B(x, y) w(y)
-    with B the bracket of the kernel's polynomial family:
+def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
+    """(P, d, w) with P[i, k] = P_k(x_i) for k < N and w = w(x), such that the
+    kernel is K(x, y) = sum_k d_k P_k(x) P_k(y) w(y), the Christoffel-Darboux
+    sum of c_N [P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)]/(x - y) w(y):
 
-    disordered  c_N = N,                  w(y) = e^{2 phi_+ y}/(1 + e^{2 pi y}),
+    disordered  c_N = N,                  d_k = 2 sin phi_-,
+                w(y) = e^{2 phi_+ y}/(1 + e^{2 pi y}),
                 P = Meixner-Pollaczek P^{(1/2)}(.; phi_-);
-    rational    c_N = -N,                 w(y) = e^{-y},  P = L(xi .);
-    discrete    c_N = -N e^{-2N phi~_-},  w(y) = e^{-2 phi~_+ y},
-                P = Meixner M(.; 1, e^{-2 phi~_-}).
+    rational    c_N = -N,                 d_k = xi,  w(y) = e^{-y},
+                P_k = L_k(xi .);
+    discrete    c_N = -N q^N,             d_k = (1 - q) q^k,  w(y) = e^{-2 phi~_+ y},
+                P = Meixner M(.; 1, q),  q = e^{-2 phi~_-}.
     """
     n = spec.n
     if spec.kind == "disordered":
         phi = spec.params.phi_minus
-        polys = [np.array([f(k, 0.5, xi, phi) for xi in x])
-                 for f, k in ((mp_eval, n), (mp_eval, n - 1),
-                              (mp_deriv, n), (mp_deriv, n - 1))]
-        c, w = n, weight_shifted(2 * x, spec.params.phi_plus)
+        polys = [mp_eval(k, 0.5, x, phi) for k in range(n)]
+        d = np.full(n, 2 * cmath.sin(phi))
+        w = weight_shifted(2 * x, spec.params.phi_plus)
     elif spec.kind == "rational":
-        s = spec.xi
-        ln, ln1, dln, dln1 = [np.array([f(k, s * xi) for xi in x])
-                              for f, k in ((laguerre_eval, n), (laguerre_eval, n - 1),
-                                           (laguerre_deriv, n), (laguerre_deriv, n - 1))]
-        polys = [ln, ln1, s * dln, s * dln1]
-        c, w = -n, np.exp(-x)
+        polys = [laguerre_eval(k, spec.xi * x) for k in range(n)]
+        d = np.full(n, spec.xi)
+        w = np.exp(-x)
     elif spec.kind == "discrete":
         pt_plus, pt_minus = spec.phi_tilde
         q = cmath.exp(-2 * pt_minus)
         q = q.real if abs(q.imag) < 1e-15 else q
-        mn, mn1 = meixner_poly(n, 1.0, q), meixner_poly(n - 1, 1.0, q)
-        polys = [mn(x), mn1(x), mn.deriv()(x), mn1.deriv()(x)]
-        c, w = -n * cmath.exp(-2 * n * pt_minus), np.exp(-2 * pt_plus * x)
+        polys = [meixner_poly(k, 1.0, q)(x) for k in range(n)]
+        d = (1 - q) * q ** np.arange(n)
+        w = np.exp(-2 * pt_plus * x)
     else:
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
-    if dx is not None:
-        w = w * dx
-    return zeta * c * cd_bracket(x, *polys) * w[None, :]
+    return np.column_stack([np.broadcast_to(v, x.shape) for v in polys]), d, w
 
 
 def _pointwise(spec: KernelSpec, x: float, y: float):
-    return cd_pointwise(lambda nodes: _kernel(spec, nodes), float(x), float(y))
+    p, d, w = _expansion(spec, np.array([x, y], dtype=float))
+    return np.sum(d * p[0] * p[1]) * w[1]
 
 
 def kernel_disordered(x: float, y: float, n: int, p: ModelParams) -> complex:
@@ -109,8 +110,8 @@ def kernel_disordered(x: float, y: float, n: int, p: ModelParams) -> complex:
 
 def kernel_discrete(x: int, y: int, n: int, phi_tilde_plus: complex,
                     phi_tilde_minus: complex) -> complex:
-    """Discrete Meixner kernel on nonnegative integers; the x = y value is
-    the Christoffel-Darboux confluent limit of the polynomial bracket."""
+    """Discrete Meixner kernel on nonnegative integers; its x = y value is the
+    Christoffel-Darboux sum, the confluent limit of the polynomial bracket."""
     spec = KernelSpec.discrete(n, phi_tilde_plus, phi_tilde_minus)
     if x < 0 or y < 0 or x != int(x) or y != int(y):
         raise ValueError("discrete kernel arguments are nonnegative integers")
@@ -151,17 +152,21 @@ def discrete_cutoff(spec: KernelSpec) -> int:
 
 def operator_matrix(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
                     x_max: Optional[int] = None) -> np.ndarray:
-    """The finite matrix whose determinant of (I - .) approximates the
-    Fredholm determinant.  zeta is folded in for the disordered kernel; the
-    discrete and rational kernels carry their own prefactors."""
+    """The N x N matrix zeta D G with G_jk = sum_i w(x_i) dx_i P_j(x_i) P_k(x_i)
+    and D = diag(d_k): det(I - zeta D G) equals det(I - zeta K) on the same
+    nodes, by Sylvester's identity.  zeta is folded in for the disordered
+    kernel; the discrete and rational kernels carry their own prefactors."""
     if spec.kind == "discrete":
-        return _kernel(spec, np.arange(x_max or discrete_cutoff(spec), dtype=float))
-    plan = plan or default_plan(spec)
+        x, dx = np.arange(x_max or discrete_cutoff(spec), dtype=float), 1.0
+    else:
+        plan = plan or default_plan(spec)
+        x, dx = plan.nodes, plan.weights
     zeta = 1
     if spec.kind == "disordered":
         p = spec.params
         zeta = cmath.exp(1j * (complex(p.phi_minus) - complex(p.phi_plus)))
-    return _kernel(spec, plan.nodes, plan.weights, zeta)
+    polys, d, w = _expansion(spec, x)
+    return zeta * d[:, None] * (polys.T @ (polys * (w * dx)[:, None]))
 
 
 def _logdet_i_minus(matrix: np.ndarray) -> LogScaledValue:
@@ -192,14 +197,17 @@ def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> Log
 
 def full_partition_fredholm(n: int, p: ModelParams,
                             plan: Optional[QuadraturePlan] = None) -> LogScaledValue:
-    """Symmetric-weight Z_N through the disordered Nystrom determinant."""
+    """Symmetric-weight Z_N through the disordered Fredholm determinant."""
+    if n > DISORDERED_LIMIT:
+        raise SizeLimitError(f"fredholm-disordered supports N <= {DISORDERED_LIMIT}")
     zt = fredholm_det(KernelSpec.disordered(n, p), plan=plan)
     return zt.scale_log(qgroup_prefactor(n, p))
 
 
 def trace_moments(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
                   n_max: int = 3) -> list:
-    """tr(V^k) for k = 1..n_max of the discretized operator."""
+    """tr(V^k) for k = 1..n_max of the discretized operator; by cyclicity the
+    N x N form has the traces of the m x m Nystrom matrix."""
     if n_max > 6:
         raise ValueError("trace moments supported for n_max <= 6")
     d = operator_matrix(spec, plan=plan)

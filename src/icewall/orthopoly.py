@@ -150,36 +150,14 @@ def leading_coefficient(n: int, phi: complex) -> complex:
     return cmath.exp(0.5j * complex(phi)) * s ** (n + 0.5) / math.factorial(n)
 
 
-def cd_bracket(x: np.ndarray, pn, pn1, dpn, dpn1) -> np.ndarray:
-    """Christoffel-Darboux bracket [P_N(x_i) P_{N-1}(x_j) - P_{N-1}(x_i) P_N(x_j)]
-    / (x_i - x_j) over all node pairs, from the values and derivatives of
-    P_N, P_{N-1} at the nodes; the diagonal is the confluent limit
-    P_N' P_{N-1} - P_{N-1}' P_N."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = (np.outer(pn, pn1) - np.outer(pn1, pn)) / np.subtract.outer(x, x)
-    np.fill_diagonal(bracket, dpn * pn1 - dpn1 * pn)
-    return bracket
-
-
-def cd_pointwise(matrix, x, y):
-    """K(x, y) from matrix(nodes), a kernel built on cd_bracket over node
-    pairs; near x = y it is the confluent entry at x."""
-    if abs(x - y) < 1e-6 * (1 + abs(x) + abs(y)):
-        return matrix(np.array([x]))[0, 0]
-    return matrix(np.array([x, y]))[0, 1]
-
-
 def cd_kernel(n: int, x: complex, y: complex, phi: complex) -> complex:
     """Christoffel-Darboux sum K_n(x, y) = sum_{k<n} p_k(x) p_k(y) in its
     two-term closed form, with the confluent formula near the diagonal."""
     ratio = n / cmath.sin(complex(phi))  # kappa_{n-1}/kappa_n
-
-    def matrix(nodes):
-        polys = [np.array([f(k, v, phi) for v in nodes])
-                 for f, k in ((p_n_eval, n), (p_n_eval, n - 1),
-                              (p_n_deriv, n), (p_n_deriv, n - 1))]
-        return ratio * cd_bracket(nodes, *polys)
-    return cd_pointwise(matrix, x, y)
+    pn, pn1 = p_n_eval(n, x, phi), p_n_eval(n - 1, x, phi)
+    if abs(x - y) < 1e-6 * (1 + abs(x) + abs(y)):
+        return ratio * (p_n_deriv(n, x, phi) * pn1 - p_n_deriv(n - 1, x, phi) * pn)
+    return ratio * (pn * p_n_eval(n - 1, y, phi) - pn1 * p_n_eval(n, y, phi)) / (x - y)
 
 
 def cd_kernel_direct(n: int, x: complex, y: complex, phi: complex) -> complex:
@@ -320,9 +298,7 @@ def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
         plan = QuadraturePlan.on_interval(lo, hi)
     x = plan.nodes
     log_w = _log_abs_gamma_sq(lam, x) + (2 * phi - math.pi) * x
-    pn = np.array([mp_eval(n, lam, xi, tau) for xi in x])
-    pm = np.array([mp_eval(m, lam, xi, omega) for xi in x])
-    vals = pn * pm * np.exp(log_w)
+    vals = mp_eval(n, lam, x, tau) * mp_eval(m, lam, x, omega) * np.exp(log_w)
     return complex(np.sum(vals * plan.weights)) / (2 * math.pi)
 
 
@@ -344,8 +320,8 @@ def su11_matrices(m: int, lam: float) -> Su11Matrices:
     close exactly on the top-left (m-1) x (m-1) block; the truncation
     corrupts the final row/column.
     """
-    if m < 2:
-        raise ValueError("need dimension >= 2")
+    if m < 1:
+        raise ValueError("need dimension >= 1")
     n_idx = np.arange(m, dtype=float)
     j_plus = np.diag(n_idx[1:] + 2 * lam - 1, k=-1)
     j_zero = np.diag(n_idx + lam)

@@ -25,12 +25,8 @@ class QuadraturePlan:
 
     @classmethod
     def on_interval(cls, a: float, b: float, panel_width: float = 1.0,
-                    nodes_per_panel: int = 32, max_nodes: int = 2000) -> "QuadraturePlan":
+                    nodes_per_panel: int = 32) -> "QuadraturePlan":
         n_panels = max(1, int(math.ceil((b - a) / panel_width)))
-        while n_panels * nodes_per_panel > max_nodes and nodes_per_panel > 8:
-            nodes_per_panel //= 2
-        if n_panels * nodes_per_panel > max_nodes:
-            n_panels = max_nodes // nodes_per_panel
         x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
         edges = np.linspace(a, b, n_panels + 1)
         nodes, weights = [], []
@@ -43,14 +39,9 @@ class QuadraturePlan:
 
     def refined(self) -> "QuadraturePlan":
         """Same interval with doubled node density (for convergence checks)."""
-        a, b = self.lo, self.hi
-        n = 2 * len(self.nodes)
-        per_panel = 32
-        panels = max(1, n // per_panel)
-        width = (b - a) / panels
-        return QuadraturePlan.on_interval(a, b, panel_width=width,
-                                          nodes_per_panel=per_panel,
-                                          max_nodes=2 * n)
+        panels = max(1, 2 * len(self.nodes) // 32)
+        return QuadraturePlan.on_interval(self.lo, self.hi,
+                                          panel_width=(self.hi - self.lo) / panels)
 
 
 def decay_cutoff(rate: float, poly_order: int = 0, log_tol: float = -18 * math.log(10)) -> float:

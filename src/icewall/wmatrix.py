@@ -101,8 +101,7 @@ def w_entry_integral(j: int, k: int, p: ModelParams,
         plan = QuadraturePlan.on_interval(lo, hi)
     x = plan.nodes
     weight = weight_shifted(2 * x, pp)
-    pj = np.array([mp_eval(j, 0.5, xi, p.phi_minus) for xi in x])
-    pk = np.array([mp_eval(k, 0.5, xi, p.phi_minus) for xi in x])
+    pj, pk = mp_eval(j, 0.5, x, p.phi_minus), mp_eval(k, 0.5, x, p.phi_minus)
     return 2 * cmath.sin(p.phi_minus) * complex(np.sum(pj * pk * weight * plan.weights))
 
 

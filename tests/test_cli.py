@@ -146,6 +146,7 @@ def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
     (["--n", "3", "--rep", "fredholm-rational", "--lambda", "0.9,0.1"],
      "fredholm-rational"),
     (["--n", "13", "--rep", "gauss"], "gauss"),
+    (["--n", "17", "--rep", "fredholm-disordered"], "fredholm-disordered"),
 ])
 def test_route_refuses_inputs_it_cannot_take(capsys, argv, route):
     code, out, err = run(capsys, "compute", *argv)
@@ -184,6 +185,7 @@ def test_sweep_matches_single_points(capsys):
     (7, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
     (12, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
     (15, 0.9, 0.3, ["hankel", "wdet", "fredholm-disordered"]),
+    (17, 0.9, 0.3, ["hankel", "wdet"]),
 ])
 def test_all_route_selection(n, lam, eta, expected):
     routes = cli.applicable(n, ModelParams(lam, eta), None)

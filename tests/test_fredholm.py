@@ -1,4 +1,5 @@
-"""Nystrom / truncation evaluations of the three integrable kernels."""
+"""Rank-N Fredholm determinants of the three integrable kernels, on quadrature
+nodes or a truncated lattice."""
 
 import cmath
 import math
@@ -8,17 +9,51 @@ import numpy as np
 import pytest
 
 from icewall.enumeration import enumerate_configs
-from icewall.errors import ConvergenceWarning, SingularParameterError
-from icewall.fredholm import (KernelSpec, default_plan, discrete_cutoff,
-                              fredholm_det, full_partition_fredholm,
-                              kernel_disordered, kernel_discrete,
-                              kernel_rational, operator_matrix, trace_moments)
+from icewall.errors import ConvergenceWarning, SingularParameterError, SizeLimitError
+from icewall.fredholm import (DISORDERED_LIMIT, KernelSpec, _logdet_i_minus,
+                              default_plan, discrete_cutoff, fredholm_det,
+                              full_partition_fredholm, kernel_disordered,
+                              kernel_discrete, kernel_rational, operator_matrix,
+                              trace_moments)
 from icewall.logscale import PrecisionContext
-from icewall.orthopoly import laguerre_eval, meixner_poly, mp_eval
+from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
+                               mp_deriv, mp_eval)
+from icewall.quadrature import QuadraturePlan
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
-from icewall.wmatrix import BetaGamma, rational_z_tilde, w_matrix, z_tilde_det
+from icewall.wmatrix import (BetaGamma, full_partition, rational_z_tilde, w_matrix,
+                             z_tilde_det)
 
 P_REF = ModelParams(0.9, 0.3)
+DISORDERED_SAMPLES = [(0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.15)]
+PT_PLUS, PT_MINUS = 0.8, 0.3     # discrete kernel phi~_+, phi~_-
+XI = 0.5                         # rational kernel phi_- / phi_+
+
+
+def bracket_family(kind: str, n: int):
+    """(c_N, P, P', w) of the Christoffel-Darboux bracket form
+    K(x, y) = c_N [P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)]/(x - y) w(y),
+    built from the evaluators by hand; P(k, x) and P'(k, x) take arrays."""
+    if kind == "disordered":
+        phi_m, phi_p = P_REF.phi_minus, P_REF.phi_plus
+        return (n, lambda k, x: mp_eval(k, 0.5, x, phi_m) + 0 * x,
+                lambda k, x: np.array([mp_deriv(k, 0.5, v, phi_m) for v in x]),
+                lambda y: np.exp(2 * phi_p * y) / (1 + np.exp(2 * math.pi * y)))
+    if kind == "rational":
+        return (-n, lambda k, x: laguerre_eval(k, XI * x) + 0 * x,
+                lambda k, x: XI * np.array([laguerre_deriv(k, XI * v) for v in x]),
+                lambda y: np.exp(-y))
+    q = math.exp(-2 * PT_MINUS)
+    return (-n * q ** n, lambda k, x: meixner_poly(k, 1.0, q)(x),
+            lambda k, x: meixner_poly(k, 1.0, q).deriv()(x),
+            lambda y: np.exp(-2 * PT_PLUS * y))
+
+
+def spec_of(kind: str, n: int) -> KernelSpec:
+    if kind == "disordered":
+        return KernelSpec.disordered(n, P_REF)
+    if kind == "rational":
+        return KernelSpec.rational(n, XI)
+    return KernelSpec.discrete(n, PT_PLUS, PT_MINUS)
 
 
 # --------------------------------------------------------------------------
@@ -140,10 +175,76 @@ def test_discrete_determinant_matches_continuation():
 def test_discrete_truncation_stability():
     spec = KernelSpec.discrete(3, 0.8, 0.3)
     x_max = discrete_cutoff(spec)
-    a = np.linalg.slogdet(np.eye(x_max) - operator_matrix(spec, x_max=x_max))[1]
-    b = np.linalg.slogdet(np.eye(x_max + 10)
+    a = np.linalg.slogdet(np.eye(spec.n) - operator_matrix(spec, x_max=x_max))[1]
+    b = np.linalg.slogdet(np.eye(spec.n)
                           - operator_matrix(spec, x_max=x_max + 10))[1]
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
+def test_pointwise_kernel_is_the_bracket(kind):
+    # the rank-N expansion reproduces the two-term bracket off the diagonal
+    points = {"disordered": [(0.4, -0.3), (-1.2, 0.9), (2.1, 0.5)],
+              "rational": [(0.3, 1.7), (2.5, 0.8), (4.0, 1.1)],
+              "discrete": [(0, 1), (2, 5), (4, 1)]}[kind]
+    kernel = {"disordered": lambda x, y, n: kernel_disordered(x, y, n, P_REF),
+              "rational": lambda x, y, n: kernel_rational(x, y, n, XI),
+              "discrete": lambda x, y, n: kernel_discrete(x, y, n, PT_PLUS, PT_MINUS)}[kind]
+    for n in range(1, 9):
+        c, poly, _, w = bracket_family(kind, n)
+        for x, y in points:
+            px, py = np.array([float(x)]), np.array([float(y)])
+            expected = complex((c * (poly(n, px) * poly(n - 1, py)
+                                     - poly(n - 1, px) * poly(n, py)) / (x - y)
+                                * w(py))[0])
+            assert abs(complex(kernel(x, y, n)) - expected) < 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
+def test_operator_matrix_has_the_nystrom_determinant(kind):
+    # Sylvester: det(I - zeta K) over m nodes, built as the m x m bracket
+    # matrix with its confluent diagonal, equals det(I - zeta D G) of the N x N form
+    n = 4
+    spec = spec_of(kind, n)
+    if kind == "discrete":
+        x, dx, plan = np.arange(14, dtype=float), np.ones(14), None
+    else:
+        plan = QuadraturePlan.on_interval(*{"disordered": (-12.0, 8.0),
+                                            "rational": (0.0, 30.0)}[kind],
+                                          panel_width=5.0, nodes_per_panel=8)
+        x, dx = plan.nodes, plan.weights
+    c, poly, deriv, w = bracket_family(kind, n)
+    pn, pn1 = poly(n, x), poly(n - 1, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = (np.outer(pn, pn1) - np.outer(pn1, pn)) / np.subtract.outer(x, x)
+    np.fill_diagonal(bracket, deriv(n, x) * pn1 - deriv(n - 1, x) * pn)
+    zeta = cmath.exp(-2j * P_REF.eta) if kind == "disordered" else 1
+    nystrom = zeta * c * bracket * (w(x) * dx)[None, :]
+    rank_n = operator_matrix(spec, plan=plan, x_max=len(x))
+    assert rank_n.shape == (n, n)
+    assert _logdet_i_minus(rank_n).rel_diff(_logdet_i_minus(nystrom)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_disordered_large_n_matches_wdet(n):
+    for lam, eta in DISORDERED_SAMPLES:
+        p = ModelParams(lam, eta)
+        assert full_partition_fredholm(n, p).rel_diff(full_partition(n, p)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_discrete_and_rational_large_n(n):
+    p = ModelParams(0.55j, 0.25j)
+    zt = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3))
+    assert zt.rel_diff(z_tilde_det(n, p)) < 1e-10
+    lam, eta = 0.9, 0.3
+    zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
+    assert zt.rel_diff(rational_z_tilde(n, lam, eta)) < 1e-10
+
+
+def test_disordered_size_limit():
+    with pytest.raises(SizeLimitError):
+        full_partition_fredholm(DISORDERED_LIMIT + 1, P_REF)
 
 
 def test_no_convergence_warnings_on_defaults():

@@ -1,4 +1,4 @@
-"""The command-line scripts import and parse their arguments."""
+"""The command-line scripts parse their arguments and run end to end."""
 
 import os
 import subprocess
@@ -10,9 +10,26 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("script", ["cross_check.py", "free_energy_sweep.py"])
 def test_script_help(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_script(script, "--help")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cross_check_runs():
+    proc = run_script("cross_check.py", "--n-max", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count(" ok\n") == 5 * 4
+
+
+def test_free_energy_sweep_runs():
+    proc = run_script("free_energy_sweep.py", "--n-max", "6")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 7))

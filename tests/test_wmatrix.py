@@ -95,7 +95,7 @@ def test_rational_small_determinants():
 
 
 def test_triangular_reconstruction():
-    for n in (2, 4, 6):
+    for n in range(1, 7):
         assert reconstruction_deviation(n, P_REF) < 1e-12
 
 
