@@ -4,6 +4,8 @@ Hankel determinant, the finite W-matrix determinant, and Fredholm/Nystrom
 determinants of the associated integrable kernels.
 """
 
+__version__ = "0.2.0"  # part of every cache key
+
 from .enumeration import (EnumerationResult, LatticeConfig, config_iterator,
                           enumerate_configs, partition_dp)
 from .errors import (BranchError, ConvergenceWarning, PrecisionWarning,
@@ -31,5 +33,3 @@ __all__ = [
     "trace_moments", "w_entry", "w_matrix", "w_matrix_gauss", "z_tilde_det",
     "z_tilde_via_ratio",
 ]
-
-__version__ = "0.1.0"

@@ -2,8 +2,8 @@
 representation, sweep parameters, run the verification suites, and dump
 small-lattice configurations.  JSON output carries ``schema: 1``; CSV is
 RFC-4180 (CRLF, quoted as needed).  Results can be cached on disk keyed by
-a hash of the canonicalized job; a cache hit re-emits the stored record
-byte-for-byte.
+a hash of the canonicalized job and the package version; a cache hit
+re-emits the stored record byte-for-byte.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import __version__
 from .enumeration import DP_LIMIT, ENUM_LIMIT, ASM_COUNTS, dump_configs, \
     enumerate_configs, config_iterator, partition_dp
 from .errors import SingularParameterError
-from .fredholm import DISORDERED_LIMIT, KernelSpec, fredholm_det, \
+from .fredholm import FREDHOLM_LIMIT, KernelSpec, fredholm_det, \
     full_partition_fredholm, trace_moments
 from .hankel import det_a_deviation, partition_hankel
 from .logscale import LogScaledValue, PrecisionContext
@@ -87,6 +88,7 @@ class JobConfig:
             "weights": list(self.weights) if self.weights else None,
             "bits": self.bits,
             "tol": self.tol,
+            "version": __version__,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -256,9 +258,9 @@ ROUTES = (
           lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
     Route("gauss", _capped(_lambda_eta(), GAUSS_LIMIT),
           lambda n, p, vw, ctx: (full_partition_gauss(n, p), {})),
-    Route("fredholm-disordered", _capped(_lambda_eta(_disordered), DISORDERED_LIMIT),
+    Route("fredholm-disordered", _capped(_lambda_eta(_disordered), FREDHOLM_LIMIT),
           lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {})),
-    Route("fredholm-discrete", _lambda_eta(_ferroelectric), _discrete),
+    Route("fredholm-discrete", _capped(_lambda_eta(_ferroelectric), FREDHOLM_LIMIT), _discrete),
     Route("fredholm-rational", _lambda_eta(_real), _rational, in_all=False),
 )
 ROUTES_BY_NAME = {r.name: r for r in ROUTES}

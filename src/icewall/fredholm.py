@@ -28,7 +28,7 @@ from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
 
 CONVERGENCE_TOL = 1e-8
-DISORDERED_LIMIT = 16  # past it, double-precision roundoff in the Gram matrix shows
+FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,8 @@ def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> Log
     """Fredholm determinant det(I - operator), with a refinement check:
     the result is accepted only if doubling the discretization moves the
     log-determinant by less than the convergence tolerance."""
+    if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
+        raise SizeLimitError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
     if spec.kind == "discrete":
         x_max = discrete_cutoff(spec)
         result = _logdet_i_minus(operator_matrix(spec, x_max=x_max))
@@ -198,8 +200,6 @@ def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> Log
 def full_partition_fredholm(n: int, p: ModelParams,
                             plan: Optional[QuadraturePlan] = None) -> LogScaledValue:
     """Symmetric-weight Z_N through the disordered Fredholm determinant."""
-    if n > DISORDERED_LIMIT:
-        raise SizeLimitError(f"fredholm-disordered supports N <= {DISORDERED_LIMIT}")
     zt = fredholm_det(KernelSpec.disordered(n, p), plan=plan)
     return zt.scale_log(qgroup_prefactor(n, p))
 

@@ -141,12 +141,35 @@ def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
     assert cli.cache_load(str(tmp_path), cfg) is None
 
 
+def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch):
+    # an entry stored under another package version is never re-emitted:
+    # the point is recomputed and stored under the current version's key
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    argv = ["compute", "--rep", "dp", "--n", "3", "--format", "json",
+            "--cache", str(tmp_path)]
+    stale = cli.ResultRecord("dp", 3, 0.9 + 0j, 0.3 + 0j, 123.0, 0.0, 0.0, 128)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "__version__", "0.1.0")
+        cli.cache_store(str(tmp_path), cli.JobConfig("compute", "dp", 3, 0.9 + 0j,
+                                                     0.3 + 0j), stale)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "cache hit: dp" in err
+        assert json.loads(out)["records"][0]["log_abs_z"] == 123.0
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "cache hit" not in err
+    assert json.loads(out)["records"][0]["log_abs_z"] != 123.0
+    assert len(list(tmp_path.iterdir())) == 2
+
+
 @pytest.mark.parametrize("argv, route", [
     (["--n", "3", "--rep", "wdet", "--weights", "1,1,1,1,1,1"], "wdet"),
     (["--n", "3", "--rep", "fredholm-rational", "--lambda", "0.9,0.1"],
      "fredholm-rational"),
     (["--n", "13", "--rep", "gauss"], "gauss"),
     (["--n", "17", "--rep", "fredholm-disordered"], "fredholm-disordered"),
+    (["--n", "17", "--rep", "fredholm-discrete", "--lambda", "0,0.55",
+      "--eta", "0,0.25"], "fredholm-discrete"),
+    (["--n", "19", "--rep", "dp"], "dp"),
 ])
 def test_route_refuses_inputs_it_cannot_take(capsys, argv, route):
     code, out, err = run(capsys, "compute", *argv)
@@ -184,8 +207,11 @@ def test_sweep_matches_single_points(capsys):
                                    "fredholm-disordered"]),
     (7, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
     (12, 0.9, 0.3, ["dp", "hankel", "wdet", "gauss", "fredholm-disordered"]),
-    (15, 0.9, 0.3, ["hankel", "wdet", "fredholm-disordered"]),
-    (17, 0.9, 0.3, ["hankel", "wdet"]),
+    (15, 0.9, 0.3, ["dp", "hankel", "wdet", "fredholm-disordered"]),
+    (17, 0.9, 0.3, ["dp", "hankel", "wdet"]),
+    (19, 0.9, 0.3, ["hankel", "wdet"]),
+    (16, 0.55j, 0.25j, ["dp", "hankel", "wdet", "fredholm-discrete"]),
+    (17, 0.55j, 0.25j, ["dp", "hankel", "wdet"]),
 ])
 def test_all_route_selection(n, lam, eta, expected):
     routes = cli.applicable(n, ModelParams(lam, eta), None)

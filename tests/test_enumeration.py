@@ -1,5 +1,6 @@
 """Exact enumeration and the transfer dynamic program."""
 
+import cmath
 import math
 
 import pytest
@@ -74,13 +75,32 @@ def test_ice_point_factorization():
         assert abs(z.imag) < 1e-12
 
 
+def log_asm(n: int) -> float:
+    # A_N = prod_{k<N} (3k+1)!/(N+k)!, exact in integers
+    num = den = 1
+    for k in range(n):
+        num *= math.factorial(3 * k + 1)
+        den *= math.factorial(n + k)
+    assert num % den == 0
+    return math.log(num // den)
+
+
 def test_dp_handles_larger_sizes():
-    # beyond the enumeration limit only monotone growth of log Z at a
-    # positive-weight point is cheap to assert
-    p = ModelParams(math.pi / 2, math.pi / 6)
-    w = VertexWeights.symmetric(*symmetric_weights(p))
-    logs = [partition_dp(n, w).log_magnitude for n in range(1, 9)]
-    assert all(b > a for a, b in zip(logs, logs[1:]))
+    # exact anchors at the largest sizes: the gauge weights
+    # (s t, s/t, s u, s/u, s v, s/v) give Z = v^{-N} s^{N^2} A_N, since
+    # n1 = n2, n3 = n4 and n6 - n5 = N; the free-fermion weights
+    # (eta = pi/4) give Z = c^N (a^2 + b^2)^{N(N-1)/2}
+    s, t, u, v = 0.8, 1.3, 0.6, 1.25
+    gauge = VertexWeights(s * t, s / t, s * u, s / u, s * v, s / v)
+    for n in (14, 16, 18):
+        exact = LogScaledValue(n * n * math.log(s) - n * math.log(v) + log_asm(n), 0.0)
+        assert partition_dp(n, gauge).rel_diff(exact) < 1e-12
+        for lam in (0.9, 0.5 + 0.1j):
+            a, b, c = symmetric_weights(ModelParams(lam, math.pi / 4))
+            exact = LogScaledValue.from_log(
+                n * cmath.log(c) + n * (n - 1) / 2 * cmath.log(a * a + b * b))
+            z = partition_dp(n, VertexWeights.symmetric(a, b, c))
+            assert z.rel_diff(exact) < 1e-12
 
 
 def test_dump_text_and_json():

@@ -10,7 +10,7 @@ import pytest
 
 from icewall.enumeration import enumerate_configs
 from icewall.errors import ConvergenceWarning, SingularParameterError, SizeLimitError
-from icewall.fredholm import (DISORDERED_LIMIT, KernelSpec, _logdet_i_minus,
+from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _logdet_i_minus,
                               default_plan, discrete_cutoff, fredholm_det,
                               full_partition_fredholm, kernel_disordered,
                               kernel_discrete, kernel_rational, operator_matrix,
@@ -244,7 +244,12 @@ def test_discrete_and_rational_large_n(n):
 
 def test_disordered_size_limit():
     with pytest.raises(SizeLimitError):
-        full_partition_fredholm(DISORDERED_LIMIT + 1, P_REF)
+        full_partition_fredholm(FREDHOLM_LIMIT + 1, P_REF)
+
+
+def test_discrete_size_limit():
+    with pytest.raises(SizeLimitError):
+        fredholm_det(KernelSpec.discrete(FREDHOLM_LIMIT + 1, PT_PLUS, PT_MINUS))
 
 
 def test_no_convergence_warnings_on_defaults():

@@ -124,3 +124,17 @@ def test_ice_point_closed_form_large_n(n):
     p = ModelParams(math.pi / 2, math.pi / 6)
     assert full_partition(n, p).rel_diff(exact) <= 1e-10
     assert partition_hankel(n, p).rel_diff(exact) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [10, 30])
+@pytest.mark.parametrize("lam", [0.9, 0.5 + 0.1j])
+def test_free_fermion_closed_form_large_n(n, lam):
+    # on the free-fermion line eta = pi/4, Z_N = c^N (a^2 + b^2)^{N(N-1)/2}
+    # (the 2-enumeration of alternating-sign matrices) for every lambda;
+    # |Z| = 1 at real lambda, so the bound is absolute in log Z
+    p = ModelParams(lam, math.pi / 4)
+    a, b, c = symmetric_weights(p)
+    exact = n * cmath.log(c) + n * (n - 1) / 2 * cmath.log(a * a + b * b)
+    for z in (full_partition(n, p), partition_hankel(n, p)):
+        assert abs(z.log_magnitude - exact.real) <= 1e-11
+        assert abs(math.remainder(z.angle - exact.imag, 2 * math.pi)) <= 1e-11
