@@ -1,5 +1,5 @@
 """Command-line front end: compute the partition function by any
-representation, sweep parameters, run the verification suites, and dump
+representation, sweep parameters, run the acceptance checks, and dump
 small-lattice configurations.  JSON output carries ``schema: 1``; CSV is
 RFC-4180 (CRLF, quoted as needed).  Results can be cached on disk keyed by
 a hash of the canonicalized job and the package version; a cache hit
@@ -22,22 +22,17 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__
-from .enumeration import DP_LIMIT, ENUM_LIMIT, ASM_COUNTS, dump_configs, \
-    enumerate_configs, config_iterator, partition_dp
+from .enumeration import DP_LIMIT, ENUM_LIMIT, dump_configs, \
+    enumerate_configs, partition_dp
 from .errors import SingularParameterError
 from .fredholm import FREDHOLM_LIMIT, KernelSpec, fredholm_det, \
-    full_partition_fredholm, trace_moments
-from .hankel import det_a_deviation, partition_hankel
+    full_partition_fredholm
+from .hankel import partition_hankel
 from .logscale import LogScaledValue, PrecisionContext
-from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
-    key_conjugation_check, mp_eval, su11_matrices
-from .params import ModelParams, VertexWeights, check_unitarity, \
-    qgroup_prefactor, symmetric_weights
-from .wmatrix import GAUSS_LIMIT, BetaGamma, full_partition, \
-    full_partition_gauss, rational_z_tilde, w_matrix
+from .params import ModelParams, VertexWeights, qgroup_prefactor, \
+    symmetric_weights
+from .wmatrix import GAUSS_LIMIT, full_partition, full_partition_gauss
 
 SCHEMA = 1
 
@@ -50,21 +45,26 @@ CSV_COLUMNS = ("representation", "n", "lambda_re", "lambda_im",
 # job configuration and records
 
 
+def _finite_floats(text: str) -> list:
+    values = [float(p) for p in text.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return values
+
+
 def parse_complex(text: str) -> complex:
     """Complex scalar from 're' or 're,im'."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    parts = _finite_floats(text)
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    return complex(*parts)
 
 
 def parse_weights(text: str) -> tuple:
-    parts = text.split(",")
+    parts = _finite_floats(text)
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("--weights takes exactly six values")
-    return tuple(float(p) for p in parts)
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -291,6 +291,11 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
         warnings.simplefilter("always")
         value, extra = route.fn(n, p, vw, ctx)
     elapsed = 1000.0 * (time.perf_counter() - t0)
+    if (math.isnan(value.log_magnitude) or value.log_magnitude == math.inf
+            or not math.isfinite(value.angle)):
+        # log|Z| = -inf is Z = 0, which all-zero weights give
+        raise ValueError(f"{route.name} gave a non-finite value at N={n}: "
+                         f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
     rec = ResultRecord(route.name, n, args.lam, args.eta, value.log_magnitude,
                        value.angle, elapsed, ctx.mantissa_bits,
                        [str(w.message) for w in caught], extra)
@@ -336,6 +341,11 @@ def emit(records: list, fmt: str, out_path: Optional[str],
                          f"(tol {summary['tol']:.1e}) -> "
                          + ("OK" if summary["pass"] else "FAIL"))
         text = "\n".join(lines) + "\n"
+    write_output(text, out_path)
+
+
+def write_output(text: str, out_path: Optional[str]):
+    """Write `text` to the --out file, or to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -406,100 +416,13 @@ def run_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _verify_identities() -> list:
-    rng = np.random.default_rng(7)
-    checks = []
-    # R-matrix unitarity on random complex spectral parameters
-    worst = max(check_unitarity(complex(a, b), complex(c, d))
-                for a, b, c, d in rng.uniform(-1, 1, size=(20, 4)))
-    checks.append(("r-matrix unitarity (20 samples)", worst, 1e-12))
-    # ASM counts from bare enumeration
-    counts = [sum(1 for _ in config_iterator(n)) for n in range(1, 6)]
-    dev = max(abs(c - ASM_COUNTS[n]) for n, c in enumerate(counts, start=1))
-    checks.append(("alternating-sign-matrix counts N<=5", float(dev), 0.5))
-    # moment-determinant split against enumeration
-    p = ModelParams(0.9, 0.3)
-    vw = VertexWeights.symmetric(*symmetric_weights(p))
-    worst = max(partition_hankel(n, p).rel_diff(
-        enumerate_configs(n, vw).z_value) for n in range(1, 5))
-    checks.append(("moment determinant vs enumeration N<=4", worst, 1e-10))
-    # closed-form determinant of the moment matrix
-    worst = 0.0
-    for _ in range(5):
-        phi = complex(rng.uniform(0.3, 2.8), rng.uniform(-0.3, 0.3))
-        worst = max(worst, det_a_deviation(6, phi))
-    checks.append(("closed determinant, 5 random phi, N=6", worst,
-                   PrecisionContext.for_size(6).tolerance))
-    return checks
-
-
-def _verify_kernels() -> list:
-    checks = []
-    p = ModelParams(0.9, 0.3)
-    ctx = PrecisionContext.for_size(4)
-    worst = max(full_partition_fredholm(n, p).rel_diff(full_partition(n, p, ctx))
-                for n in range(1, 5))
-    checks.append(("disordered Nystrom vs finite determinant N<=4", worst, 1e-8))
-    lam, eta = 0.9, 0.3
-    worst = 0.0
-    for n in range(1, 5):
-        xi = (lam - eta) / (lam + eta)
-        worst = max(worst, fredholm_det(KernelSpec.rational(n, xi)).rel_diff(
-            rational_z_tilde(n, lam, eta)))
-    checks.append(("rational Nystrom vs finite determinant N<=4", worst, 1e-8))
-    pf = ModelParams(0.55j, 0.25j)
-    ctxf = PrecisionContext.for_size(4)
-    from .wmatrix import z_tilde_det
-    worst = max(fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).rel_diff(
-        z_tilde_det(n, pf, ctxf)) for n in range(1, 5))
-    checks.append(("discrete Nystrom vs continued finite determinant N<=4",
-                   worst, 1e-8))
-    bg = BetaGamma.from_params(p)
-    w = w_matrix(3, bg)
-    tm = trace_moments(KernelSpec.disordered(3, p), n_max=3)
-    worst = max(abs(tm[k - 1] - bg.zeta ** k
-                    * np.trace(np.linalg.matrix_power(w, k)))
-                for k in (1, 2, 3))
-    checks.append(("trace moments vs zeta^n tr(W^n), N=3", worst, 1e-8))
-    return checks
-
-
-def _verify_appendix() -> list:
-    checks = []
-    tau, omega, phi = 1.1, 0.7, 0.9
-    worst = 0.0
-    for lam in (0.5, 1.0):
-        for n in range(9):
-            for m in range(9):
-                worst = max(worst, abs(inm_closed(n, m, lam, tau, omega, phi)
-                                       - inm_quadrature(n, m, lam, tau, omega, phi)))
-    checks.append(("overlap integrals closed vs quadrature n,m<=8", worst, 1e-10))
-    worst = 0.0
-    for n in range(11):
-        coeffs = connection_coeffs(n, 0.5, tau, phi)
-        x = 0.37
-        direct = mp_eval(n, 0.5, x, tau)
-        expanded = sum(c * mp_eval(k, 0.5, x, phi) for k, c in enumerate(coeffs))
-        worst = max(worst, abs(direct - expanded))
-    checks.append(("basis connection formula n<=10", worst, 1e-12))
-    worst = max(key_conjugation_check(0.45, 0.5, m) for m in range(3, 13))
-    checks.append(("triangular conjugation identity M<=12", worst, 1e-12))
-    from .orthopoly import masked_commutator_residuals
-    resid = masked_commutator_residuals(su11_matrices(8, 0.5))
-    checks.append(("su(1,1) masked commutators, M=8",
-                   max(resid.values()), 1e-12))
-    return checks
-
-
 def run_verify(args) -> int:
-    suites = {"identities": _verify_identities, "kernels": _verify_kernels,
-              "appendix": _verify_appendix}
-    names = list(suites) if args.suite == "all" else [args.suite]
-    rows = []
-    for name in names:
-        for label, dev, thr in suites[name]():
-            rows.append({"suite": name, "check": label, "deviation": dev,
-                         "threshold": thr, "pass": dev <= thr})
+    from . import checks   # imported here, not at the top: it imports this module
+    numbers = [str(k) for k in range(1, len(checks.CRITERIA) + 1)]
+    if args.criterion not in ["all"] + numbers:
+        raise ValueError(f"verify takes all or a criterion number "
+                         f"{numbers[0]}..{numbers[-1]}, got {args.criterion!r}")
+    rows = checks.run(None if args.criterion == "all" else int(args.criterion))
     all_pass = all(r["pass"] for r in rows)
     if args.format == "json":
         text = json.dumps({"schema": SCHEMA, "checks": rows,
@@ -514,14 +437,10 @@ def run_verify(args) -> int:
         text = buf.getvalue()
     else:
         text = "\n".join(
-            f"[{'PASS' if r['pass'] else 'FAIL'}] {r['suite']:>10s} | "
-            f"{r['check']:<50s} dev={r['deviation']:.3e} thr={r['threshold']:.1e}"
+            f"[{'PASS' if r['pass'] else 'FAIL'}] {r['suite']:<32s} | "
+            f"{r['check']:<52s} dev={r['deviation']:.3e} thr={r['threshold']:.1e}"
             for r in rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_output(text, args.out)
     return 0 if all_pass else 1
 
 
@@ -531,12 +450,8 @@ def run_enumerate_dump(args) -> int:
                            "configurations": dump_configs(args.n, fmt="json")},
                           indent=2) + "\n"
     else:
-        text = dump_configs(args.n, fmt="text")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = dump_configs(args.n, fmt="text") + "\n"
+    write_output(text, args.out)
     return 0
 
 
@@ -579,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, tuple(ROUTES_BY_NAME))
     s.set_defaults(fn=run_sweep, rep="wdet")
 
-    v = subs.add_parser("verify", help="run the invariant suites")
-    v.add_argument("suite", nargs="?", default="all",
-                   choices=("identities", "kernels", "appendix", "all"))
+    v = subs.add_parser("verify", help="run the acceptance checks")
+    v.add_argument("criterion", nargs="?", default="all",
+                   help="'all' (default) or the number of one criterion")
     v.add_argument("--format", default="text", choices=("json", "csv", "text"))
     v.add_argument("--out", default=None)
     v.set_defaults(fn=run_verify)

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from icewall import cli
+from icewall import checks, cli
 from icewall.cli import main, parse_complex, parse_weights
 from icewall.params import ModelParams
 
@@ -29,14 +29,19 @@ def run(capsys, *argv):
 def test_parse_complex():
     assert parse_complex("0.9") == 0.9 + 0j
     assert parse_complex("0.9,-0.2") == complex(0.9, -0.2)
-    with pytest.raises(Exception):
-        parse_complex("1,2,3")
+    for text in ("1,2,3", "nan", "inf", "0.9,nan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_complex(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--rep", "all", "--n", "3", "--lambda", "nan"])
+    assert exc.value.code == 2
 
 
 def test_parse_weights():
     assert parse_weights("1,1,1,1,1,1") == (1.0,) * 6
-    with pytest.raises(Exception):
-        parse_weights("1,2,3")
+    for text in ("1,2,3", "nan,1,1,1,1,1", "inf,1,1,1,1,1", "0.9,nan,1,1,1,1"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_weights(text)
 
 
 def test_compute_all_cross_checks(capsys):
@@ -124,6 +129,18 @@ def test_sweep_failed_point_is_not_cached(capsys, tmp_path, monkeypatch):
     assert code == 1 and "0 hits, 3 computed" in err
     code, _, err = run(capsys, *args)
     assert code == 1 and "2 hits, 1 computed" in err
+
+
+def test_non_finite_value_is_refused_and_not_cached(capsys, tmp_path, monkeypatch):
+    # the Gram matrix overflows in double precision at Im(lambda) = 360
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    point = ["--rep", "fredholm-disordered", "--lambda", "0.9,360",
+             "--eta", "0.3", "--cache", str(tmp_path)]
+    code, _, err = run(capsys, "compute", "--n", "3", *point)
+    assert code == 2 and "fredholm-disordered" in err
+    code, _, _ = run(capsys, "sweep", "--n", "3", "--n-max", "3", *point)
+    assert code == 1
+    assert not any(tmp_path.iterdir())
 
 
 def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
@@ -241,16 +258,24 @@ def test_cache_env_var_override(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_appendix(capsys):
-    code, out, _ = run(capsys, "verify", "appendix", "--format", "json")
+    code, out, _ = run(capsys, "verify", "4", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["pass"] and all(c["pass"] for c in doc["checks"])
+    assert doc["schema"] == 1 and doc["pass"]
+    assert [c["check"] for c in doc["checks"]] == [
+        label for k, label, _, _ in checks.CHECKS if k == 4]
+    for c in doc["checks"]:
+        assert c["pass"] and c["suite"] == "polynomial identity suite"
+        assert set(c) == {"suite", "check", "deviation", "threshold", "pass"}
 
 
 def test_verify_identities_text(capsys):
-    code, out, _ = run(capsys, "verify", "identities")
+    code, out, _ = run(capsys, "verify", "2")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+    for selector in ("identities", "0", "8"):
+        code, _, err = run(capsys, "verify", selector)
+        assert code == 2 and "criterion number 1..7" in err
 
 
 def test_enumerate_dump_json(capsys):

@@ -33,3 +33,10 @@ def test_free_energy_sweep_runs():
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [int(r[0]) for r in rows] == list(range(1, 7))
+
+
+def test_perfbench_self_check():
+    # the benchmark wraps icewall functions by name; this fails when one is gone
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                           "--self-check"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
