@@ -153,6 +153,11 @@ def cache_dir(flag_value: Optional[str]) -> Optional[str]:
     return path
 
 
+def non_finite(log_magnitude: float, angle: float) -> bool:
+    # log|Z| = -inf is Z = 0, which all-zero weights give
+    return math.isnan(log_magnitude) or log_magnitude == math.inf or not math.isfinite(angle)
+
+
 def cache_load(path: Optional[str], cfg: JobConfig) -> Optional[ResultRecord]:
     if not path:
         return None
@@ -160,7 +165,8 @@ def cache_load(path: Optional[str], cfg: JobConfig) -> Optional[ResultRecord]:
     if not os.path.exists(fn):
         return None
     with open(fn, "r", encoding="utf-8") as fh:
-        return ResultRecord.from_dict(json.load(fh))
+        rec = ResultRecord.from_dict(json.load(fh))
+    return None if non_finite(rec.log_magnitude, rec.phase) else rec   # a miss: recompute
 
 
 def cache_store(path: Optional[str], cfg: JobConfig, rec: ResultRecord):
@@ -291,9 +297,7 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
         warnings.simplefilter("always")
         value, extra = route.fn(n, p, vw, ctx)
     elapsed = 1000.0 * (time.perf_counter() - t0)
-    if (math.isnan(value.log_magnitude) or value.log_magnitude == math.inf
-            or not math.isfinite(value.angle)):
-        # log|Z| = -inf is Z = 0, which all-zero weights give
+    if non_finite(value.log_magnitude, value.angle):
         raise ValueError(f"{route.name} gave a non-finite value at N={n}: "
                          f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
     rec = ResultRecord(route.name, n, args.lam, args.eta, value.log_magnitude,

@@ -12,32 +12,35 @@ from .logscale import LogScaledValue, PrecisionContext
 
 
 def lu_det(matrix):
-    """Determinant of an mpmath matrix by pivoted LU at the caller's precision.
+    """Determinant of an mpmath matrix by left-looking pivoted LU (Golub & Van
+    Loan, sec. 3.2) at the caller's precision: one fdot finishes each entry.
 
     Returns (det, pivot_growth) where pivot_growth = max|pivot| / min|pivot|
     is a cheap conditioning estimate.
     """
-    n = matrix.rows
-    m = matrix.copy()
+    rows = matrix.tolist()   # row i holds L_i[:j], then A_i[j:]
+    n = len(rows)
     det = mpmath.mpc(1)
-    max_piv = mpmath.mpf(0)
-    min_piv = mpmath.inf
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(m[r, col]))
-        if m[pivot_row, col] == 0:
+    max_piv, min_piv = mpmath.mpf(0), mpmath.inf
+    for j in range(n):
+        col = []             # U[:i, j] while row i is updated; zip stops there
+        for i, row in enumerate(rows):
+            if col:
+                row[j] -= mpmath.fdot(row, col)
+            if i < j:
+                col.append(row[j])
+        pivot_row = max(range(j, n), key=lambda r: abs(rows[r][j]))
+        if rows[pivot_row][j] == 0:
             return mpmath.mpc(0), mpmath.inf
-        if pivot_row != col:
-            for k in range(col, n):
-                m[col, k], m[pivot_row, k] = m[pivot_row, k], m[col, k]
+        if pivot_row != j:
+            rows[j], rows[pivot_row] = rows[pivot_row], rows[j]
             det = -det
-        piv = m[col, col]
+        piv = rows[j][j]
         det *= piv
         max_piv = max(max_piv, abs(piv))
         min_piv = min(min_piv, abs(piv))
-        for r in range(col + 1, n):
-            factor = m[r, col] / piv
-            for k in range(col + 1, n):
-                m[r, k] -= factor * m[col, k]
+        for row in rows[j + 1:]:
+            row[j] /= piv
     return det, max_piv / min_piv
 
 

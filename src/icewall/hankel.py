@@ -19,7 +19,7 @@ import mpmath
 
 from .determinants import lu_det, mp_logdet
 from .errors import SingularParameterError
-from .logscale import LogScaledValue, PrecisionContext
+from .logscale import LogScaledValue, PrecisionContext, mp_scalar
 from .params import SIN_CUTOFF, ModelParams, qgroup_prefactor
 
 
@@ -27,7 +27,6 @@ from .params import SIN_CUTOFF, ModelParams, qgroup_prefactor
 class CotDerivPoly:
     """Exact integer coefficients of T_k (index = power of cot phi)."""
 
-    k: int
     coeffs: tuple
 
     def __call__(self, c):
@@ -42,14 +41,14 @@ def cot_derivative_poly(k: int) -> CotDerivPoly:
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     if k == 0:
-        return CotDerivPoly(0, (0, 1))
+        return CotDerivPoly((0, 1))
     prev = cot_derivative_poly(k - 1).coeffs
     deriv = tuple(i * prev[i] for i in range(1, len(prev)))
     out = [0] * (len(prev) + 1)
     for i, d in enumerate(deriv):
         out[i] -= d
         out[i + 2] -= d
-    return CotDerivPoly(k, tuple(out))
+    return CotDerivPoly(tuple(out))
 
 
 def _require_regular(phi: complex, label: str = "phi"):
@@ -57,14 +56,18 @@ def _require_regular(phi: complex, label: str = "phi"):
         raise SingularParameterError(f"sin({label}) vanishes at {phi}")
 
 
+def _moments(c, count: int) -> list:
+    """T_s(c) for s < count, each one fdot over one shared table of powers of c."""
+    powers = [c ** e for e in range(count + 1)]
+    return [mpmath.fdot(cot_derivative_poly(s).coeffs, powers) for s in range(count)]
+
+
 def hankel_H(n: int, p: ModelParams, ctx: Optional[PrecisionContext] = None):
     """N x N matrix H_jk = T_{j+k}(cot phi_minus) - T_{j+k}(cot phi_plus)."""
     ctx = ctx or PrecisionContext.for_size(n)
     with ctx.workprec():
-        cot_m = mpmath.cot(mpmath.mpc(p.phi_minus))
-        cot_p = mpmath.cot(mpmath.mpc(p.phi_plus))
-        moments = [cot_derivative_poly(s)(cot_m) - cot_derivative_poly(s)(cot_p)
-                   for s in range(2 * n - 1)]
+        cots = [mpmath.cot(mp_scalar(phi)) for phi in (p.phi_minus, p.phi_plus)]
+        moments = [a - b for a, b in zip(*(_moments(c, 2 * n - 1) for c in cots))]
         return mpmath.matrix([[moments[j + k] for k in range(n)] for j in range(n)])
 
 
@@ -74,8 +77,7 @@ def matrix_A(n: int, phi: complex, ctx: Optional[PrecisionContext] = None,
     _require_regular(phi)
     ctx = ctx or PrecisionContext.for_size(n)
     with ctx.workprec():
-        cot = mpmath.cot(mpmath.mpc(phi))
-        moments = [cot_derivative_poly(s)(cot) for s in range(2 * n - 1)]
+        moments = _moments(mpmath.cot(mpmath.mpc(phi)), 2 * n - 1)
         moments[0] += mpmath.mpc(alpha)
         return mpmath.matrix([[moments[j + k] for k in range(n)] for j in range(n)])
 

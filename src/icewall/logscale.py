@@ -79,6 +79,11 @@ class LogScaledValue:
         return abs(a - b) / max(abs(a), abs(b))
 
 
+def mp_scalar(z: complex):
+    """mpf for real z, else mpc: real parameters keep real arithmetic."""
+    return mpmath.mpf(z.real) if z.imag == 0 else mpmath.mpc(z)
+
+
 def _wrap_angle(theta: float) -> float:
     return math.remainder(theta, 2.0 * math.pi)
 

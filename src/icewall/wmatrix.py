@@ -15,7 +15,7 @@ import numpy as np
 
 from .determinants import mp_logdet
 from .errors import SingularParameterError, SizeLimitError
-from .logscale import LogScaledValue, PrecisionContext
+from .logscale import LogScaledValue, PrecisionContext, mp_scalar
 from .orthopoly import (exp_jplus_entries, hyp2f1_terminating, mp_eval,
                         su11_matrices, weight_shifted)
 from .params import ModelParams, qgroup_prefactor
@@ -49,12 +49,17 @@ class BetaGamma:
         return cls(beta=(lam - eta) / (lam + eta), gamma=2 * eta / (lam + eta), zeta=1.0)
 
 
-def w_binomial(j: int, k: int, beta, gamma):
-    """W_jk = sum_m C(j,m) C(k,m) beta^{2m+1} gamma^{j+k-2m}, symmetric in
-    (j, k), for complex or mpmath scalars alike.  gamma = 0 needs no special
-    case: only the diagonal survives."""
-    return sum(math.comb(j, m) * math.comb(k, m) * beta ** (2 * m + 1)
-               * gamma ** (j + k - 2 * m) for m in range(min(j, k) + 1))
+def w_rows(n: int, beta, gamma) -> list:
+    """W_jk = sum_m C(j,m) C(k,m) beta^{2m+1} gamma^{j+k-2m} as n lists, for
+    complex or mpmath scalars alike: the one copy of the binomial sum, as
+    sum_m L_jm beta^{2m+1} L_km with L_jm = C(j,m) gamma^{j-m}, one fdot per
+    entry.  gamma = 0 needs no special case: only the diagonal survives."""
+    odd = [beta ** (2 * m + 1) for m in range(n)]
+    g = [gamma ** e for e in range(n)]
+    low = [[math.comb(j, m) * g[j - m] for m in range(j + 1)] for j in range(n)]
+    scaled = [[x * b for x, b in zip(row, odd)] for row in low]
+    tri = [[mpmath.fdot(scaled[j], low[k]) for k in range(j + 1)] for j in range(n)]
+    return [[tri[max(j, k)][min(j, k)] for k in range(n)] for j in range(n)]
 
 
 def w_entry(j: int, k: int, bg: BetaGamma, branch: str = "binomial") -> complex:
@@ -70,15 +75,11 @@ def w_entry(j: int, k: int, bg: BetaGamma, branch: str = "binomial") -> complex:
                                      (bg.beta / bg.gamma) ** 2))
     if branch != "binomial":
         raise ValueError(f"unknown branch {branch!r}")
-    return w_binomial(j, k, bg.beta, bg.gamma)
+    return complex(w_rows(max(j, k) + 1, bg.beta, bg.gamma)[j][k])
 
 
 def w_matrix(n: int, bg: BetaGamma) -> np.ndarray:
-    out = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j + 1):
-            out[j, k] = out[k, j] = w_entry(j, k, bg)
-    return out
+    return np.array(w_rows(n, bg.beta, bg.gamma), dtype=complex)
 
 
 def w_matrix_gauss(n: int, bg: BetaGamma) -> np.ndarray:
@@ -107,16 +108,11 @@ def w_entry_integral(j: int, k: int, p: ModelParams,
 
 def _w_matrix_mp(n: int, p: ModelParams):
     """W and zeta recomputed from the spectral parameters at mp precision."""
-    lam, eta = mpmath.mpc(p.lam), mpmath.mpc(p.eta)
+    lam, eta = mp_scalar(p.lam), mp_scalar(p.eta)
     sp = mpmath.sin(lam + eta)
     beta = mpmath.sin(lam - eta) / sp
     gamma = mpmath.sin(2 * eta) / sp
-    zeta = mpmath.exp(-2j * eta)
-    w = mpmath.zeros(n, n)
-    for j in range(n):
-        for k in range(j + 1):
-            w[j, k] = w[k, j] = w_binomial(j, k, beta, gamma)
-    return w, zeta
+    return mpmath.matrix(w_rows(n, beta, gamma)), mpmath.exp(-2j * eta)
 
 
 def z_tilde_det(n: int, p: ModelParams,
@@ -125,7 +121,7 @@ def z_tilde_det(n: int, p: ModelParams,
     ctx = ctx or PrecisionContext.for_size(n)
     with ctx.workprec():
         w, zeta = _w_matrix_mp(n, p)
-        m = mpmath.eye(n) - zeta * w
+        m = mpmath.eye(n) - w * zeta   # zeta * w would repr w in a failed conversion
     return mp_logdet(m, ctx, warn_label="w-det")
 
 

@@ -143,6 +143,21 @@ def test_non_finite_value_is_refused_and_not_cached(capsys, tmp_path, monkeypatc
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("log_abs_z", [float("nan"), float("inf")])
+def test_non_finite_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, log_abs_z):
+    # a non-finite record stored under the current version's key (as an
+    # older build of this version could) is recomputed and re-stored
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    cfg = cli.JobConfig("compute", "dp", 3, 0.9 + 0j, 0.3 + 0j)
+    bad = cli.ResultRecord("dp", 3, 0.9 + 0j, 0.3 + 0j, log_abs_z, 0.0, 0.0, 128)
+    cli.cache_store(str(tmp_path), cfg, bad)
+    code, out, err = run(capsys, "compute", "--rep", "dp", "--n", "3", "--format", "json",
+                         "--cache", str(tmp_path))
+    assert code == 0 and "cache hit" not in err
+    assert math.isfinite(json.loads(out)["records"][0]["log_abs_z"])
+    assert math.isfinite(cli.cache_load(str(tmp_path), cfg).log_magnitude)
+
+
 def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
     cfg = cli.JobConfig("compute", "dp", 2, 0.9 + 0j, 0.3 + 0j)
     rec = cli.ResultRecord("dp", 2, 0.9 + 0j, 0.3 + 0j, 0.0, 0.0, 0.0, 128)

@@ -59,6 +59,13 @@ def test_hankel_structure():
             assert mpmath.almosteq(h[j, k], h[j + 1, k - 1])
 
 
+def test_hankel_entries_are_real_at_real_parameters():
+    # real (lambda, eta) keep real mpf arithmetic through assembly and the LU
+    for p, kind in ((ModelParams(0.9, 0.3), mpmath.mpf),
+                    (ModelParams(0.9 + 0.1j, 0.3), mpmath.mpc)):
+        assert all(isinstance(x, kind) for row in hankel_H(6, p).tolist() for x in row)
+
+
 def test_partition_hankel_vs_enumeration():
     p = ModelParams(0.9, 0.3)
     w = VertexWeights.symmetric(*symmetric_weights(p))

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from icewall.enumeration import enumerate_configs
 from icewall.hankel import partition_hankel
 from icewall.logscale import LogScaledValue, PrecisionContext
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
-from icewall.wmatrix import (BetaGamma, full_partition, full_partition_gauss,
-                             rational_z_tilde,
+from icewall.wmatrix import (BetaGamma, _w_matrix_mp, full_partition,
+                             full_partition_gauss, rational_z_tilde,
                              reconstruction_deviation, w_entry,
                              w_entry_integral, w_matrix, w_matrix_gauss,
                              z_tilde_det)
@@ -43,6 +44,22 @@ def test_entry_binomial_matches_hypergeometric(j, k):
     a = w_entry(j, k, bg, branch="binomial")
     b = w_entry(j, k, bg, branch="hyp")
     assert abs(a - b) < 1e-12 * (1 + abs(a))
+
+
+@pytest.mark.parametrize("lam, eta", [(0.9, 0.3), (0.9 + 0.1j, 0.3 + 0.05j)])
+@pytest.mark.parametrize("n", [8, 16])
+def test_w_builder_matches_term_by_term_binomial_sum(n, lam, eta):
+    with mpmath.workprec(256):
+        w, _ = _w_matrix_mp(n, ModelParams(lam, eta))
+        sp = mpmath.sin(mpmath.mpc(lam) + eta)
+        beta = mpmath.sin(mpmath.mpc(lam) - eta) / sp
+        gamma = mpmath.sin(2 * mpmath.mpc(eta)) / sp
+        for j in range(n):
+            for k in range(n):
+                ref = sum(math.comb(j, m) * math.comb(k, m) * beta ** (2 * m + 1)
+                          * gamma ** (j + k - 2 * m) for m in range(min(j, k) + 1))
+                assert abs(w[j, k] - ref) <= 1e-60 * abs(ref)
+                assert isinstance(w[j, k], mpmath.mpf) == (lam.imag == 0)
 
 
 def test_matrix_symmetry_and_corner():
