@@ -20,7 +20,7 @@ from .cli import applicable
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs
 from .errors import PrecisionWarning
 from .fredholm import KernelSpec, fredholm_det, trace_moments
-from .hankel import alpha_det_deviation, det_a_deviation, partition_hankel
+from .hankel import alpha_det_deviation, partition_hankel
 from .logscale import PrecisionContext
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \
@@ -28,7 +28,8 @@ from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
 from .params import ModelParams, VertexWeights, check_unitarity, \
     symmetric_weights
 from .wmatrix import BetaGamma, full_partition, rational_z_tilde, \
-    w_entry_integral, w_matrix, w_matrix_gauss, z_tilde_det
+    reconstruction_deviation, w_entry_integral, w_matrix, w_matrix_gauss, \
+    z_tilde_det
 
 CRITERIA = (
     "cross-representation equality",
@@ -83,7 +84,7 @@ def _closed_determinants() -> float:
     draws = [(complex(rng.uniform(0.3, 2.8), rng.uniform(-0.5, 0.5)),
               complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(20)]
     phis = [phi for phi, _ in draws] + _seed7_draws()[1]
-    return max(max([det_a_deviation(n, phi) for phi in phis]
+    return max(max([alpha_det_deviation(n, phi, -1j) for phi in phis]
                    + [alpha_det_deviation(n, phi, alpha) for phi, alpha in draws])
                / PrecisionContext.for_size(n).tolerance for n in (1, 4, 6, 7, 10))
 
@@ -187,6 +188,10 @@ CHECKS = (
     (6, "R-matrix unitarity, 120 samples", _unitarity, 1e-12),
     (6, "W binomial vs Gauss vs integral, N=5", _w_three_way, 1e-10),
     (6, "trace moments vs zeta^k tr(W^k), N<=3", _traces, 1e-12),
+    (6, "det(I - zeta W), Gauss factors by expm, N<=6",
+     lambda: max(reconstruction_deviation(n, ModelParams(lam, eta))
+                 for lam, eta in ((0.9, 0.3), (0.9 + 0.1j, 0.3 + 0.05j))
+                 for n in range(1, 7)), 1e-12),
     (7, "hankel vs wdet at size-adaptive bits, N<=12", _precision_scaling, 1e-10),
 )
 

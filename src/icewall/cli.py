@@ -60,6 +60,14 @@ def parse_complex(text: str) -> complex:
     return complex(*parts)
 
 
+def parse_size(text: str) -> int:
+    """A lattice size N >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected N >= 1, got {text!r}")
+    return n
+
+
 def parse_weights(text: str) -> tuple:
     parts = _finite_floats(text)
     if len(parts) != 6:
@@ -289,7 +297,8 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     rec = cache_load(cdir, cfg)
     if rec is not None:
         return rec, True
-    ctx = PrecisionContext(args.bits) if args.bits else PrecisionContext.for_size(n)
+    ctx = (PrecisionContext(args.bits) if args.bits is not None
+           else PrecisionContext.for_size(n))
     vw = (VertexWeights(*args.weights) if args.weights
           else VertexWeights.symmetric(*symmetric_weights(p)))
     t0 = time.perf_counter()
@@ -396,6 +405,8 @@ def run_sweep(args) -> int:
     process-global.  A failed point is recorded, never cached, and makes the
     sweep exit 1."""
     ns = range(args.n, args.n_max + 1)
+    if not ns:
+        raise ValueError(f"empty sweep: --n-max {args.n_max} is below --n {args.n}")
     if len(ns) > 10_000:
         print("sweep grid exceeds 10^4 points", file=sys.stderr)
         return 2
@@ -488,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = ap.add_subparsers(dest="command", required=True)
 
     c = subs.add_parser("compute", help="compute Z_N by one or all representations")
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=parse_size, required=True)
     _add_common(c, tuple(ROUTES_BY_NAME) + ("all",))
     c.set_defaults(fn=run_compute)
 
     s = subs.add_parser("sweep", help="sweep N over a range")
-    s.add_argument("--n", type=int, default=1, help="first N")
-    s.add_argument("--n-max", type=int, required=True)
+    s.add_argument("--n", type=parse_size, default=1, help="first N")
+    s.add_argument("--n-max", type=parse_size, required=True)
     _add_common(s, tuple(ROUTES_BY_NAME))
     s.set_defaults(fn=run_sweep, rep="wdet")
 
@@ -506,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=run_verify)
 
     d = subs.add_parser("enumerate-dump", help="dump all configurations (N<=4)")
-    d.add_argument("--n", type=int, required=True)
+    d.add_argument("--n", type=parse_size, required=True)
     d.add_argument("--format", default="text", choices=("json", "text"))
     d.add_argument("--out", default=None)
     d.set_defaults(fn=run_enumerate_dump)

@@ -119,8 +119,15 @@ def config_iterator(n: int) -> Iterator[LatticeConfig]:
 
 
 def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
-    """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6)."""
-    weights = w.as_tuple()
+    """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6).
+
+    Every configuration has N^2 vertices, so the weights are divided by 2^e,
+    the least power of two above their largest magnitude (an exact division),
+    and N^2 e log 2 is added back.  No term overflows; a term underflows only
+    when its weights differ by a factor of about 10^(300/N^2) or more."""
+    weights = [complex(x) for x in w.as_tuple()]
+    e = math.frexp(max(abs(x) for x in weights))[1]
+    weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in weights]
     total = 0j
     count = 0
     for cfg in config_iterator(n):
@@ -129,7 +136,8 @@ def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
             term *= wi ** ni
         total += term
         count += 1
-    return EnumerationResult(count, LogScaledValue.from_complex(total))
+    z = LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
+    return EnumerationResult(count, z)
 
 
 def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:

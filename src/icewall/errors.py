@@ -9,10 +9,6 @@ class SizeLimitError(ValueError):
     """Requested lattice size exceeds what the chosen method can handle."""
 
 
-class BranchError(ValueError):
-    """A principal-branch function was evaluated where the branch is ambiguous."""
-
-
 class PrecisionWarning(UserWarning):
     """The determinant condition estimate ate more than half the mantissa."""
 

@@ -174,7 +174,7 @@ def _logdet_i_minus(matrix: np.ndarray) -> LogScaledValue:
     return LogScaledValue(float(logabs), float(np.angle(sign)))
 
 
-def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> LogScaledValue:
+def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     """Fredholm determinant det(I - operator), with a refinement check:
     the result is accepted only if doubling the discretization moves the
     log-determinant by less than the convergence tolerance."""
@@ -188,7 +188,7 @@ def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> Log
             warnings.warn("discrete kernel truncation not converged",
                           ConvergenceWarning)
         return result
-    plan = plan or default_plan(spec)
+    plan = default_plan(spec)
     result = _logdet_i_minus(operator_matrix(spec, plan=plan))
     refined = _logdet_i_minus(operator_matrix(spec, plan=plan.refined()))
     if abs(refined.log_magnitude - result.log_magnitude) > CONVERGENCE_TOL:
@@ -197,20 +197,18 @@ def fredholm_det(spec: KernelSpec, plan: Optional[QuadraturePlan] = None) -> Log
     return result
 
 
-def full_partition_fredholm(n: int, p: ModelParams,
-                            plan: Optional[QuadraturePlan] = None) -> LogScaledValue:
+def full_partition_fredholm(n: int, p: ModelParams) -> LogScaledValue:
     """Symmetric-weight Z_N through the disordered Fredholm determinant."""
-    zt = fredholm_det(KernelSpec.disordered(n, p), plan=plan)
+    zt = fredholm_det(KernelSpec.disordered(n, p))
     return zt.scale_log(qgroup_prefactor(n, p))
 
 
-def trace_moments(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
-                  n_max: int = 3) -> list:
+def trace_moments(spec: KernelSpec, n_max: int = 3) -> list:
     """tr(V^k) for k = 1..n_max of the discretized operator; by cyclicity the
     N x N form has the traces of the m x m Nystrom matrix."""
     if n_max > 6:
         raise ValueError("trace moments supported for n_max <= 6")
-    d = operator_matrix(spec, plan=plan)
+    d = operator_matrix(spec)
     out = []
     power = np.eye(d.shape[0], dtype=complex)
     for _ in range(n_max):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
@@ -23,43 +22,31 @@ from .logscale import LogScaledValue, PrecisionContext, mp_scalar
 from .params import SIN_CUTOFF, ModelParams, qgroup_prefactor
 
 
-@dataclass(frozen=True)
-class CotDerivPoly:
-    """Exact integer coefficients of T_k (index = power of cot phi)."""
-
-    coeffs: tuple
-
-    def __call__(self, c):
-        acc = 0 * c
-        for coef in reversed(self.coeffs):
-            acc = acc * c + coef
-        return acc
-
-
 @functools.lru_cache(maxsize=None)
-def cot_derivative_poly(k: int) -> CotDerivPoly:
+def cot_derivative_poly(k: int) -> tuple:
+    """Exact integer coefficients of T_k, lowest power of cot phi first."""
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     if k == 0:
-        return CotDerivPoly((0, 1))
-    prev = cot_derivative_poly(k - 1).coeffs
+        return (0, 1)
+    prev = cot_derivative_poly(k - 1)
     deriv = tuple(i * prev[i] for i in range(1, len(prev)))
     out = [0] * (len(prev) + 1)
     for i, d in enumerate(deriv):
         out[i] -= d
         out[i + 2] -= d
-    return CotDerivPoly(tuple(out))
+    return tuple(out)
 
 
-def _require_regular(phi: complex, label: str = "phi"):
+def _require_regular(phi: complex):
     if abs(cmath.sin(complex(phi))) < SIN_CUTOFF:
-        raise SingularParameterError(f"sin({label}) vanishes at {phi}")
+        raise SingularParameterError(f"sin(phi) vanishes at {phi}")
 
 
 def _moments(c, count: int) -> list:
     """T_s(c) for s < count, each one fdot over one shared table of powers of c."""
     powers = [c ** e for e in range(count + 1)]
-    return [mpmath.fdot(cot_derivative_poly(s).coeffs, powers) for s in range(count)]
+    return [mpmath.fdot(cot_derivative_poly(s), powers) for s in range(count)]
 
 
 def hankel_H(n: int, p: ModelParams, ctx: Optional[PrecisionContext] = None):
@@ -105,17 +92,6 @@ def det_A_closed(n: int, phi: complex) -> LogScaledValue:
     return LogScaledValue.from_log(log)
 
 
-def alpha_det(n: int, phi: complex, alpha: complex) -> LogScaledValue:
-    """Closed form [cos N phi + alpha sin N phi] (sin phi)^{-N^2} prod (n!)^2."""
-    _require_regular(phi)
-    head = cmath.cos(n * complex(phi)) + complex(alpha) * cmath.sin(n * complex(phi))
-    if head == 0:
-        return LogScaledValue(float("-inf"), 0.0)
-    log = cmath.log(head) - n * n * cmath.log(cmath.sin(complex(phi)))
-    log += _log_factorial_sq_sum(n)
-    return LogScaledValue.from_log(log)
-
-
 def alpha_det_deviation(n: int, phi: complex, alpha: complex,
                         ctx: Optional[PrecisionContext] = None) -> float:
     """|LU det / closed form - 1| for the cot+alpha moment matrix, computed
@@ -130,12 +106,6 @@ def alpha_det_deviation(n: int, phi: complex, alpha: complex,
         for k in range(1, n):
             closed *= mpmath.factorial(k) ** 2
         return float(abs(det / closed - 1))
-
-
-def det_a_deviation(n: int, phi: complex,
-                    ctx: Optional[PrecisionContext] = None) -> float:
-    """alpha = -i special case: LU versus e^{-i N phi}(sin phi)^{-N^2} prod (n!)^2."""
-    return alpha_det_deviation(n, phi, -1j, ctx)
 
 
 def z_tilde_via_ratio(n: int, p: ModelParams,

@@ -41,11 +41,6 @@ class LogScaledValue:
         return cls(float(log_z.real), _wrap_angle(float(log_z.imag)))
 
     @property
-    def phase(self) -> complex:
-        """Unit-modulus phase factor."""
-        return cmath.exp(1j * self.angle)
-
-    @property
     def value(self) -> complex:
         """Plain complex value; overflows for log_magnitude > ~709."""
         return cmath.exp(complex(self.log_magnitude, self.angle))

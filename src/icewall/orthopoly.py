@@ -11,11 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import BranchError, SingularParameterError
+from .errors import SingularParameterError
 from .params import SIN_CUTOFF
 from .quadrature import QuadraturePlan, decay_cutoff
 
@@ -122,50 +121,6 @@ def laguerre_deriv(n: int, x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# the orthonormal family behind the moment matrix of cot phi - i
-
-
-def p_n_eval(n: int, x: complex, phi: complex) -> complex:
-    """Orthonormal p_n(x) = e^{i phi/2} sqrt(sin phi) P_n^{(1/2)}((x+i)/2; phi)."""
-    s = cmath.sin(complex(phi))
-    if abs(s) < SIN_CUTOFF:
-        raise SingularParameterError("sin(phi) vanishes")
-    if s.real < 0 and abs(s.imag) < 1e-300:
-        raise BranchError("sqrt(sin phi) on the negative real axis; "
-                          "principal branch would be discontinuous here")
-    return cmath.exp(0.5j * complex(phi)) * cmath.sqrt(s) * mp_eval(n, 0.5, (x + 1j) / 2, phi)
-
-
-def p_n_deriv(n: int, x: complex, phi: complex) -> complex:
-    s = cmath.sin(complex(phi))
-    if abs(s) < SIN_CUTOFF:
-        raise SingularParameterError("sin(phi) vanishes")
-    return (0.5 * cmath.exp(0.5j * complex(phi)) * cmath.sqrt(s)
-            * mp_deriv(n, 0.5, (x + 1j) / 2, phi)) if n else 0j
-
-
-def leading_coefficient(n: int, phi: complex) -> complex:
-    """kappa_n = e^{i phi/2} (sin phi)^{n+1/2} / n!."""
-    s = cmath.sin(complex(phi))
-    return cmath.exp(0.5j * complex(phi)) * s ** (n + 0.5) / math.factorial(n)
-
-
-def cd_kernel(n: int, x: complex, y: complex, phi: complex) -> complex:
-    """Christoffel-Darboux sum K_n(x, y) = sum_{k<n} p_k(x) p_k(y) in its
-    two-term closed form, with the confluent formula near the diagonal."""
-    ratio = n / cmath.sin(complex(phi))  # kappa_{n-1}/kappa_n
-    pn, pn1 = p_n_eval(n, x, phi), p_n_eval(n - 1, x, phi)
-    if abs(x - y) < 1e-6 * (1 + abs(x) + abs(y)):
-        return ratio * (p_n_deriv(n, x, phi) * pn1 - p_n_deriv(n - 1, x, phi) * pn)
-    return ratio * (pn * p_n_eval(n - 1, y, phi) - pn1 * p_n_eval(n, y, phi)) / (x - y)
-
-
-def cd_kernel_direct(n: int, x: complex, y: complex, phi: complex) -> complex:
-    """Oracle: the defining sum, term by term."""
-    return sum(p_n_eval(k, x, phi) * p_n_eval(k, y, phi) for k in range(n))
-
-
-# --------------------------------------------------------------------------
 # weight functions
 
 
@@ -182,31 +137,19 @@ def weight_shifted(x, phi):
     x = np.asarray(x, dtype=float)
     # log(1 + e^{pi x}) is stable via logaddexp; the full exponent keeps a
     # bounded real part for any x.
-    out = np.exp(phi * x - np.logaddexp(0.0, math.pi * x))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.exp(phi * x - np.logaddexp(0.0, math.pi * x))
 
 
-def weight_omega(x: float, phi: complex) -> complex:
-    """Principal-value weight e^{phi x} / (1 - e^{pi x}); singular at x = 0."""
-    if x == 0:
-        raise ZeroDivisionError("omega has a pole at x = 0; use the shifted form")
-    return cmath.exp(complex(phi) * x) / (1 - math.exp(math.pi * x))
-
-
-def moment_via_contour(m: int, phi: complex, plan: Optional[QuadraturePlan] = None) -> complex:
-    """v.p. integral of x^m omega(x) evaluated on the shifted contour:
+def moment_via_contour(m: int, phi: complex) -> complex:
+    """v.p. integral of x^m e^{phi x}/(1 - e^{pi x}) evaluated on the shifted contour:
     e^{-i phi} int (x - i)^m e^{phi x}/(1 + e^{pi x}) dx.
 
     Equals T_m(cot phi) - i [m = 0]; used as the quadrature oracle for the
     moment-matrix entries.
     """
     phi = complex(phi)
-    if plan is None:
-        lo = -decay_cutoff(phi.real, poly_order=m)
-        hi = decay_cutoff(math.pi - phi.real, poly_order=m)
-        plan = QuadraturePlan.on_interval(lo, hi)
+    plan = QuadraturePlan.on_interval(-decay_cutoff(phi.real, poly_order=m),
+                                      decay_cutoff(math.pi - phi.real, poly_order=m))
     x = plan.nodes
     vals = (x - 1j) ** m * weight_shifted(x, phi)
     return cmath.exp(-1j * phi) * complex(np.sum(vals * plan.weights))
@@ -286,16 +229,14 @@ def _log_abs_gamma_sq(lam: float, x: np.ndarray) -> np.ndarray:
 
 
 def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
-                   phi: float, plan: Optional[QuadraturePlan] = None) -> complex:
+                   phi: float) -> complex:
     """Direct quadrature of the overlap integral; |Gamma(lam+ix)|^2 goes
     through log-gamma so large |x| never overflows."""
     if not 0 < phi < math.pi or lam <= 0:
         raise SingularParameterError("need real lam > 0 and 0 < phi < pi")
-    if plan is None:
-        order = n + m + int(2 * lam)
-        hi = decay_cutoff(2 * math.pi - 2 * phi, poly_order=order)
-        lo = -decay_cutoff(2 * phi, poly_order=order)
-        plan = QuadraturePlan.on_interval(lo, hi)
+    order = n + m + int(2 * lam)
+    plan = QuadraturePlan.on_interval(-decay_cutoff(2 * phi, poly_order=order),
+                                      decay_cutoff(2 * math.pi - 2 * phi, poly_order=order))
     x = plan.nodes
     log_w = _log_abs_gamma_sq(lam, x) + (2 * phi - math.pi) * x
     vals = mp_eval(n, lam, x, tau) * mp_eval(m, lam, x, omega) * np.exp(log_w)

@@ -1,4 +1,4 @@
-"""Vertex-weight parametrization, phase classification and the R-matrix.
+"""Vertex-weight parametrization, the quantum-group normalization and the R-matrix.
 
 Spectral parameters are complex throughout: real (lambda, eta) covers the
 disordered regime, purely imaginary phi_pm reaches the ferro- and
@@ -66,27 +66,6 @@ class VertexWeights:
 def symmetric_weights(p: ModelParams) -> tuple:
     """(a, b, c) = (sin(lambda+eta), sin(lambda-eta), sin(2 eta))."""
     return (cmath.sin(p.phi_plus), cmath.sin(p.phi_minus), cmath.sin(2 * p.eta))
-
-
-def delta_parameter(a: complex, b: complex, c: complex) -> complex:
-    """Standard anisotropy Delta = (a^2 + b^2 - c^2) / (2ab)."""
-    if a * b == 0:
-        raise ZeroDivisionError("delta_parameter requires a*b != 0")
-    return (a * a + b * b - c * c) / (2 * a * b)
-
-
-def classify_phase(a: complex, b: complex, c: complex, tol: float = 1e-12) -> str:
-    """Informational regime label from Delta; never branches numerics."""
-    d = delta_parameter(a, b, c)
-    if abs(d.imag) > 1e-9:
-        return "complex"
-    if abs(d.real) < tol:
-        return "free-fermion"
-    if d.real > 1:
-        return "ferroelectric"
-    if d.real < -1:
-        return "antiferroelectric"
-    return "disordered"
 
 
 def qgroup_weights(p: ModelParams) -> VertexWeights:

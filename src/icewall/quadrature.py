@@ -20,9 +20,6 @@ class QuadraturePlan:
     lo: float = 0.0
     hi: float = 0.0
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     @classmethod
     def on_interval(cls, a: float, b: float, panel_width: float = 1.0,
                     nodes_per_panel: int = 32) -> "QuadraturePlan":
@@ -44,17 +41,18 @@ class QuadraturePlan:
                                           panel_width=(self.hi - self.lo) / panels)
 
 
-def decay_cutoff(rate: float, poly_order: int = 0, log_tol: float = -18 * math.log(10)) -> float:
-    """Smallest L with exp(-rate*L) * L^poly_order below the tolerance.
+def decay_cutoff(rate: float, poly_order: int = 0) -> float:
+    """Smallest L with exp(-rate*L) * L^poly_order below 1e-18.
 
     `rate` must be positive; poly_order accounts for polynomial growth of
     the non-exponential part of the integrand.
     """
     if rate <= 0:
         raise ValueError("decay rate must be positive")
-    L = (-log_tol + 5.0) / rate
+    target = 18 * math.log(10) + 5.0   # the 1e-18 tail, plus a margin of e^5
+    L = target / rate
     for _ in range(40):
-        new = (-log_tol + 5.0 + poly_order * math.log(max(L, 2.0))) / rate
+        new = (target + poly_order * math.log(max(L, 2.0))) / rate
         if abs(new - L) < 1e-9:
             break
         L = new

@@ -62,22 +62,6 @@ def w_rows(n: int, beta, gamma) -> list:
     return [[tri[max(j, k)][min(j, k)] for k in range(n)] for j in range(n)]
 
 
-def w_entry(j: int, k: int, bg: BetaGamma, branch: str = "binomial") -> complex:
-    """W_jk by the binomial sum, or by the equivalent hypergeometric branch
-    beta gamma^{j+k} 2F1(-j,-k;1;(beta/gamma)^2), which is kept for
-    cross-checks and needs gamma != 0.
-    """
-    if branch == "hyp":
-        if bg.gamma == 0:
-            raise ZeroDivisionError("hypergeometric branch needs gamma != 0")
-        return (bg.beta * bg.gamma ** (j + k)
-                * hyp2f1_terminating(min(j, k), -max(j, k), 1.0,
-                                     (bg.beta / bg.gamma) ** 2))
-    if branch != "binomial":
-        raise ValueError(f"unknown branch {branch!r}")
-    return complex(w_rows(max(j, k) + 1, bg.beta, bg.gamma)[j][k])
-
-
 def w_matrix(n: int, bg: BetaGamma) -> np.ndarray:
     return np.array(w_rows(n, bg.beta, bg.gamma), dtype=complex)
 
@@ -89,17 +73,23 @@ def w_matrix_gauss(n: int, bg: BetaGamma) -> np.ndarray:
     return lower @ diag @ lower.T
 
 
-def w_entry_integral(j: int, k: int, p: ModelParams,
-                     plan: Optional[QuadraturePlan] = None) -> complex:
+def w_entry_hyp(j: int, k: int, bg: BetaGamma) -> complex:
+    """Hypergeometric oracle: W_jk = beta gamma^{j+k} 2F1(-j,-k;1;(beta/gamma)^2),
+    which needs gamma != 0."""
+    if bg.gamma == 0:
+        raise ZeroDivisionError("hypergeometric form needs gamma != 0")
+    return (bg.beta * bg.gamma ** (j + k)
+            * hyp2f1_terminating(min(j, k), -max(j, k), 1.0, (bg.beta / bg.gamma) ** 2))
+
+
+def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
     """Quadrature oracle: 2 sin(phi_-) int P_j P_k e^{2 x phi_+}/(1 + e^{2 pi x}) dx
     with P = P^{(1/2)}(.; phi_-)."""
     pp = complex(p.phi_plus)
     if not 0 < pp.real < math.pi:
         raise SingularParameterError("integral form needs 0 < Re phi_+ < pi")
-    if plan is None:
-        hi = decay_cutoff(2 * math.pi - 2 * pp.real, poly_order=j + k)
-        lo = -decay_cutoff(2 * pp.real, poly_order=j + k)
-        plan = QuadraturePlan.on_interval(lo, hi)
+    plan = QuadraturePlan.on_interval(-decay_cutoff(2 * pp.real, poly_order=j + k),
+                                      decay_cutoff(2 * math.pi - 2 * pp.real, poly_order=j + k))
     x = plan.nodes
     weight = weight_shifted(2 * x, pp)
     pj, pk = mp_eval(j, 0.5, x, p.phi_minus), mp_eval(k, 0.5, x, p.phi_minus)

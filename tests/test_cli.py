@@ -12,6 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+import icewall
 from icewall import checks, cli
 from icewall.cli import main, parse_complex, parse_weights
 from icewall.params import ModelParams
@@ -79,6 +80,22 @@ def test_singular_parameters_exit_code(capsys):
                        "--lambda", "0.3", "--eta", "0.3")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--rep", "wdet", "--n", "0"),
+    ("compute", "--rep", "hankel", "--n", "-2"),
+    ("compute", "--rep", "wdet", "--n", "3", "--bits", "0"),
+    ("sweep", "--n", "5", "--n-max", "3"),
+])
+def test_bad_size_bits_or_range_exit_code(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:   # the parser refused the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_sweep_csv_schema(capsys, tmp_path):
@@ -191,6 +208,13 @@ def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch)
     assert code == 0 and "cache hit" not in err
     assert json.loads(out)["records"][0]["log_abs_z"] != 123.0
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_key_version_is_the_package_version():
+    # the cache key carries icewall.__version__; it must track pyproject.toml
+    tomllib = pytest.importorskip("tomllib")   # standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == icewall.__version__
 
 
 @pytest.mark.parametrize("argv, route", [

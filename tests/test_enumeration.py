@@ -65,6 +65,15 @@ def test_gauge_scaling(s):
     assert scaled.rel_diff(expected) < 1e-12
 
 
+@pytest.mark.parametrize("x", [1e40, 1e-30])
+def test_enumeration_takes_weights_beyond_double_range(x):
+    # each term x^16 overflows (1e640) or underflows (1e-480) a double
+    w = VertexWeights(*[x] * 6)
+    z = enumerate_configs(4, w).z_value
+    assert z.rel_diff(partition_dp(4, w)) < 1e-12
+    assert z.rel_diff(LogScaledValue(math.log(42) + 16 * math.log(x), 0.0)) < 1e-12
+
+
 def test_ice_point_factorization():
     p = ModelParams(math.pi / 2, math.pi / 6)
     w = VertexWeights.symmetric(*symmetric_weights(p))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from icewall.errors import SingularParameterError
 from icewall.params import (ModelParams, VertexWeights,
-                            check_unitarity, classify_phase, delta_parameter,
-                            qgroup_weights, r_matrix, symmetric_weights)
+                            check_unitarity, qgroup_weights, r_matrix,
+                            symmetric_weights)
 
 safe_angle = st.floats(min_value=0.1, max_value=1.4)
 
@@ -35,20 +35,6 @@ def test_singular_parameters_rejected():
         ModelParams(0.3, 0.3)          # sin(phi_-) = 0
     with pytest.raises(SingularParameterError):
         ModelParams(math.pi / 2, math.pi / 2)  # sin(phi_+) = 0
-
-
-@given(lam=st.floats(0.35, 1.4), eta=st.floats(0.05, 0.3))
-def test_delta_is_cos_two_eta(lam, eta):
-    a, b, c = symmetric_weights(ModelParams(lam, eta))
-    assert delta_parameter(a, b, c) == pytest.approx(math.cos(2 * eta), abs=1e-12)
-
-
-def test_phase_classification():
-    assert classify_phase(3.0, 1.0, 1.0) == "ferroelectric"
-    assert classify_phase(1.0, 1.0, 3.0) == "antiferroelectric"
-    assert classify_phase(1.0, 1.0, math.sqrt(2.0)) == "free-fermion"
-    a, b, c = symmetric_weights(ModelParams(math.pi / 2, math.pi / 6))
-    assert classify_phase(a, b, c) == "disordered"
 
 
 def test_qgroup_weights_structure():

@@ -15,7 +15,7 @@ from icewall.logscale import LogScaledValue, PrecisionContext
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
 from icewall.wmatrix import (BetaGamma, _w_matrix_mp, full_partition,
                              full_partition_gauss, rational_z_tilde,
-                             reconstruction_deviation, w_entry,
+                             reconstruction_deviation, w_entry_hyp,
                              w_entry_integral, w_matrix, w_matrix_gauss,
                              z_tilde_det)
 
@@ -41,8 +41,8 @@ def test_rational_degeneration_values():
 @given(j=st.integers(0, 8), k=st.integers(0, 8))
 def test_entry_binomial_matches_hypergeometric(j, k):
     bg = BetaGamma.from_params(P_REF)
-    a = w_entry(j, k, bg, branch="binomial")
-    b = w_entry(j, k, bg, branch="hyp")
+    a = w_matrix(9, bg)[j, k]
+    b = w_entry_hyp(j, k, bg)
     assert abs(a - b) < 1e-12 * (1 + abs(a))
 
 
@@ -76,10 +76,10 @@ def test_gauss_factorization_reproduces_matrix():
 
 
 def test_integral_oracle_matches_entries():
-    bg = BetaGamma.from_params(P_REF)
+    w = w_matrix(5, BetaGamma.from_params(P_REF))
     for j, k in [(0, 0), (3, 2), (1, 4)]:
         quad = w_entry_integral(j, k, P_REF)
-        assert abs(quad - w_entry(j, k, bg)) < 1e-10
+        assert abs(quad - w[j, k]) < 1e-10
 
 
 def test_full_partition_vs_enumeration():
