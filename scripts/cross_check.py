@@ -15,9 +15,8 @@ import sys
 import time
 
 from icewall import ModelParams, PrecisionContext, VertexWeights, symmetric_weights
+from icewall.checks import DISORDERED_SAMPLES
 from icewall.cli import applicable
-
-SAMPLES = [(0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.15)]
 
 
 def routes(n: int, p: ModelParams) -> dict:
@@ -34,7 +33,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     worst_overall = 0.0
-    for lam, eta in SAMPLES:
+    for lam, eta in DISORDERED_SAMPLES:
         p = ModelParams(lam, eta)
         for n in range(1, args.n_max + 1):
             vals = routes(n, p)

@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import __version__
@@ -75,78 +75,31 @@ def parse_weights(text: str) -> tuple:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    representation: str
-    n: int
-    lam: complex
-    eta: complex
-    weights: Optional[tuple] = None
-    bits: Optional[int] = None
-    tol: float = 1e-8
-
-    def canonical(self) -> str:
-        payload = {
-            "command": self.command,
-            "representation": self.representation,
-            "n": self.n,
-            "lambda": [self.lam.real, self.lam.imag],
-            "eta": [self.eta.real, self.eta.imag],
-            "weights": list(self.weights) if self.weights else None,
-            "bits": self.bits,
-            "tol": self.tol,
-            "version": __version__,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def cache_key(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
+def cache_key(route: str, n: int, args) -> str:
+    """Hash of the canonicalized job: the inputs a record depends on and the
+    package version."""
+    payload = {"command": "compute", "representation": route, "n": n,
+               "lambda": [args.lam.real, args.lam.imag],
+               "eta": [args.eta.real, args.eta.imag],
+               "weights": list(args.weights) if args.weights else None,
+               "bits": args.bits, "tol": args.tol, "version": __version__}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class ResultRecord:
-    representation: str
-    n: int
-    lam: complex
-    eta: complex
-    log_magnitude: float
-    phase: float
-    elapsed_ms: float
-    precision_bits: int
-    warnings: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
+def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
+           phase: float, elapsed_ms: float, precision_bits: int,
+           messages: list, extra: Optional[dict] = None) -> dict:
+    """One result, as the JSON dict that is emitted and cached.  `extra`
+    holds a route's own fields, such as enumerate's config_count."""
+    return {"schema": SCHEMA, "representation": route, "n": n,
+            "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
+            "log_abs_z": log_abs_z, "phase": phase, "f_n": -log_abs_z / (n * n),
+            "elapsed_ms": elapsed_ms, "precision_bits": precision_bits,
+            "warnings": messages, **(extra or {})}
 
-    @property
-    def f_n(self) -> float:
-        return -self.log_magnitude / (self.n * self.n)
 
-    def to_dict(self) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "representation": self.representation,
-            "n": self.n,
-            "lambda": [self.lam.real, self.lam.imag],
-            "eta": [self.eta.real, self.eta.imag],
-            "log_abs_z": self.log_magnitude,
-            "phase": self.phase,
-            "f_n": self.f_n,
-            "elapsed_ms": self.elapsed_ms,
-            "precision_bits": self.precision_bits,
-            "warnings": self.warnings,
-        }
-        out.update(self.extra)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRecord":
-        extra = {k: v for k, v in d.items()
-                 if k not in ("schema", "representation", "n", "lambda", "eta",
-                              "log_abs_z", "phase", "f_n", "elapsed_ms",
-                              "precision_bits", "warnings")}
-        return cls(d["representation"], d["n"], complex(*d["lambda"]),
-                   complex(*d["eta"]), d["log_abs_z"], d["phase"],
-                   d["elapsed_ms"], d["precision_bits"], d["warnings"], extra)
+COMMON_FIELDS = frozenset(record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, []))
 
 
 # --------------------------------------------------------------------------
@@ -166,18 +119,19 @@ def non_finite(log_magnitude: float, angle: float) -> bool:
     return math.isnan(log_magnitude) or log_magnitude == math.inf or not math.isfinite(angle)
 
 
-def cache_load(path: Optional[str], cfg: JobConfig) -> Optional[ResultRecord]:
+def cache_load(path: Optional[str], key: str) -> Optional[dict]:
+    """The stored record, or None on a miss."""
     if not path:
         return None
-    fn = os.path.join(path, cfg.cache_key() + ".json")
+    fn = os.path.join(path, key + ".json")
     if not os.path.exists(fn):
         return None
     with open(fn, "r", encoding="utf-8") as fh:
-        rec = ResultRecord.from_dict(json.load(fh))
-    return None if non_finite(rec.log_magnitude, rec.phase) else rec   # a miss: recompute
+        rec = json.load(fh)
+    return None if non_finite(rec["log_abs_z"], rec["phase"]) else rec   # a miss: recompute
 
 
-def cache_store(path: Optional[str], cfg: JobConfig, rec: ResultRecord):
+def cache_store(path: Optional[str], key: str, rec: dict):
     """Write to a temporary file beside the entry, then rename it into place,
     so that an interrupted write never leaves a truncated entry."""
     if not path:
@@ -185,8 +139,8 @@ def cache_store(path: Optional[str], cfg: JobConfig, rec: ResultRecord):
     fd, tmp = tempfile.mkstemp(dir=path, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(rec.to_dict(), fh, sort_keys=True)
-        os.replace(tmp, os.path.join(path, cfg.cache_key() + ".json"))
+            json.dump(rec, fh, sort_keys=True)
+        os.replace(tmp, os.path.join(path, key + ".json"))
     except BaseException:
         os.unlink(tmp)
         raise
@@ -198,35 +152,22 @@ def cache_store(path: Optional[str], cfg: JobConfig, rec: ResultRecord):
 
 @dataclass(frozen=True)
 class Route:
-    """One representation of Z_N.  `valid(n, params, weights)` returns why the
-    route cannot run there, or None; `fn(n, params, vertex_weights, ctx)`
+    """One representation of Z_N.  `fn(n, params, vertex_weights, ctx)`
     returns (value, extra record fields).  The route functions are looked up
     in this module's globals when called, not bound when it is imported."""
 
     name: str
-    valid: Callable[[int, ModelParams, Optional[tuple]], Optional[str]]
     fn: Callable[..., tuple]
+    limit: float = math.inf     # the largest N it supports
+    domain: Callable[[ModelParams], Optional[str]] = lambda p: None
+    takes_weights: bool = False     # True for a route of arbitrary weights
     in_all: bool = True     # False for a route that computes another model
 
-
-def _up_to(limit: int):
-    def valid(n, p, weights):
-        return None if n <= limit else f"supports N <= {limit}"
-    return valid
-
-
-def _lambda_eta(check=lambda p: None):
-    """valid() of a route that takes lambda, eta and no explicit weights."""
-    def valid(n, p, weights):
-        if weights:
+    def refusal(self, n: int, p: ModelParams, weights: Optional[tuple]) -> Optional[str]:
+        """Why the route cannot run at these inputs, or None."""
+        if weights and not self.takes_weights:
             return "takes lambda, eta, not --weights (only enumerate and dp do)"
-        return check(p)
-    return valid
-
-
-def _capped(valid, limit: int):
-    """valid(), and N <= limit."""
-    return lambda n, p, weights: valid(n, p, weights) or _up_to(limit)(n, p, weights)
+        return self.domain(p) or (f"supports N <= {self.limit}" if n > self.limit else None)
 
 
 def _disordered(p: ModelParams) -> Optional[str]:
@@ -264,37 +205,34 @@ def _rational(n, p, vw, ctx):
 
 
 ROUTES = (
-    Route("enumerate", _up_to(ENUM_LIMIT), _enumerate),
-    Route("dp", _up_to(DP_LIMIT), lambda n, p, vw, ctx: (partition_dp(n, vw), {})),
-    Route("hankel", _lambda_eta(),
-          lambda n, p, vw, ctx: (partition_hankel(n, p, ctx), {})),
-    Route("wdet", _lambda_eta(),
-          lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
-    Route("gauss", _capped(_lambda_eta(), GAUSS_LIMIT),
-          lambda n, p, vw, ctx: (full_partition_gauss(n, p), {})),
-    Route("fredholm-disordered", _capped(_lambda_eta(_disordered), FREDHOLM_LIMIT),
-          lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {})),
-    Route("fredholm-discrete", _capped(_lambda_eta(_ferroelectric), FREDHOLM_LIMIT), _discrete),
-    Route("fredholm-rational", _lambda_eta(_real), _rational, in_all=False),
+    Route("enumerate", _enumerate, ENUM_LIMIT, takes_weights=True),
+    Route("dp", lambda n, p, vw, ctx: (partition_dp(n, vw), {}), DP_LIMIT,
+          takes_weights=True),
+    Route("hankel", lambda n, p, vw, ctx: (partition_hankel(n, p, ctx), {})),
+    Route("wdet", lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
+    Route("gauss", lambda n, p, vw, ctx: (full_partition_gauss(n, p), {}), GAUSS_LIMIT),
+    Route("fredholm-disordered", lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {}),
+          FREDHOLM_LIMIT, _disordered),
+    Route("fredholm-discrete", _discrete, FREDHOLM_LIMIT, _ferroelectric),
+    Route("fredholm-rational", _rational, domain=_real, in_all=False),
 )
 ROUTES_BY_NAME = {r.name: r for r in ROUTES}
 
 
 def applicable(n: int, p: ModelParams, weights: Optional[tuple]) -> list:
     """The routes 'all' runs, in registry order."""
-    return [r for r in ROUTES if r.in_all and r.valid(n, p, weights) is None]
+    return [r for r in ROUTES if r.in_all and r.refusal(n, p, weights) is None]
 
 
 def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     """(record, whether it came from the cache) for one route at one N.
     Raises when the route refuses the inputs or fails; nothing is cached then."""
     p = ModelParams(args.lam, args.eta)
-    reason = route.valid(n, p, args.weights)
+    reason = route.refusal(n, p, args.weights)
     if reason:
         raise ValueError(f"{route.name} {reason}")
-    cfg = JobConfig("compute", route.name, n, args.lam, args.eta,
-                    args.weights, args.bits, args.tol)
-    rec = cache_load(cdir, cfg)
+    key = cache_key(route.name, n, args)
+    rec = cache_load(cdir, key)
     if rec is not None:
         return rec, True
     ctx = (PrecisionContext(args.bits) if args.bits is not None
@@ -309,10 +247,10 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     if non_finite(value.log_magnitude, value.angle):
         raise ValueError(f"{route.name} gave a non-finite value at N={n}: "
                          f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
-    rec = ResultRecord(route.name, n, args.lam, args.eta, value.log_magnitude,
-                       value.angle, elapsed, ctx.mantissa_bits,
-                       [str(w.message) for w in caught], extra)
-    cache_store(cdir, cfg, rec)
+    rec = record(route.name, n, args.lam, args.eta, value.log_magnitude,
+                 value.angle, elapsed, ctx.mantissa_bits,
+                 [str(w.message) for w in caught], extra)
+    cache_store(cdir, key, rec)
     return rec, False
 
 
@@ -320,34 +258,37 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
 # output
 
 
+def csv_text(header, rows) -> str:
+    """RFC-4180 CSV (the csv module's defaults: CRLF, quoted as needed)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def emit(records: list, fmt: str, out_path: Optional[str],
          summary: Optional[dict] = None):
     if fmt == "json":
-        doc = {"schema": SCHEMA, "records": [r.to_dict() for r in records]}
+        doc = {"schema": SCHEMA, "records": records}
         if summary is not None:
             doc["summary"] = summary
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)  # csv defaults follow RFC 4180 (CRLF)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.representation, r.n,
-                             repr(r.lam.real), repr(r.lam.imag),
-                             repr(r.eta.real), repr(r.eta.imag),
-                             repr(r.log_magnitude), repr(r.phase),
-                             repr(r.f_n), repr(r.elapsed_ms),
-                             ";".join(r.warnings)])
-        text = buf.getvalue()
+        text = csv_text(CSV_COLUMNS, (
+            [r["representation"], r["n"], *map(repr, r["lambda"] + r["eta"]),
+             *map(repr, (r["log_abs_z"], r["phase"], r["f_n"], r["elapsed_ms"])),
+             ";".join(r["warnings"])] for r in records))
     else:
         lines = []
         for r in records:
-            lines.append(f"{r.representation:>20s}  N={r.n}  "
-                         f"log|Z|={r.log_magnitude:+.12e}  "
-                         f"phase={r.phase:+.12e}  "
-                         f"({r.elapsed_ms:.1f} ms)"
-                         + (f"  {r.extra}" if r.extra else "")
-                         + (f"  WARN: {'; '.join(r.warnings)}" if r.warnings else ""))
+            extra = {k: v for k, v in r.items() if k not in COMMON_FIELDS}
+            lines.append(f"{r['representation']:>20s}  N={r['n']}  "
+                         f"log|Z|={r['log_abs_z']:+.12e}  "
+                         f"phase={r['phase']:+.12e}  "
+                         f"({r['elapsed_ms']:.1f} ms)"
+                         + (f"  {extra}" if extra else "")
+                         + (f"  WARN: {'; '.join(r['warnings'])}" if r["warnings"] else ""))
         if summary is not None:
             lines.append(f"max pairwise relative deviation: "
                          f"{summary['max_pairwise_rel_deviation']:.3e} "
@@ -387,7 +328,7 @@ def run_compute(args) -> int:
     summary = None
     status = 0
     if len(records) > 1:
-        values = [LogScaledValue(r.log_magnitude, r.phase) for r in records]
+        values = [LogScaledValue(r["log_abs_z"], r["phase"]) for r in records]
         worst = 0.0
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
@@ -417,9 +358,8 @@ def run_sweep(args) -> int:
         try:
             rec, hit = compute_one(route, n, args, cdir)
         except Exception as exc:  # per-point errors recorded, sweep continues
-            rec, hit = ResultRecord(args.rep, n, args.lam, args.eta,
-                                    float("nan"), float("nan"), 0.0, 0,
-                                    [f"error: {exc}"]), False
+            rec, hit = record(args.rep, n, args.lam, args.eta, float("nan"),
+                              float("nan"), 0.0, 0, [f"error: {exc}"]), False
             failed += 1
         records.append(rec)
         hits += hit
@@ -443,13 +383,9 @@ def run_verify(args) -> int:
         text = json.dumps({"schema": SCHEMA, "checks": rows,
                            "pass": all_pass}, indent=2) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["suite", "check", "deviation", "threshold", "pass"])
-        for r in rows:
-            writer.writerow([r["suite"], r["check"], repr(r["deviation"]),
-                             repr(r["threshold"]), r["pass"]])
-        text = buf.getvalue()
+        text = csv_text(("suite", "check", "deviation", "threshold", "pass"), (
+            [r["suite"], r["check"], repr(r["deviation"]), repr(r["threshold"]), r["pass"]]
+            for r in rows))
     else:
         text = "\n".join(
             f"[{'PASS' if r['pass'] else 'FAIL'}] {r['suite']:<32s} | "

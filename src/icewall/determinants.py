@@ -1,4 +1,4 @@
-"""Pivoted LU determinants in mpmath extended precision."""
+"""Pivoted LU determinants in mpmath extended precision; det(I - M) in doubles."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 
 from .errors import PrecisionWarning
 from .logscale import LogScaledValue, PrecisionContext
@@ -60,3 +61,9 @@ def mp_logdet(matrix, ctx: PrecisionContext, warn_label: str = "determinant") ->
                     PrecisionWarning,
                 )
         return LogScaledValue.from_mpc(det)
+
+
+def slogdet_i_minus(m: np.ndarray) -> LogScaledValue:
+    """Log-scaled det(I - m) by LAPACK's LU in double precision."""
+    sign, logabs = np.linalg.slogdet(np.eye(m.shape[0]) - m)
+    return LogScaledValue(float(logabs), float(np.angle(sign)))

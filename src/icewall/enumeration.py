@@ -14,6 +14,7 @@ the left of each row points left (False) and to the right points right
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -124,10 +125,11 @@ def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
     Every configuration has N^2 vertices, so the weights are divided by 2^e,
     the least power of two above their largest magnitude (an exact division),
     and N^2 e log 2 is added back.  No term overflows; a term underflows only
-    when its weights differ by a factor of about 10^(300/N^2) or more."""
-    weights = [complex(x) for x in w.as_tuple()]
-    e = math.frexp(max(abs(x) for x in weights))[1]
-    weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in weights]
+    when its weights differ by a factor of about 10^(300/N^2) or more.  A sum
+    is refused when even its largest term underflows; one that cancels to 0 is Z = 0."""
+    given = [complex(x) for x in w.as_tuple()]
+    e = math.frexp(max(abs(x) for x in given))[1]
+    weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in given]
     total = 0j
     count = 0
     for cfg in config_iterator(n):
@@ -136,6 +138,13 @@ def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
             term *= wi ** ni
         total += term
         count += 1
+    if abs(total) < sys.float_info.min and all(given):
+        logs = [math.log(abs(x)) - e * math.log(2) for x in given]  # rescaled, exactly
+        largest = max(sum(ni * li for ni, li in zip(cfg.type_counts(), logs))
+                      for cfg in config_iterator(n))
+        if largest < math.log(sys.float_info.min):
+            raise ValueError(f"enumerate: every term underflows at N={n} "
+                             f"(the largest is e^{largest:.1f} after rescaling)")
     z = LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
     return EnumerationResult(count, z)
 

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .determinants import slogdet_i_minus as _logdet_i_minus
 from .errors import ConvergenceWarning, SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
@@ -167,11 +168,6 @@ def operator_matrix(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
         zeta = cmath.exp(1j * (complex(p.phi_minus) - complex(p.phi_plus)))
     polys, d, w = _expansion(spec, x)
     return zeta * d[:, None] * (polys.T @ (polys * (w * dx)[:, None]))
-
-
-def _logdet_i_minus(matrix: np.ndarray) -> LogScaledValue:
-    sign, logabs = np.linalg.slogdet(np.eye(matrix.shape[0]) - matrix)
-    return LogScaledValue(float(logabs), float(np.angle(sign)))
 
 
 def fredholm_det(spec: KernelSpec) -> LogScaledValue:

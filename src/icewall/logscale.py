@@ -51,12 +51,6 @@ class LogScaledValue:
             _wrap_angle(self.angle + other.angle),
         )
 
-    def __truediv__(self, other: "LogScaledValue") -> "LogScaledValue":
-        return LogScaledValue(
-            self.log_magnitude - other.log_magnitude,
-            _wrap_angle(self.angle - other.angle),
-        )
-
     def scale_log(self, log_factor: complex) -> "LogScaledValue":
         """Multiply by exp(log_factor) without leaving log space."""
         return LogScaledValue(

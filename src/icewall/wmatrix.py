@@ -13,7 +13,7 @@ from typing import Optional
 import mpmath
 import numpy as np
 
-from .determinants import mp_logdet
+from .determinants import mp_logdet, slogdet_i_minus
 from .errors import SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue, PrecisionContext, mp_scalar
 from .orthopoly import (exp_jplus_entries, hyp2f1_terminating, mp_eval,
@@ -128,18 +128,14 @@ def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
     if n > GAUSS_LIMIT:
         raise SizeLimitError(f"gauss supports N <= {GAUSS_LIMIT}")
     bg = BetaGamma.from_params(p)
-    m = np.eye(n) - bg.zeta * w_matrix_gauss(n, bg)
-    sign, logabs = np.linalg.slogdet(m)
-    zt = LogScaledValue(float(logabs), float(np.angle(sign)))
+    zt = slogdet_i_minus(bg.zeta * w_matrix_gauss(n, bg))
     return zt.scale_log(qgroup_prefactor(n, p))
 
 
 def rational_z_tilde(n: int, lam: float, eta: float) -> LogScaledValue:
     """det(I - W) for the rational degeneration (zeta = 1)."""
     bg = BetaGamma.rational(lam, eta)
-    m = np.eye(n) - bg.zeta * w_matrix(n, bg)
-    sign, logabs = np.linalg.slogdet(m)
-    return LogScaledValue(float(logabs), float(np.angle(sign)))
+    return slogdet_i_minus(bg.zeta * w_matrix(n, bg))
 
 
 def reconstruction_deviation(n: int, p: ModelParams) -> float:

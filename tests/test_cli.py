@@ -27,6 +27,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def job_args(rep, n):
+    """The parsed arguments of `compute --rep rep --n n`, defaults elsewhere."""
+    return cli.build_parser().parse_args(["compute", "--rep", rep, "--n", str(n)])
+
+
 def test_parse_complex():
     assert parse_complex("0.9") == 0.9 + 0j
     assert parse_complex("0.9,-0.2") == complex(0.9, -0.2)
@@ -123,17 +128,23 @@ def test_sweep_monotone_at_ice_point(capsys):
     assert all(b > a for a, b in zip(logs, logs[1:]))
 
 
-def test_cache_round_trip(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("route", ["hankel", "enumerate"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_cache_round_trip(capsys, tmp_path, monkeypatch, fmt, route):
+    # a hit re-emits the stored record byte for byte in every format; the
+    # enumerate record carries a field of its own, which text prints
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
     cache = tmp_path / "cache"
-    f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["sweep", "--n", "1", "--n-max", "3", "--rep", "hankel",
-            "--format", "json", "--cache", str(cache)]
+    f1, f2 = tmp_path / "a.out", tmp_path / "b.out"
+    args = ["sweep", "--n", "1", "--n-max", "3", "--rep", route,
+            "--format", fmt, "--cache", str(cache)]
     code, _, err = run(capsys, *args, "--out", str(f1))
     assert code == 0 and "0 hits, 3 computed" in err
     code, _, err = run(capsys, *args, "--out", str(f2))
     assert code == 0 and "3 hits, 0 computed" in err
     assert f1.read_bytes() == f2.read_bytes()
+    if route == "enumerate" and fmt == "text":
+        assert "{'config_count': 7}" in f2.read_text()
 
 
 def test_sweep_failed_point_is_not_cached(capsys, tmp_path, monkeypatch):
@@ -165,19 +176,19 @@ def test_non_finite_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, log_abs
     # a non-finite record stored under the current version's key (as an
     # older build of this version could) is recomputed and re-stored
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
-    cfg = cli.JobConfig("compute", "dp", 3, 0.9 + 0j, 0.3 + 0j)
-    bad = cli.ResultRecord("dp", 3, 0.9 + 0j, 0.3 + 0j, log_abs_z, 0.0, 0.0, 128)
-    cli.cache_store(str(tmp_path), cfg, bad)
+    key = cli.cache_key("dp", 3, job_args("dp", 3))
+    bad = cli.record("dp", 3, 0.9 + 0j, 0.3 + 0j, log_abs_z, 0.0, 0.0, 128, [])
+    cli.cache_store(str(tmp_path), key, bad)
     code, out, err = run(capsys, "compute", "--rep", "dp", "--n", "3", "--format", "json",
                          "--cache", str(tmp_path))
     assert code == 0 and "cache hit" not in err
     assert math.isfinite(json.loads(out)["records"][0]["log_abs_z"])
-    assert math.isfinite(cli.cache_load(str(tmp_path), cfg).log_magnitude)
+    assert math.isfinite(cli.cache_load(str(tmp_path), key)["log_abs_z"])
 
 
 def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
-    cfg = cli.JobConfig("compute", "dp", 2, 0.9 + 0j, 0.3 + 0j)
-    rec = cli.ResultRecord("dp", 2, 0.9 + 0j, 0.3 + 0j, 0.0, 0.0, 0.0, 128)
+    key = cli.cache_key("dp", 2, job_args("dp", 2))
+    rec = cli.record("dp", 2, 0.9 + 0j, 0.3 + 0j, 0.0, 0.0, 0.0, 128, [])
 
     def interrupted_dump(obj, fh, **kwargs):
         fh.write('{"schema"')
@@ -185,9 +196,9 @@ def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.json, "dump", interrupted_dump)
     with pytest.raises(KeyboardInterrupt):
-        cli.cache_store(str(tmp_path), cfg, rec)
+        cli.cache_store(str(tmp_path), key, rec)
     assert list(tmp_path.iterdir()) == []
-    assert cli.cache_load(str(tmp_path), cfg) is None
+    assert cli.cache_load(str(tmp_path), key) is None
 
 
 def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch):
@@ -196,11 +207,10 @@ def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch)
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
     argv = ["compute", "--rep", "dp", "--n", "3", "--format", "json",
             "--cache", str(tmp_path)]
-    stale = cli.ResultRecord("dp", 3, 0.9 + 0j, 0.3 + 0j, 123.0, 0.0, 0.0, 128)
+    stale = cli.record("dp", 3, 0.9 + 0j, 0.3 + 0j, 123.0, 0.0, 0.0, 128, [])
     with monkeypatch.context() as m:
         m.setattr(cli, "__version__", "0.1.0")
-        cli.cache_store(str(tmp_path), cli.JobConfig("compute", "dp", 3, 0.9 + 0j,
-                                                     0.3 + 0j), stale)
+        cli.cache_store(str(tmp_path), cli.cache_key("dp", 3, job_args("dp", 3)), stale)
         code, out, err = run(capsys, *argv)
         assert code == 0 and "cache hit: dp" in err
         assert json.loads(out)["records"][0]["log_abs_z"] == 123.0
@@ -226,6 +236,9 @@ def test_cache_key_version_is_the_package_version():
     (["--n", "17", "--rep", "fredholm-discrete", "--lambda", "0,0.55",
       "--eta", "0,0.25"], "fredholm-discrete"),
     (["--n", "19", "--rep", "dp"], "dp"),
+    # every term of the sum underflows: no value rather than a false Z = 0
+    (["--n", "3", "--rep", "enumerate", "--lambda", "0.9,360", "--eta", "0.3"],
+     "enumerate"),
 ])
 def test_route_refuses_inputs_it_cannot_take(capsys, argv, route):
     code, out, err = run(capsys, "compute", *argv)

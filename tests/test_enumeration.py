@@ -74,6 +74,13 @@ def test_enumeration_takes_weights_beyond_double_range(x):
     assert z.rel_diff(LogScaledValue(math.log(42) + 16 * math.log(x), 0.0)) < 1e-12
 
 
+def test_enumeration_keeps_a_zero_from_cancelling_terms():
+    # N=2 has the terms w3 w4 w6^2 and w1 w2 w6^2: here i*i + 1 = 0 exactly
+    w = VertexWeights(1, 1, 1j, 1j, 1, 1)
+    assert enumerate_configs(2, w).z_value.log_magnitude == -math.inf
+    assert partition_dp(2, w).log_magnitude == -math.inf
+
+
 def test_ice_point_factorization():
     p = ModelParams(math.pi / 2, math.pi / 6)
     w = VertexWeights.symmetric(*symmetric_weights(p))
