@@ -4,7 +4,7 @@ Hankel determinant, the finite W-matrix determinant, and Fredholm/Nystrom
 determinants of the associated integrable kernels.
 """
 
-__version__ = "0.2.2"  # part of every cache key
+__version__ = "0.2.3"  # part of every cache key
 
 from .enumeration import (EnumerationResult, LatticeConfig, config_iterator,
                           enumerate_configs, partition_dp)

@@ -46,6 +46,10 @@ for (_l, _r, _b, _t), _ty in VERTEX_TYPE.items():
 for _opts in _COMPLETIONS.values():
     _opts.sort(key=lambda rbt: not rbt[0])
 
+# A row's or a lattice's vertex-type counts packed into one int, type t in
+# bits 6(t-1)..6t-1; a count is at most ENUM_LIMIT^2 = 36 < 2^6.
+_FIELD_BITS = 6
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -83,70 +87,98 @@ class EnumerationResult:
     z_value: LogScaledValue
 
 
+def _row_fillings(n: int, state: tuple) -> list:
+    """The completions of one vertex row whose top vertical edges are `state`,
+    as (h_row, bottom_state, packed) in DFS order, rightward branch first.
+    `packed` is the row's vertex-type counts, sum of 1 << 6 (type - 1)."""
+    out = []
+    stack = [(0, False, (False,), (), 0)]
+    while stack:
+        col, left, h_row, bottom, packed = stack.pop()
+        if col == n:
+            if left:  # right boundary arrow must point right
+                out.append((h_row, bottom, packed))
+            continue
+        for right, down, ty in reversed(_COMPLETIONS[(left, state[col])]):
+            stack.append((col + 1, right, h_row + (right,), bottom + (down,),
+                          packed + (1 << _FIELD_BITS * (ty - 1))))
+    return out
+
+
+class _RowTable(dict):
+    """state -> _row_fillings(n, state), filled as states are first reached.
+    Each enumeration builds its own table; none is kept between calls."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        if not 1 <= n <= ENUM_LIMIT:
+            raise SizeLimitError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
+        self.n = n
+
+    def __missing__(self, state: tuple) -> list:
+        rows = self[state] = _row_fillings(self.n, state)
+        return rows
+
+
 def config_iterator(n: int) -> Iterator[LatticeConfig]:
     """All DWBC configurations, row-major DFS, rightward branch first."""
-    if not 1 <= n <= ENUM_LIMIT:
-        raise SizeLimitError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
+    table = _RowTable(n)
+    up = (True,) * n  # arrows below the last row point up (inward)
+    stack = [((), ((False,) * n,))]  # arrows above row 0 point down (inward)
+    while stack:
+        rows_h, rows_v = stack.pop()
+        if len(rows_h) == n:
+            if rows_v[-1] == up:
+                yield LatticeConfig(n, rows_h, rows_v)
+            continue
+        for h_row, bottom, _packed in reversed(table[rows_v[-1]]):
+            stack.append((rows_h + (h_row,), rows_v + (bottom,)))
 
-    top = (False,) * n  # arrows above row 0 point down (inward)
-    rows_h: list = []
-    rows_v: list = [top]
 
-    def fill_row(state: tuple) -> Iterator[tuple]:
-        """Yield (h_row, new_state) completions of one vertex row."""
-        stack = [(0, False, [], [])]
-        while stack:
-            col, left, h_part, b_part = stack.pop()
-            if col == n:
-                if left:  # right boundary arrow must point right
-                    yield (False, *h_part), tuple(b_part)
-                continue
-            for right, bottom, _ty in reversed(_COMPLETIONS[(left, state[col])]):
-                stack.append((col + 1, right, h_part + [right], b_part + [bottom]))
-
-    def rec(row: int, state: tuple) -> Iterator[LatticeConfig]:
+def type_histogram(n: int) -> dict:
+    """{vertex-type counts (n1, ..., n6): number of DWBC configurations with
+    them}.  Walks the row table as config_iterator does, adding packed counts
+    where it builds objects."""
+    table = _RowTable(n)
+    up = (True,) * n
+    packed_hist: dict = {}
+    stack = [(0, (False,) * n, 0)]
+    while stack:
+        row, state, packed = stack.pop()
         if row == n:
-            if state == (True,) * n:  # arrows below last row point up (inward)
-                yield LatticeConfig(n, tuple(rows_h), tuple(rows_v))
-            return
-        for h_row, new_state in fill_row(state):
-            rows_h.append(h_row)
-            rows_v.append(new_state)
-            yield from rec(row + 1, new_state)
-            rows_h.pop()
-            rows_v.pop()
-
-    yield from rec(0, top)
+            if state == up:
+                packed_hist[packed] = packed_hist.get(packed, 0) + 1
+            continue
+        for _h, bottom, p in table[state]:
+            stack.append((row + 1, bottom, packed + p))
+    mask = (1 << _FIELD_BITS) - 1
+    return {tuple(k >> _FIELD_BITS * t & mask for t in range(6)): m
+            for k, m in packed_hist.items()}
 
 
 def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
-    """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6).
+    """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6), taken as
+    sum over type_histogram(n) of multiplicity * prod w_i^{n_i}.
 
     Every configuration has N^2 vertices, so the weights are divided by 2^e,
     the least power of two above their largest magnitude (an exact division),
     and N^2 e log 2 is added back.  No term overflows; a term underflows only
     when its weights differ by a factor of about 10^(300/N^2) or more.  A sum
     is refused when even its largest term underflows; one that cancels to 0 is Z = 0."""
+    hist = type_histogram(n)
     given = [complex(x) for x in w.as_tuple()]
     e = math.frexp(max(abs(x) for x in given))[1]
     weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in given]
-    total = 0j
-    count = 0
-    for cfg in config_iterator(n):
-        term = 1.0 + 0j
-        for wi, ni in zip(weights, cfg.type_counts()):
-            term *= wi ** ni
-        total += term
-        count += 1
+    total = sum(m * math.prod(wi ** ni for wi, ni in zip(weights, counts))
+                for counts, m in hist.items())
     if abs(total) < sys.float_info.min and all(given):
         logs = [math.log(abs(x)) - e * math.log(2) for x in given]  # rescaled, exactly
-        largest = max(sum(ni * li for ni, li in zip(cfg.type_counts(), logs))
-                      for cfg in config_iterator(n))
+        largest = max(sum(ni * li for ni, li in zip(counts, logs)) for counts in hist)
         if largest < math.log(sys.float_info.min):
             raise ValueError(f"enumerate: every term underflows at N={n} "
                              f"(the largest is e^{largest:.1f} after rescaling)")
     z = LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
-    return EnumerationResult(count, z)
+    return EnumerationResult(sum(hist.values()), z)
 
 
 def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:
@@ -155,12 +187,19 @@ def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:
     Bit c of a state is the vertical edge in column c: below the vertex once
     column c of the row is done, above it before.  a0 and a1 hold the states
     whose last horizontal edge points left and right.  The weights and each
-    row are divided by their largest magnitude, so no weights overflow."""
+    row are divided by their largest magnitude, so no weights overflow.  A
+    nonzero weight that this division takes to 0 is refused: it would give a
+    false Z = 0."""
     if not 1 <= n <= DP_LIMIT:
         raise SizeLimitError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
-    ws = np.array(w.as_tuple(), dtype=complex)
-    scale = np.max(np.abs(ws)) or 1.0  # all-zero weights leave every row zero
-    ws = (ws if ws.imag.any() else ws.real) / scale  # real weights: half the work
+    given = np.array(w.as_tuple(), dtype=complex)
+    scale = np.max(np.abs(given)) or 1.0  # all-zero weights leave every row zero
+    ws = (given if given.imag.any() else given.real) / scale  # real weights: half the work
+    lost = (ws == 0) & (given != 0)
+    if lost.any():
+        names = ", ".join(f"w{i + 1}" for i in np.flatnonzero(lost))
+        raise ValueError(f"dp: dividing by the largest weight magnitude, {scale:.3g}, "
+                         f"takes {names} to 0")
     w1, w2, w3, w4, w5, w6 = ws
     log_z = n * n * math.log(scale)
     a0, a1, b0, b1 = (np.zeros(1 << n, dtype=ws.dtype) for _ in range(4))

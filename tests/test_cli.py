@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -246,6 +247,17 @@ def test_route_refuses_inputs_it_cannot_take(capsys, argv, route):
     assert route in err
 
 
+def test_dp_weight_underflow_is_refused_and_not_cached(capsys, tmp_path, monkeypatch):
+    # dividing by 1e300 takes w5 = w6 = 1e-300 to 0, which gave a false
+    # log|Z| = -inf; Z = 2 here
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, "compute", "--rep", "dp", "--n", "2", "--weights",
+                         "1e300,1e300,1e300,1e300,1e-300,1e-300", "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "dp" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compute_all_with_weights_runs_weighted_routes_only(capsys):
     code, out, _ = run(capsys, "compute", "--rep", "all", "--n", "3",
                        "--weights", "1,1,1,1,1,1", "--format", "json")
@@ -342,6 +354,28 @@ def test_enumerate_dump_text(capsys):
     code, out, _ = run(capsys, "enumerate-dump", "--n", "1")
     assert code == 0
     assert "# configuration 0" in out
+
+
+# sha256 of `enumerate-dump --n N --format F` as the configuration-object
+# enumeration wrote it, before the row table
+DUMP_DIGESTS = {
+    (1, "json"): "ad13d7a111f0b1b8a3de0945949fd9224b699f9c6b2cb483a427313af7a071fa",
+    (1, "text"): "96e8e319a05cc0e2fef87708260188506b02622c4c2f4b9dd8a6539a729c055c",
+    (2, "json"): "9f3497087869a50dc5fe955a3f8b238fc55510bab49fb0825a649258641adf39",
+    (2, "text"): "06ef5960259bbb16123bffd55cde38f1ac3ed012b08654f75caf4fb65cec8c5e",
+    (3, "json"): "af9cc789c83d9fcf43bca243d377bff44f576f34388d0fec36c94744220a2a15",
+    (3, "text"): "e9f66063ed8524fed6429959ea7af1d5ca78151f24b2b182f044afdf8fd24f56",
+    (4, "json"): "80c0f8de0d92ad5b807288d43646d1302bc1e651f7ea0c4376d277d39af49e40",
+    (4, "text"): "ce88e17d627c6fe5f6bf1f14acbbdfcb240c6125ed96d43b2e2424218ec7f72d",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(DUMP_DIGESTS))
+def test_enumerate_dump_is_unchanged(capsys, n, fmt):
+    # same configurations, same order, same bytes
+    code, out, _ = run(capsys, "enumerate-dump", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DUMP_DIGESTS[n, fmt]
 
 
 def test_import_loads_no_scipy():

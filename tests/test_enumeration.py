@@ -2,13 +2,17 @@
 
 import cmath
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icewall.enumeration import (ASM_COUNTS, config_iterator, dump_configs,
-                                 enumerate_configs, partition_dp)
+from icewall import enumeration
+from icewall.enumeration import (ASM_COUNTS, ENUM_LIMIT, config_iterator,
+                                 dump_configs, enumerate_configs, partition_dp,
+                                 type_histogram)
 from icewall.errors import SizeLimitError
 from icewall.logscale import LogScaledValue
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
@@ -22,6 +26,48 @@ weight_value = st.complex_numbers(min_magnitude=0.2, max_magnitude=2.0,
 def test_alternating_sign_matrix_counts():
     for n in range(1, 6):
         assert sum(1 for _ in config_iterator(n)) == ASM_COUNTS[n]
+
+
+def term_by_term(n: int, w: VertexWeights) -> LogScaledValue:
+    """The reference sum, one configuration at a time, with the same
+    power-of-two rescaling as enumerate_configs."""
+    given = [complex(x) for x in w.as_tuple()]
+    e = math.frexp(max(abs(x) for x in given))[1]
+    weights = [x / 2.0 ** e for x in given]
+    total = 0j
+    for cfg in config_iterator(n):
+        term = 1.0 + 0j
+        for wi, ni in zip(weights, cfg.type_counts()):
+            term *= wi ** ni
+        total += term
+    return LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
+
+
+def seeded_weights(seed: int) -> VertexWeights:
+    rng = random.Random(seed)
+    return VertexWeights(*[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                           for _ in range(6)])
+
+
+@pytest.mark.parametrize("w", [seeded_weights(s) for s in (1, 2, 3)]
+                         + [VertexWeights(1, 1, 1j, 1j, 1, 1)])
+def test_histogram_sum_matches_term_by_term_sum(w):
+    for n in range(1, 7):
+        res = enumerate_configs(n, w)
+        assert res.config_count == ASM_COUNTS[n]
+        assert res.z_value.rel_diff(term_by_term(n, w)) < 1e-13
+
+
+def test_type_histogram_counts_every_configuration():
+    for n in range(1, 7):
+        hist = type_histogram(n)
+        assert hist == Counter(cfg.type_counts() for cfg in config_iterator(n))
+        assert sum(hist.values()) == ASM_COUNTS[n]
+
+
+def test_packed_type_counts_fit_their_fields():
+    # a lattice holds ENUM_LIMIT^2 vertices of one type at most
+    assert ENUM_LIMIT ** 2 < 2 ** enumeration._FIELD_BITS
 
 
 def test_single_vertex_lattice():
@@ -79,6 +125,19 @@ def test_enumeration_keeps_a_zero_from_cancelling_terms():
     w = VertexWeights(1, 1, 1j, 1j, 1, 1)
     assert enumerate_configs(2, w).z_value.log_magnitude == -math.inf
     assert partition_dp(2, w).log_magnitude == -math.inf
+
+
+def test_dp_refuses_a_weight_its_rescaling_takes_to_zero():
+    # Z = 2 here: both configurations weigh w3 w4 w6^2 = w1 w2 w6^2 = 1
+    # before the division by 1e300 takes w5 = w6 = 1e-300 to 0
+    with pytest.raises(ValueError, match="dp: .* takes w5, w6 to 0"):
+        partition_dp(2, VertexWeights(1e300, 1e300, 1e300, 1e300, 1e-300, 1e-300))
+    # a weight given as 0 stays allowed: Z = w1 w2 w6^2 = 18
+    z = partition_dp(2, VertexWeights(2, 1, 0, 1, 1, 3))
+    assert z.rel_diff(LogScaledValue(math.log(18), 0.0)) < 1e-15
+    # a spread within the double range is taken: Z = 2 e600 e-10
+    z = partition_dp(2, VertexWeights(1e300, 1e300, 1e300, 1e300, 1e-5, 1e-5))
+    assert z.rel_diff(LogScaledValue(math.log(2) + 590 * math.log(10), 0.0)) < 1e-12
 
 
 def test_ice_point_factorization():
