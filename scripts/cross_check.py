@@ -14,9 +14,10 @@ import itertools
 import sys
 import time
 
-from icewall import ModelParams, PrecisionContext, VertexWeights, symmetric_weights
 from icewall.checks import DISORDERED_SAMPLES
 from icewall.cli import applicable
+from icewall.logscale import PrecisionContext
+from icewall.params import ModelParams, VertexWeights, symmetric_weights
 
 
 def routes(n: int, p: ModelParams) -> dict:

@@ -12,8 +12,10 @@ import argparse
 import math
 import sys
 
-from icewall import ModelParams, PrecisionContext, full_partition
 from icewall.cli import parse_complex
+from icewall.logscale import PrecisionContext
+from icewall.params import ModelParams
+from icewall.wmatrix import full_partition
 
 
 def main() -> int:

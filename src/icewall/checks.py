@@ -71,10 +71,12 @@ def _cross_representation() -> float:
 
 
 def _ice_point() -> float:
-    """|Z / ((sqrt 3 / 2)^(N^2) A_N) - 1| at a = b = c."""
-    vw = VertexWeights.symmetric(*symmetric_weights(ModelParams(math.pi / 2, math.pi / 6)))
-    return max(abs(enumerate_configs(n, vw).z_value.value
-                   / ((math.sqrt(3) / 2) ** (n * n) * ASM_COUNTS[n]) - 1) for n in range(1, 7))
+    """|Z / (s^(N^2) A_N) - 1| at a = b = c = s = sqrt 3 / 2, the weights of
+    (lambda, eta) = (pi/2, pi/6) taken exactly equal."""
+    s = math.sqrt(3) / 2
+    vw = VertexWeights.symmetric(s, s, s)
+    return max(abs(enumerate_configs(n, vw).z_value.value / (s ** (n * n) * ASM_COUNTS[n]) - 1)
+               for n in range(1, 7))
 
 
 def _closed_determinants() -> float:
@@ -140,7 +142,7 @@ def _w_three_way() -> float:
 
 def _traces() -> float:
     bg = BetaGamma.from_params(P_REF)
-    return max(abs(trace_moments(KernelSpec.disordered(n, P_REF), n_max=3)[k - 1]
+    return max(abs(trace_moments(KernelSpec.disordered(n, P_REF))[k - 1]
                    - bg.zeta ** k * np.trace(np.linalg.matrix_power(w_matrix(n, bg), k)))
                for n in (2, 3) for k in (1, 2, 3))
 

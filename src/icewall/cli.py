@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -427,6 +428,7 @@ def _add_common(sub, rep_choices):
                      help="cache directory (ICEWALL_CACHE_DIR overrides)")
 
 
+@functools.lru_cache(maxsize=None)   # built once: a parser is a web of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="icewall",

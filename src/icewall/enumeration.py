@@ -188,18 +188,18 @@ def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:
     column c of the row is done, above it before.  a0 and a1 hold the states
     whose last horizontal edge points left and right.  The weights and each
     row are divided by their largest magnitude, so no weights overflow.  A
-    nonzero weight that this division takes to 0 is refused: it would give a
-    false Z = 0."""
+    nonzero weight that this division takes below the smallest normal double
+    is refused: it would keep too few bits, or none (a false Z = 0)."""
     if not 1 <= n <= DP_LIMIT:
         raise SizeLimitError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
     given = np.array(w.as_tuple(), dtype=complex)
     scale = np.max(np.abs(given)) or 1.0  # all-zero weights leave every row zero
     ws = (given if given.imag.any() else given.real) / scale  # real weights: half the work
-    lost = (ws == 0) & (given != 0)
+    lost = (np.abs(ws) < sys.float_info.min) & (given != 0)
     if lost.any():
         names = ", ".join(f"w{i + 1}" for i in np.flatnonzero(lost))
         raise ValueError(f"dp: dividing by the largest weight magnitude, {scale:.3g}, "
-                         f"takes {names} to 0")
+                         f"takes {names} below the smallest normal double")
     w1, w2, w3, w4, w5, w6 = ws
     log_z = n * n * math.log(scale)
     a0, a1, b0, b1 = (np.zeros(1 << n, dtype=ws.dtype) for _ in range(4))

@@ -96,36 +96,6 @@ def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
     return np.column_stack([np.broadcast_to(v, x.shape) for v in polys]), d, w
 
 
-def _pointwise(spec: KernelSpec, x: float, y: float):
-    p, d, w = _expansion(spec, np.array([x, y], dtype=float))
-    return np.sum(d * p[0] * p[1]) * w[1]
-
-
-def kernel_disordered(x: float, y: float, n: int, p: ModelParams) -> complex:
-    """N [P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)]/(x - y) * e^{2 phi_+ y}/(1 + e^{2 pi y}).
-
-    The loop factor zeta multiplies the operator, not this kernel.
-    """
-    return _pointwise(KernelSpec.disordered(n, p), x, y)
-
-
-def kernel_discrete(x: int, y: int, n: int, phi_tilde_plus: complex,
-                    phi_tilde_minus: complex) -> complex:
-    """Discrete Meixner kernel on nonnegative integers; its x = y value is the
-    Christoffel-Darboux sum, the confluent limit of the polynomial bracket."""
-    spec = KernelSpec.discrete(n, phi_tilde_plus, phi_tilde_minus)
-    if x < 0 or y < 0 or x != int(x) or y != int(y):
-        raise ValueError("discrete kernel arguments are nonnegative integers")
-    return _pointwise(spec, x, y)
-
-
-def kernel_rational(x: float, y: float, n: int, xi: float) -> float:
-    """-N [L_N(xi x) L_{N-1}(xi y) - L_{N-1}(xi x) L_N(xi y)]/(x - y) * e^{-y}."""
-    if x < 0 or y < 0:
-        raise ValueError("rational kernel lives on the positive half-axis")
-    return _pointwise(KernelSpec.rational(n, xi), x, y)
-
-
 # --------------------------------------------------------------------------
 # discretized operators
 
@@ -199,15 +169,9 @@ def full_partition_fredholm(n: int, p: ModelParams) -> LogScaledValue:
     return zt.scale_log(qgroup_prefactor(n, p))
 
 
-def trace_moments(spec: KernelSpec, n_max: int = 3) -> list:
-    """tr(V^k) for k = 1..n_max of the discretized operator; by cyclicity the
+def trace_moments(spec: KernelSpec) -> list:
+    """tr(V^k) for k = 1, 2, 3 of the discretized operator; by cyclicity the
     N x N form has the traces of the m x m Nystrom matrix."""
-    if n_max > 6:
-        raise ValueError("trace moments supported for n_max <= 6")
     d = operator_matrix(spec)
-    out = []
-    power = np.eye(d.shape[0], dtype=complex)
-    for _ in range(n_max):
-        power = power @ d
-        out.append(complex(np.trace(power)))
-    return out
+    d2 = d @ d
+    return [complex(np.trace(m)) for m in (d, d2, d2 @ d)]

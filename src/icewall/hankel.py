@@ -19,7 +19,7 @@ import mpmath
 from .determinants import lu_det, mp_logdet
 from .errors import SingularParameterError
 from .logscale import LogScaledValue, PrecisionContext, mp_scalar
-from .params import SIN_CUTOFF, ModelParams, qgroup_prefactor
+from .params import SIN_CUTOFF, ModelParams
 
 
 @functools.lru_cache(maxsize=None)
@@ -84,14 +84,6 @@ def partition_hankel(n: int, p: ModelParams,
     return logdet.scale_log(pref)
 
 
-def det_A_closed(n: int, phi: complex) -> LogScaledValue:
-    """Closed form e^{-i N phi} (sin phi)^{-N^2} prod (n!)^2, log-scaled."""
-    _require_regular(phi)
-    log = -1j * n * complex(phi) - n * n * cmath.log(cmath.sin(complex(phi)))
-    log += _log_factorial_sq_sum(n)
-    return LogScaledValue.from_log(log)
-
-
 def alpha_det_deviation(n: int, phi: complex, alpha: complex,
                         ctx: Optional[PrecisionContext] = None) -> float:
     """|LU det / closed form - 1| for the cot+alpha moment matrix, computed
@@ -106,10 +98,3 @@ def alpha_det_deviation(n: int, phi: complex, alpha: complex,
         for k in range(1, n):
             closed *= mpmath.factorial(k) ** 2
         return float(abs(det / closed - 1))
-
-
-def z_tilde_via_ratio(n: int, p: ModelParams,
-                      ctx: Optional[PrecisionContext] = None) -> LogScaledValue:
-    """Quantum-group-normalized partition value from the Hankel route:
-    Z / ([sin phi_+]^{N^2} e^{-i N phi_-})."""
-    return partition_hankel(n, p, ctx).scale_log(-qgroup_prefactor(n, p))

@@ -36,20 +36,10 @@ class LogScaledValue:
         w = mpmath.log(z)
         return cls(float(mpmath.re(w)), float(mpmath.im(w)))
 
-    @classmethod
-    def from_log(cls, log_z: complex) -> "LogScaledValue":
-        return cls(float(log_z.real), _wrap_angle(float(log_z.imag)))
-
     @property
     def value(self) -> complex:
         """Plain complex value; overflows for log_magnitude > ~709."""
         return cmath.exp(complex(self.log_magnitude, self.angle))
-
-    def __mul__(self, other: "LogScaledValue") -> "LogScaledValue":
-        return LogScaledValue(
-            self.log_magnitude + other.log_magnitude,
-            _wrap_angle(self.angle + other.angle),
-        )
 
     def scale_log(self, log_factor: complex) -> "LogScaledValue":
         """Multiply by exp(log_factor) without leaving log space."""

@@ -2,8 +2,9 @@
 in the determinant representations, their kernels, and the triangular
 su(1,1) machinery behind the parameter-connection identities.
 
-Default evaluation is always the three-term recurrence; terminating
-hypergeometric sums are kept as an independent verification path.
+Meixner-Pollaczek and Laguerre are evaluated by their three-term
+recurrences, Meixner as an explicit polynomial in x; the tests check them
+against mpmath's 2F1 and scipy.
 """
 
 from __future__ import annotations
@@ -20,19 +21,6 @@ from .quadrature import QuadraturePlan, decay_cutoff
 
 # --------------------------------------------------------------------------
 # basic families
-
-
-def hyp2f1_terminating(n: int, b: complex, c: complex, z: complex) -> complex:
-    """2F1(-n, b; c; z) as the exact terminating sum."""
-    acc = 1.0 + 0j
-    term = 1.0 + 0j
-    for k in range(n):
-        denom = (c + k) * (k + 1)
-        if denom == 0:
-            raise SingularParameterError(f"Pochhammer ({c})_{k + 1} vanishes")
-        term *= (-n + k) * (b + k) / denom * z
-        acc += term
-    return acc
 
 
 def mp_eval(n: int, lam: complex, x: complex, phi: complex) -> complex:
@@ -53,15 +41,6 @@ def mp_eval(n: int, lam: complex, x: complex, phi: complex) -> complex:
     return p_cur
 
 
-def mp_eval_hyp(n: int, lam: complex, x: complex, phi: complex) -> complex:
-    """Verification path: (2 lam)_n / n! e^{i n phi} 2F1(-n, lam + ix; 2 lam; 1 - e^{-2 i phi})."""
-    poch = 1.0 + 0j
-    for k in range(n):
-        poch *= (2 * lam + k) / (k + 1)
-    z = 1 - cmath.exp(-2j * complex(phi))
-    return poch * cmath.exp(1j * n * complex(phi)) * hyp2f1_terminating(n, lam + 1j * x, 2 * lam, z)
-
-
 def mp_deriv(n: int, lam: complex, x: complex, phi: complex) -> complex:
     """d/dx P_n^{(lam)}(x; phi), by differentiating the recurrence and
     carrying (P_k, P_k') pairs upward."""
@@ -80,11 +59,6 @@ def mp_deriv(n: int, lam: complex, x: complex, phi: complex) -> complex:
         p_prev, p_cur = p_cur, p_next
         dp_prev, dp_cur = dp_cur, dp_next
     return dp_cur
-
-
-def meixner_eval(n: int, x: complex, beta: complex, c: complex) -> complex:
-    """Meixner M_n(x; beta, c) = 2F1(-n, -x; beta; 1 - 1/c)."""
-    return hyp2f1_terminating(n, -x, beta, 1 - 1 / c)
 
 
 def meixner_poly(n: int, beta: float, c: float) -> np.polynomial.Polynomial:
@@ -138,21 +112,6 @@ def weight_shifted(x, phi):
     # log(1 + e^{pi x}) is stable via logaddexp; the full exponent keeps a
     # bounded real part for any x.
     return np.exp(phi * x - np.logaddexp(0.0, math.pi * x))
-
-
-def moment_via_contour(m: int, phi: complex) -> complex:
-    """v.p. integral of x^m e^{phi x}/(1 - e^{pi x}) evaluated on the shifted contour:
-    e^{-i phi} int (x - i)^m e^{phi x}/(1 + e^{pi x}) dx.
-
-    Equals T_m(cot phi) - i [m = 0]; used as the quadrature oracle for the
-    moment-matrix entries.
-    """
-    phi = complex(phi)
-    plan = QuadraturePlan.on_interval(-decay_cutoff(phi.real, poly_order=m),
-                                      decay_cutoff(math.pi - phi.real, poly_order=m))
-    x = plan.nodes
-    vals = (x - 1j) ** m * weight_shifted(x, phi)
-    return cmath.exp(-1j * phi) * complex(np.sum(vals * plan.weights))
 
 
 # --------------------------------------------------------------------------

@@ -27,10 +27,14 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "lam", complex(self.lam))
         object.__setattr__(self, "eta", complex(self.eta))
-        for name, phi in (("lambda+eta", self.phi_plus), ("lambda-eta", self.phi_minus)):
-            if abs(cmath.sin(phi)) < SIN_CUTOFF:
-                raise SingularParameterError(
-                    f"sin({name}) = sin({phi}) is below {SIN_CUTOFF}")
+        for name, z in (("lambda+eta", self.phi_plus), ("lambda-eta", self.phi_minus),
+                        ("2 eta", 2 * self.eta)):
+            try:
+                s = cmath.sin(z)
+            except OverflowError:
+                raise ValueError(f"sin({name}) = sin({z}) overflows a double") from None
+            if name != "2 eta" and abs(s) < SIN_CUTOFF:   # c = sin 2 eta may be 0
+                raise SingularParameterError(f"sin({name}) = sin({z}) is below {SIN_CUTOFF}")
 
     @property
     def phi_plus(self) -> complex:
@@ -59,31 +63,17 @@ class VertexWeights:
     def symmetric(cls, a: complex, b: complex, c: complex) -> "VertexWeights":
         return cls(a, a, b, b, c, c)
 
-    def scaled(self, s: complex) -> "VertexWeights":
-        return VertexWeights(*(s * w for w in self.as_tuple()))
-
 
 def symmetric_weights(p: ModelParams) -> tuple:
     """(a, b, c) = (sin(lambda+eta), sin(lambda-eta), sin(2 eta))."""
     return (cmath.sin(p.phi_plus), cmath.sin(p.phi_minus), cmath.sin(2 * p.eta))
 
 
-def qgroup_weights(p: ModelParams) -> VertexWeights:
-    """Quantum-group normalized weights: w1 = w2 = 1, asymmetric w5/w6.
-
-    The phase split e^{-i phi_-} / e^{+i phi_-} on w5/w6 uses n6 - n5 = N to
-    strip the boundary factor from the partition function.
-    """
-    a, b, c = symmetric_weights(p)
-    if abs(a) < SIN_CUTOFF:
-        raise SingularParameterError("qgroup weights need sin(lambda+eta) != 0")
-    ph = cmath.exp(1j * p.phi_minus)
-    return VertexWeights(1.0, 1.0, b / a, b / a, (c / a) / ph, (c / a) * ph)
-
-
 def qgroup_prefactor(n: int, p: ModelParams) -> complex:
     """log of [sin phi_+]^{N^2} e^{-i phi_- N}: Z_N = Z~_N exp(this), where
-    Z~_N is the partition function at the qgroup_weights normalization."""
+    Z~_N is the partition function at the quantum-group weights w1 = w2 = 1,
+    w3 = w4 = b/a, w5 = (c/a) e^{-i phi_-}, w6 = (c/a) e^{i phi_-}; the phase
+    split uses n6 - n5 = N."""
     return n * n * cmath.log(cmath.sin(p.phi_plus)) - 1j * complex(p.phi_minus) * n
 
 

@@ -16,12 +16,12 @@ import numpy as np
 from .determinants import mp_logdet, slogdet_i_minus
 from .errors import SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue, PrecisionContext, mp_scalar
-from .orthopoly import (exp_jplus_entries, hyp2f1_terminating, mp_eval,
-                        su11_matrices, weight_shifted)
+from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
 from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
 
 GAUSS_LIMIT = 12  # past it, gauss's double-precision determinant drifts from wdet
+GAUSS_TOL = 1e-9  # the largest error estimate cond_2(I - zeta W) 2^-52 gauss accepts
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,6 @@ def w_matrix_gauss(n: int, bg: BetaGamma) -> np.ndarray:
     return lower @ diag @ lower.T
 
 
-def w_entry_hyp(j: int, k: int, bg: BetaGamma) -> complex:
-    """Hypergeometric oracle: W_jk = beta gamma^{j+k} 2F1(-j,-k;1;(beta/gamma)^2),
-    which needs gamma != 0."""
-    if bg.gamma == 0:
-        raise ZeroDivisionError("hypergeometric form needs gamma != 0")
-    return (bg.beta * bg.gamma ** (j + k)
-            * hyp2f1_terminating(min(j, k), -max(j, k), 1.0, (bg.beta / bg.gamma) ** 2))
-
-
 def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
     """Quadrature oracle: 2 sin(phi_-) int P_j P_k e^{2 x phi_+}/(1 + e^{2 pi x}) dx
     with P = P^{(1/2)}(.; phi_-)."""
@@ -124,11 +115,18 @@ def full_partition(n: int, p: ModelParams,
 
 def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
     """Same normalization as full_partition, but with W assembled from its
-    triangular Gauss factors (double precision; independent construction)."""
+    triangular Gauss factors (double precision; independent construction).
+    Refused where cond_2(I - zeta W) 2^-52, which tracks the relative error
+    of that determinant, exceeds GAUSS_TOL."""
     if n > GAUSS_LIMIT:
         raise SizeLimitError(f"gauss supports N <= {GAUSS_LIMIT}")
     bg = BetaGamma.from_params(p)
-    zt = slogdet_i_minus(bg.zeta * w_matrix_gauss(n, bg))
+    m = bg.zeta * w_matrix_gauss(n, bg)
+    error = np.linalg.cond(np.eye(n) - m) * 2.0 ** -52 if np.isfinite(m).all() else math.inf
+    if error > GAUSS_TOL:
+        raise ValueError(f"gauss: cond_2(I - zeta W) 2^-52 = {error:.2g} at N={n} exceeds "
+                         f"{GAUSS_TOL:g}; its double-precision determinant cannot be trusted")
+    zt = slogdet_i_minus(m)
     return zt.scale_log(qgroup_prefactor(n, p))
 
 

@@ -258,6 +258,25 @@ def test_dp_weight_underflow_is_refused_and_not_cached(capsys, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, named", [
+    # gauss's double-precision determinant: log|Z| 117.33 where wdet at
+    # 1024 bits gives 113.88, and 2.9e-3 off at (2i, 0.5i)
+    (["--rep", "gauss", "--n", "10", "--lambda", "0.9,2", "--eta", "0.3"], "gauss"),
+    (["--rep", "gauss", "--n", "10", "--lambda", "0,2", "--eta", "0,0.5"], "gauss"),
+    # sin 2 eta ~ e^720 and sin(lambda + eta) ~ e^800 overflow a double
+    (["--rep", "dp", "--n", "3", "--eta", "0.3,360"], "sin(2 eta)"),
+    (["--rep", "all", "--n", "3", "--lambda", "0.9,800"], "sin(lambda+eta)"),
+    # dividing by 1e10 takes w5 = w6 = 1e-305 to subnormals: log|Z| was 3.0e-9 off
+    (["--rep", "dp", "--n", "2", "--weights", "1e10,1e10,1e10,1e10,1e-305,1e-305"], "dp"),
+])
+def test_untrusted_values_exit_2_and_cache_nothing(capsys, tmp_path, monkeypatch, argv, named):
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, "compute", *argv, "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compute_all_with_weights_runs_weighted_routes_only(capsys):
     code, out, _ = run(capsys, "compute", "--rep", "all", "--n", "3",
                        "--weights", "1,1,1,1,1,1", "--format", "json")

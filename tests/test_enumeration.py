@@ -106,8 +106,8 @@ def test_gauge_scaling(s):
     w = VertexWeights.symmetric(*symmetric_weights(ModelParams(0.9, 0.3)))
     n = 3
     base = enumerate_configs(n, w).z_value
-    scaled = enumerate_configs(n, w.scaled(s)).z_value
-    expected = base * LogScaledValue.from_complex(s ** (n * n))
+    scaled = enumerate_configs(n, VertexWeights(*(s * x for x in w.as_tuple()))).z_value
+    expected = base.scale_log(n * n * cmath.log(s))
     assert scaled.rel_diff(expected) < 1e-12
 
 
@@ -130,8 +130,12 @@ def test_enumeration_keeps_a_zero_from_cancelling_terms():
 def test_dp_refuses_a_weight_its_rescaling_takes_to_zero():
     # Z = 2 here: both configurations weigh w3 w4 w6^2 = w1 w2 w6^2 = 1
     # before the division by 1e300 takes w5 = w6 = 1e-300 to 0
-    with pytest.raises(ValueError, match="dp: .* takes w5, w6 to 0"):
+    with pytest.raises(ValueError, match="dp: .* takes w5, w6 below the smallest normal"):
         partition_dp(2, VertexWeights(1e300, 1e300, 1e300, 1e300, 1e-300, 1e-300))
+    # dividing by 1e10 takes w5 = w6 = 1e-305 to subnormals, which keep too
+    # few bits: Z = 2e-590 came out 3.0e-9 off
+    with pytest.raises(ValueError, match="dp: .* takes w5, w6 below the smallest normal"):
+        partition_dp(2, VertexWeights(1e10, 1e10, 1e10, 1e10, 1e-305, 1e-305))
     # a weight given as 0 stays allowed: Z = w1 w2 w6^2 = 18
     z = partition_dp(2, VertexWeights(2, 1, 0, 1, 1, 3))
     assert z.rel_diff(LogScaledValue(math.log(18), 0.0)) < 1e-15
@@ -172,8 +176,8 @@ def test_dp_handles_larger_sizes():
         assert partition_dp(n, gauge).rel_diff(exact) < 1e-12
         for lam in (0.9, 0.5 + 0.1j):
             a, b, c = symmetric_weights(ModelParams(lam, math.pi / 4))
-            exact = LogScaledValue.from_log(
-                n * cmath.log(c) + n * (n - 1) / 2 * cmath.log(a * a + b * b))
+            log_z = n * cmath.log(c) + n * (n - 1) / 2 * cmath.log(a * a + b * b)
+            exact = LogScaledValue(log_z.real, log_z.imag)
             z = partition_dp(n, VertexWeights.symmetric(a, b, c))
             assert z.rel_diff(exact) < 1e-12
 

@@ -10,11 +10,9 @@ import pytest
 
 from icewall.enumeration import enumerate_configs
 from icewall.errors import ConvergenceWarning, SingularParameterError, SizeLimitError
-from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _logdet_i_minus,
+from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_minus,
                               default_plan, discrete_cutoff, fredholm_det,
-                              full_partition_fredholm, kernel_disordered,
-                              kernel_discrete, kernel_rational, operator_matrix,
-                              trace_moments)
+                              full_partition_fredholm, operator_matrix, trace_moments)
 from icewall.logscale import PrecisionContext
 from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
                                mp_deriv, mp_eval)
@@ -48,6 +46,12 @@ def bracket_family(kind: str, n: int):
             lambda y: np.exp(-2 * PT_PLUS * y))
 
 
+def kernel(spec: KernelSpec, x: float, y: float) -> complex:
+    """K(x, y) of the rank-N expansion at one pair of points."""
+    p, d, w = _expansion(spec, np.array([x, y], dtype=float))
+    return np.sum(d * p[0] * p[1]) * w[1]
+
+
 def spec_of(kind: str, n: int) -> KernelSpec:
     if kind == "disordered":
         return KernelSpec.disordered(n, P_REF)
@@ -61,7 +65,7 @@ def spec_of(kind: str, n: int) -> KernelSpec:
 
 
 def test_disordered_kernel_real_for_real_parameters():
-    v = kernel_disordered(0.4, -0.3, 3, P_REF)
+    v = kernel(KernelSpec.disordered(3, P_REF), 0.4, -0.3)
     assert abs(complex(v).imag) < 1e-14
 
 
@@ -72,12 +76,12 @@ def test_disordered_kernel_rank_one_case():
     for x, y in [(0.5, -0.7), (0.0, 2.0), (1.3, 1.3)]:
         w = math.exp(2 * phi_p * y) / (1 + math.exp(2 * math.pi * y))
         expected = 2 * math.sin(phi_m) * w
-        assert complex(kernel_disordered(x, y, 1, P_REF)).real == \
+        assert complex(kernel(KernelSpec.disordered(1, P_REF), x, y)).real == \
             pytest.approx(expected, rel=1e-12)
 
 
 def test_disordered_kernel_decay():
-    assert abs(kernel_disordered(0.2, 30.0, 2, P_REF)) < 1e-30
+    assert abs(kernel(KernelSpec.disordered(2, P_REF), 0.2, 30.0)) < 1e-30
 
 
 def test_disordered_validity_strip():
@@ -87,13 +91,13 @@ def test_disordered_validity_strip():
 
 def test_rational_kernel_rank_one_case():
     for x, y in [(0.3, 1.7), (2.0, 0.1), (0.8, 0.8)]:
-        assert kernel_rational(x, y, 1, 1.0) == pytest.approx(math.exp(-y))
+        assert kernel(KernelSpec.rational(1, 1.0), x, y) == pytest.approx(math.exp(-y))
 
 
 def test_rational_kernel_confluent_limit():
     x = 1.3
-    near = kernel_rational(x, x + 1e-9, 3, 0.7)
-    diag = kernel_rational(x, x, 3, 0.7)
+    near = kernel(KernelSpec.rational(3, 0.7), x, x + 1e-9)
+    diag = kernel(KernelSpec.rational(3, 0.7), x, x)
     assert near == pytest.approx(diag, rel=1e-6)
 
 
@@ -103,8 +107,8 @@ def test_discrete_kernel_bracket_symmetry():
     pt_p, pt_m = 0.7, 0.4
     n = 2
     for x, y in [(0, 1), (2, 5), (1, 4)]:
-        a = kernel_discrete(x, y, n, pt_p, pt_m)
-        b = kernel_discrete(y, x, n, pt_p, pt_m)
+        a = kernel(KernelSpec.discrete(n, pt_p, pt_m), x, y)
+        b = kernel(KernelSpec.discrete(n, pt_p, pt_m), y, x)
         ratio = math.exp(-2 * pt_p * y) / math.exp(-2 * pt_p * x)
         assert complex(a) == pytest.approx(complex(b) * ratio, rel=1e-10)
 
@@ -116,7 +120,7 @@ def test_discrete_kernel_polynomial_oracle():
     m2, m1 = meixner_poly(2, 1.0, c), meixner_poly(1, 1.0, c)
     bracket = -(m2(0.0) * m1(1.0) - m1(0.0) * m2(1.0)) / (0.0 - 1.0)
     expected = (n * math.exp(-2 * n * pt_m) * bracket * math.exp(-2 * pt_p))
-    assert complex(kernel_discrete(0, 1, n, pt_p, pt_m)).real == \
+    assert complex(kernel(KernelSpec.discrete(n, pt_p, pt_m), 0, 1)).real == \
         pytest.approx(expected, rel=1e-12)
 
 
@@ -133,7 +137,7 @@ def test_discrete_kernel_confluent_diagonal():
     bracket = -(mn(x) * mn1(x + h) - mn1(x) * mn(x + h)) / (-h)
     expected = (n * math.exp(-2 * n * pt_m) * bracket
                 * math.exp(-2 * pt_p * x))
-    assert complex(kernel_discrete(x, x, n, pt_p, pt_m)).real == \
+    assert complex(kernel(KernelSpec.discrete(n, pt_p, pt_m), x, x)).real == \
         pytest.approx(expected, rel=1e-4)
 
 
@@ -187,9 +191,6 @@ def test_pointwise_kernel_is_the_bracket(kind):
     points = {"disordered": [(0.4, -0.3), (-1.2, 0.9), (2.1, 0.5)],
               "rational": [(0.3, 1.7), (2.5, 0.8), (4.0, 1.1)],
               "discrete": [(0, 1), (2, 5), (4, 1)]}[kind]
-    kernel = {"disordered": lambda x, y, n: kernel_disordered(x, y, n, P_REF),
-              "rational": lambda x, y, n: kernel_rational(x, y, n, XI),
-              "discrete": lambda x, y, n: kernel_discrete(x, y, n, PT_PLUS, PT_MINUS)}[kind]
     for n in range(1, 9):
         c, poly, _, w = bracket_family(kind, n)
         for x, y in points:
@@ -197,7 +198,8 @@ def test_pointwise_kernel_is_the_bracket(kind):
             expected = complex((c * (poly(n, px) * poly(n - 1, py)
                                      - poly(n - 1, px) * poly(n, py)) / (x - y)
                                 * w(py))[0])
-            assert abs(complex(kernel(x, y, n)) - expected) < 1e-12 * abs(expected)
+            got = complex(kernel(spec_of(kind, n), x, y))
+            assert abs(got - expected) < 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
@@ -264,15 +266,10 @@ def test_trace_moments_match_finite_traces():
     bg = BetaGamma.from_params(P_REF)
     for n in (2, 3):
         w = w_matrix(n, bg)
-        tm = trace_moments(KernelSpec.disordered(n, P_REF), n_max=3)
+        tm = trace_moments(KernelSpec.disordered(n, P_REF))
         for k in (1, 2, 3):
             target = bg.zeta ** k * np.trace(np.linalg.matrix_power(w, k))
             assert abs(tm[k - 1] - target) < 1e-8 * (1 + abs(target))
-
-
-def test_trace_moment_order_limit():
-    with pytest.raises(ValueError):
-        trace_moments(KernelSpec.rational(2, 0.5), n_max=7)
 
 
 # --------------------------------------------------------------------------

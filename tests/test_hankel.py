@@ -12,11 +12,10 @@ from numpy.polynomial.polynomial import polyval
 
 from icewall.enumeration import enumerate_configs
 from icewall.errors import PrecisionWarning, SingularParameterError
-from icewall.hankel import (alpha_det_deviation, cot_derivative_poly,
-                            det_A_closed, hankel_H, matrix_A, partition_hankel,
-                            z_tilde_via_ratio)
+from icewall.hankel import (alpha_det_deviation, cot_derivative_poly, hankel_H,
+                            matrix_A, partition_hankel)
 from icewall.logscale import PrecisionContext
-from icewall.params import ModelParams, VertexWeights, symmetric_weights
+from icewall.params import ModelParams, VertexWeights, qgroup_prefactor, symmetric_weights
 from icewall.wmatrix import z_tilde_det
 
 
@@ -81,14 +80,6 @@ def test_partition_hankel_complex_parameters():
         assert partition_hankel(n, p).rel_diff(ref) < 1e-12
 
 
-def test_closed_determinant_small_cases():
-    # N=1: A = (T_0(cot phi) - i) = cot phi - i = e^{-i phi}/sin(phi)
-    phi = 0.8
-    val = det_A_closed(1, phi).value
-    direct = 1 / math.tan(phi) - 1j
-    assert val == pytest.approx(direct)
-
-
 @settings(max_examples=20, deadline=None)
 @given(re=st.floats(0.3, 2.8), im=st.floats(-0.4, 0.4))
 def test_closed_determinant_matches_lu(re, im):
@@ -108,7 +99,8 @@ def test_determinant_ratio_route():
     p = ModelParams(0.9, 0.3)
     ctx = PrecisionContext.for_size(5)
     for n in range(1, 6):
-        assert z_tilde_via_ratio(n, p, ctx).rel_diff(z_tilde_det(n, p, ctx)) < 1e-12
+        zt = partition_hankel(n, p, ctx).scale_log(-qgroup_prefactor(n, p))
+        assert zt.rel_diff(z_tilde_det(n, p, ctx)) < 1e-12
 
 
 def test_large_size_uses_enough_precision():

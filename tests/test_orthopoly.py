@@ -4,6 +4,7 @@ su(1,1) identities."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,26 +16,26 @@ from scipy.special import eval_laguerre, loggamma
 from icewall.errors import SingularParameterError
 from icewall.hankel import cot_derivative_poly
 from icewall.orthopoly import (_log_abs_gamma_sq, connection_coeffs,
-                               exp_jplus_entries, hyp2f1_terminating,
-                               inm_closed, inm_quadrature,
+                               exp_jplus_entries, inm_closed, inm_quadrature,
                                key_conjugation_check, laguerre_deriv,
                                laguerre_eval, masked_commutator_residuals,
-                               meixner_eval, meixner_poly, moment_via_contour,
-                               mp_deriv, mp_eval, mp_eval_hyp, su11_matrices,
+                               meixner_poly, mp_deriv, mp_eval, su11_matrices,
                                weight_shifted)
 from icewall.quadrature import QuadraturePlan
 
 
 # --------------------------------------------------------------------------
-# recurrences vs terminating hypergeometric sums
+# recurrences vs mpmath's terminating hypergeometric sums
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(0, 12), lam=st.floats(0.2, 2.0),
        x=st.floats(-3.0, 3.0), phi=st.floats(0.2, 2.9))
 def test_mp_recurrence_matches_hypergeometric(n, lam, x, phi):
+    # P_n = (2 lam)_n / n! e^{i n phi} 2F1(-n, lam + ix; 2 lam; 1 - e^{-2 i phi})
     a = mp_eval(n, lam, x, phi)
-    b = mp_eval_hyp(n, lam, x, phi)
+    b = complex(mpmath.rf(2 * lam, n) / mpmath.factorial(n) * mpmath.exp(1j * n * phi)
+                * mpmath.hyp2f1(-n, lam + 1j * x, 2 * lam, 1 - mpmath.exp(-2j * phi)))
     assert abs(a - b) < 1e-9 * (1 + abs(a))
 
 
@@ -47,11 +48,12 @@ def test_mp_derivative_by_finite_differences(n, lam, x):
 
 
 def test_meixner_polynomial_object_agrees_with_recurrence():
+    # M_n(x; 1, c) = 2F1(-n, -x; 1; 1 - 1/c)
     for n in range(6):
         poly = meixner_poly(n, 1.0, 0.55)
         for x in (0.0, 1.0, 3.5):
             assert poly(x) == pytest.approx(
-                complex(meixner_eval(n, x, 1.0, 0.55)).real, rel=1e-12, abs=1e-12)
+                float(mpmath.hyp2f1(-n, -x, 1, 1 - 1 / 0.55)), rel=1e-12, abs=1e-12)
 
 
 @given(n=st.integers(0, 10), x=st.floats(0.0, 20.0))
@@ -65,12 +67,6 @@ def test_laguerre_derivative_near_zero():
         h = 1e-6
         fd = (laguerre_eval(n, h) - laguerre_eval(n, 0.0)) / h
         assert laguerre_deriv(n, 1e-10) == pytest.approx(fd, abs=1e-4)
-
-
-def test_terminating_hypergeometric_is_finite_sum():
-    # 2F1(-2, 1; 1; z) = (1-z)^2
-    for z in (0.3, -1.2, 2.5):
-        assert hyp2f1_terminating(2, 1.0, 1.0, z) == pytest.approx((1 - z) ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -91,10 +87,15 @@ def test_weight_no_overflow_far_out():
 
 
 def test_moments_reproduce_cot_polynomials():
+    # the v.p. moment of x^m e^{phi x}/(1 - e^{pi x}), taken on the shifted
+    # contour as e^{-i phi} int (x - i)^m e^{phi x}/(1 + e^{pi x}) dx,
+    # is T_m(cot phi) - i [m = 0]
     phi = 0.9
     c = 1 / math.tan(phi)
     for m in range(6):
-        mom = moment_via_contour(m, phi)
+        integral = mpmath.quad(lambda x: (x - 1j) ** m * mpmath.exp(phi * x)
+                               / (1 + mpmath.exp(mpmath.pi * x)), [-mpmath.inf, 0, mpmath.inf])
+        mom = complex(mpmath.exp(-1j * phi) * integral)
         expected = polyval(c, cot_derivative_poly(m)) - (1j if m == 0 else 0)
         assert abs(mom - expected) < 1e-10 * (1 + abs(expected))
 

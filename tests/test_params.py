@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icewall.errors import SingularParameterError
-from icewall.params import (ModelParams, VertexWeights,
-                            check_unitarity, qgroup_weights, r_matrix,
-                            symmetric_weights)
+from icewall.params import ModelParams, check_unitarity, r_matrix, symmetric_weights
 
 safe_angle = st.floats(min_value=0.1, max_value=1.4)
 
@@ -37,19 +36,14 @@ def test_singular_parameters_rejected():
         ModelParams(math.pi / 2, math.pi / 2)  # sin(phi_+) = 0
 
 
-def test_qgroup_weights_structure():
-    p = ModelParams(0.9, 0.3)
-    w = qgroup_weights(p)
-    a, b, c = symmetric_weights(p)
-    assert w.w1 == w.w2 == 1
-    assert w.w3 == pytest.approx(b / a)
-    assert w.w5 * w.w6 == pytest.approx((c / a) ** 2)
-    assert w.w6 / w.w5 == pytest.approx(cmath.exp(2j * complex(p.phi_minus)))
-
-
-def test_weight_scaling():
-    w = VertexWeights.symmetric(1.0, 2.0, 3.0).scaled(2.0)
-    assert w.as_tuple() == (2.0, 2.0, 4.0, 4.0, 6.0, 6.0)
+@pytest.mark.parametrize("lam, eta, name", [
+    (0.9, complex(0.3, 360), "2 eta"),          # c = sin 2 eta ~ e^720
+    (complex(0.9, 800), 0.3, "lambda+eta"),
+])
+def test_overflowing_sines_are_refused(lam, eta, name):
+    # a ValueError that names the sine, not an OverflowError from cmath
+    with pytest.raises(ValueError, match=re.escape(f"sin({name}) = ") + ".* overflows a double"):
+        ModelParams(lam, eta)
 
 
 def test_r_matrix_at_zero_is_permutation():

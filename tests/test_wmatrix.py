@@ -15,9 +15,8 @@ from icewall.logscale import LogScaledValue, PrecisionContext
 from icewall.params import ModelParams, VertexWeights, symmetric_weights
 from icewall.wmatrix import (BetaGamma, _w_matrix_mp, full_partition,
                              full_partition_gauss, rational_z_tilde,
-                             reconstruction_deviation, w_entry_hyp,
-                             w_entry_integral, w_matrix, w_matrix_gauss,
-                             z_tilde_det)
+                             reconstruction_deviation, w_entry_integral, w_matrix,
+                             w_matrix_gauss, z_tilde_det)
 
 P_REF = ModelParams(0.9, 0.3)
 
@@ -41,8 +40,10 @@ def test_rational_degeneration_values():
 @given(j=st.integers(0, 8), k=st.integers(0, 8))
 def test_entry_binomial_matches_hypergeometric(j, k):
     bg = BetaGamma.from_params(P_REF)
+    # W_jk = beta gamma^{j+k} 2F1(-j, -k; 1; (beta/gamma)^2)
     a = w_matrix(9, bg)[j, k]
-    b = w_entry_hyp(j, k, bg)
+    b = complex(bg.beta * bg.gamma ** (j + k)
+                * mpmath.hyp2f1(-j, -k, 1, (bg.beta / bg.gamma) ** 2))
     assert abs(a - b) < 1e-12 * (1 + abs(a))
 
 
@@ -91,6 +92,21 @@ def test_full_partition_vs_enumeration():
         assert full_partition_gauss(n, P_REF).rel_diff(ref) < 1e-10
 
 
+@pytest.mark.parametrize("lam, eta", [(0.9 + 2j, 0.3), (2j, 0.5j)])
+def test_gauss_refuses_an_ill_conditioned_determinant(lam, eta):
+    # at N=10, cond_2(I - zeta W) 2^-52 is 3.6 and 2.4e-3 here: gauss was
+    # off by 3.45 in log|Z| and by 2.9e-3
+    with pytest.raises(ValueError, match="gauss: cond"):
+        full_partition_gauss(10, ModelParams(lam, eta))
+
+
+def test_gauss_takes_the_ice_point_up_to_its_limit():
+    # the largest accepted estimate at any checked point: 2.4e-10 here at N=12
+    p = ModelParams(math.pi / 2, math.pi / 6)
+    for n in (11, 12):
+        assert full_partition_gauss(n, p).rel_diff(full_partition(n, p)) < 1e-10
+
+
 def test_full_partition_complex_parameters():
     p = ModelParams(0.7 + 0.1j, 0.25 - 0.05j)
     w = VertexWeights.symmetric(*symmetric_weights(p))
@@ -118,11 +134,13 @@ def test_triangular_reconstruction():
 
 def test_z_tilde_matches_qgroup_enumeration():
     # det(I - zeta W) is the partition function in the quantum-group
-    # normalization, up to the boundary phase stripped by the w5/w6 split
-    from icewall.params import qgroup_weights
+    # normalization w1 = w2 = 1, w3 = w4 = b/a, w5, w6 = (c/a) e^{-/+ i phi_-}:
+    # n6 - n5 = N, so the phase split strips the boundary factor e^{-i phi_- N}
+    a, b, c = symmetric_weights(P_REF)
+    ph = cmath.exp(1j * P_REF.phi_minus)
+    w = VertexWeights(1.0, 1.0, b / a, b / a, c / a / ph, c / a * ph)
     ctx = PrecisionContext.for_size(4)
     for n in range(1, 5):
-        w = qgroup_weights(P_REF)
         ref = enumerate_configs(n, w).z_value
         zt = z_tilde_det(n, P_REF, ctx)
         assert zt.rel_diff(ref) < 1e-12
