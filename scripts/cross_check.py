@@ -15,21 +15,20 @@ import sys
 import time
 
 from icewall.checks import DISORDERED_SAMPLES
-from icewall.cli import applicable
-from icewall.logscale import PrecisionContext
-from icewall.params import ModelParams, VertexWeights, symmetric_weights
+from icewall.cli import applicable, parse_size, parse_tol
+from icewall.determinants import default_bits
+from icewall.params import ModelParams, symmetric_weights
 
 
 def routes(n: int, p: ModelParams) -> dict:
-    ctx = PrecisionContext.for_size(n)
-    vw = VertexWeights.symmetric(*symmetric_weights(p))
-    return {r.name: r.fn(n, p, vw, ctx)[0] for r in applicable(n, p, None)}
+    weights, bits = symmetric_weights(p), default_bits(n)
+    return {r.name: r.fn(n, p, weights, bits)[0] for r in applicable(n, p, None)}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-max", type=int, default=6)
-    ap.add_argument("--tol", type=float, default=1e-8)
+    ap.add_argument("--n-max", type=parse_size, default=6)
+    ap.add_argument("--tol", type=parse_tol, default=1e-8)
     args = ap.parse_args()
 
     t0 = time.perf_counter()

@@ -12,15 +12,15 @@ import argparse
 import math
 import sys
 
-from icewall.cli import parse_complex
-from icewall.logscale import PrecisionContext
+from icewall.cli import parse_complex, parse_size
+from icewall.determinants import default_bits
 from icewall.params import ModelParams
 from icewall.wmatrix import full_partition
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-max", type=int, default=16)
+    ap.add_argument("--n-max", type=parse_size, default=16)
     ap.add_argument("--lambda", dest="lam", type=parse_complex,
                     default=complex(math.pi / 2))
     ap.add_argument("--eta", type=parse_complex, default=complex(math.pi / 6))
@@ -30,7 +30,7 @@ def main() -> int:
     print(f"lambda={args.lam}  eta={args.eta}")
     print(f"{'N':>3s} {'log|Z_N|':>22s} {'f_N':>20s}")
     for n in range(1, args.n_max + 1):
-        z = full_partition(n, p, PrecisionContext.for_size(n))
+        z = full_partition(n, p, default_bits(n))
         print(f"{n:>3d} {z.log_magnitude:>22.12e} "
               f"{-z.log_magnitude / n ** 2:>20.12f}")
     return 0

@@ -17,16 +17,15 @@ from typing import Optional
 import numpy as np
 
 from .cli import applicable
+from .determinants import default_bits
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs
 from .errors import PrecisionWarning
 from .fredholm import KernelSpec, fredholm_det, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
-from .logscale import PrecisionContext
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \
     mp_eval, su11_matrices
-from .params import ModelParams, VertexWeights, check_unitarity, \
-    symmetric_weights
+from .params import ModelParams, check_unitarity, symmetric_weights
 from .wmatrix import BetaGamma, full_partition, rational_z_tilde, \
     reconstruction_deviation, w_entry_integral, w_matrix, w_matrix_gauss, \
     z_tilde_det
@@ -60,12 +59,12 @@ def _cross_representation() -> float:
     worst = 0.0
     for lam, eta in DISORDERED_SAMPLES:
         p = ModelParams(lam, eta)
-        vw = VertexWeights.symmetric(*symmetric_weights(p))
+        weights = symmetric_weights(p)
         for n in range(1, 7):
             routes = applicable(n, p, None)
             if tuple(r.name for r in routes) != ALL_ROUTES:
                 return math.inf
-            values = [r.fn(n, p, vw, PrecisionContext.for_size(n))[0] for r in routes]
+            values = [r.fn(n, p, weights, default_bits(n))[0] for r in routes]
             worst = max([worst] + [a.rel_diff(b) for a, b in itertools.combinations(values, 2)])
     return worst
 
@@ -74,9 +73,8 @@ def _ice_point() -> float:
     """|Z / (s^(N^2) A_N) - 1| at a = b = c = s = sqrt 3 / 2, the weights of
     (lambda, eta) = (pi/2, pi/6) taken exactly equal."""
     s = math.sqrt(3) / 2
-    vw = VertexWeights.symmetric(s, s, s)
-    return max(abs(enumerate_configs(n, vw).z_value.value / (s ** (n * n) * ASM_COUNTS[n]) - 1)
-               for n in range(1, 7))
+    return max(abs(enumerate_configs(n, (s,) * 6).z_value.value
+                   / (s ** (n * n) * ASM_COUNTS[n]) - 1) for n in range(1, 7))
 
 
 def _closed_determinants() -> float:
@@ -86,9 +84,9 @@ def _closed_determinants() -> float:
     draws = [(complex(rng.uniform(0.3, 2.8), rng.uniform(-0.5, 0.5)),
               complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))) for _ in range(20)]
     phis = [phi for phi, _ in draws] + _seed7_draws()[1]
-    return max(max([alpha_det_deviation(n, phi, -1j) for phi in phis]
-                   + [alpha_det_deviation(n, phi, alpha) for phi, alpha in draws])
-               / PrecisionContext.for_size(n).tolerance for n in (1, 4, 6, 7, 10))
+    pairs = [(phi, -1j) for phi in phis] + draws
+    return max(max(alpha_det_deviation(n, phi, alpha, default_bits(n)) for phi, alpha in pairs)
+               / 2 ** (-default_bits(n) / 2) for n in (1, 4, 6, 7, 10))
 
 
 def _connection() -> float:
@@ -153,8 +151,8 @@ def _precision_scaling() -> float:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionWarning)
-            return max(partition_hankel(n, P_REF).rel_diff(full_partition(n, P_REF))
-                       for n in range(1, 13))
+            return max(partition_hankel(n, P_REF, default_bits(n)).rel_diff(
+                full_partition(n, P_REF, default_bits(n))) for n in range(1, 13))
     except PrecisionWarning:
         return math.inf
 
@@ -179,7 +177,8 @@ CHECKS = (
      lambda: max(masked_commutator_residuals(su11_matrices(8, 0.5)).values()), 1e-12),
     (5, "discrete Nystrom vs continued W determinant, N<=4",
      lambda: max(fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).rel_diff(
-         z_tilde_det(n, ModelParams(0.55j, 0.25j))) for n in range(1, 5)), 1e-12),
+         z_tilde_det(n, ModelParams(0.55j, 0.25j), default_bits(n)))
+         for n in range(1, 5)), 1e-12),
     (5, "rational Nystrom vs finite determinant, N<=4",
      lambda: max(fredholm_det(KernelSpec.rational(n, (0.9 - 0.3) / (0.9 + 0.3))).rel_diff(
          rational_z_tilde(n, 0.9, 0.3)) for n in range(1, 5)), 1e-12),

@@ -24,18 +24,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import __version__
+from .determinants import default_bits
 from .enumeration import DP_LIMIT, ENUM_LIMIT, dump_configs, \
     enumerate_configs, partition_dp
 from .errors import SingularParameterError
 from .fredholm import FREDHOLM_LIMIT, KernelSpec, fredholm_det, \
     full_partition_fredholm
 from .hankel import partition_hankel
-from .logscale import LogScaledValue, PrecisionContext
-from .params import ModelParams, VertexWeights, qgroup_prefactor, \
-    symmetric_weights
+from .logscale import LogScaledValue
+from .params import ModelParams, qgroup_prefactor, symmetric_weights
 from .wmatrix import GAUSS_LIMIT, full_partition, full_partition_gauss
 
 SCHEMA = 1
+DOUBLE_BITS = 53    # the precision_bits of every route but hankel and wdet
 
 CSV_COLUMNS = ("representation", "n", "lambda_re", "lambda_im",
                "eta_re", "eta_im", "log_abs_z", "phase", "f_n",
@@ -69,6 +70,22 @@ def parse_size(text: str) -> int:
     return n
 
 
+def parse_bits(text: str) -> int:
+    """Mantissa bits, at least 64."""
+    bits = int(text)
+    if bits < 64:
+        raise argparse.ArgumentTypeError(f"expected at least 64 bits, got {text!r}")
+    return bits
+
+
+def parse_tol(text: str) -> float:
+    """A finite tolerance >= 0."""
+    tol = float(text)
+    if not 0 <= tol < math.inf:   # NaN fails too
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
+    return tol
+
+
 def parse_weights(text: str) -> tuple:
     parts = _finite_floats(text)
     if len(parts) != 6:
@@ -92,7 +109,8 @@ def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
            phase: float, elapsed_ms: float, precision_bits: int,
            messages: list, extra: Optional[dict] = None) -> dict:
     """One result, as the JSON dict that is emitted and cached.  `extra`
-    holds a route's own fields, such as enumerate's config_count."""
+    holds a route's own fields, such as enumerate's config_count; an
+    extended-precision route's precision_bits there overrides the argument."""
     return {"schema": SCHEMA, "representation": route, "n": n,
             "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
             "log_abs_z": log_abs_z, "phase": phase, "f_n": -log_abs_z / (n * n),
@@ -153,9 +171,10 @@ def cache_store(path: Optional[str], key: str, rec: dict):
 
 @dataclass(frozen=True)
 class Route:
-    """One representation of Z_N.  `fn(n, params, vertex_weights, ctx)`
-    returns (value, extra record fields).  The route functions are looked up
-    in this module's globals when called, not bound when it is imported."""
+    """One representation of Z_N.  `fn(n, params, weights, bits)` returns
+    (value, extra record fields), for the six vertex weights and the mantissa
+    bits of the extended-precision routes.  The route functions are looked
+    up in this module's globals when called, not bound when it is imported."""
 
     name: str
     fn: Callable[..., tuple]
@@ -188,17 +207,17 @@ def _real(p: ModelParams) -> Optional[str]:
     return "needs real lambda, eta" if p.lam.imag or p.eta.imag else None
 
 
-def _enumerate(n, p, vw, ctx):
-    res = enumerate_configs(n, vw)
+def _enumerate(n, p, weights, bits):
+    res = enumerate_configs(n, weights)
     return res.z_value, {"config_count": res.config_count}
 
 
-def _discrete(n, p, vw, ctx):
+def _discrete(n, p, weights, bits):
     spec = KernelSpec.discrete(n, complex(p.phi_plus).imag, complex(p.phi_minus).imag)
     return fredholm_det(spec).scale_log(qgroup_prefactor(n, p)), {}
 
 
-def _rational(n, p, vw, ctx):
+def _rational(n, p, weights, bits):
     # rational degeneration: weights (lam+eta, lam-eta, 2 eta)
     lam, eta = p.lam.real, p.eta.real
     zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
@@ -207,12 +226,14 @@ def _rational(n, p, vw, ctx):
 
 ROUTES = (
     Route("enumerate", _enumerate, ENUM_LIMIT, takes_weights=True),
-    Route("dp", lambda n, p, vw, ctx: (partition_dp(n, vw), {}), DP_LIMIT,
+    Route("dp", lambda n, p, w, bits: (partition_dp(n, w), {}), DP_LIMIT,
           takes_weights=True),
-    Route("hankel", lambda n, p, vw, ctx: (partition_hankel(n, p, ctx), {})),
-    Route("wdet", lambda n, p, vw, ctx: (full_partition(n, p, ctx), {})),
-    Route("gauss", lambda n, p, vw, ctx: (full_partition_gauss(n, p), {}), GAUSS_LIMIT),
-    Route("fredholm-disordered", lambda n, p, vw, ctx: (full_partition_fredholm(n, p), {}),
+    Route("hankel", lambda n, p, w, bits: (partition_hankel(n, p, bits),
+                                           {"precision_bits": bits})),
+    Route("wdet", lambda n, p, w, bits: (full_partition(n, p, bits),
+                                         {"precision_bits": bits})),
+    Route("gauss", lambda n, p, w, bits: (full_partition_gauss(n, p), {}), GAUSS_LIMIT),
+    Route("fredholm-disordered", lambda n, p, w, bits: (full_partition_fredholm(n, p), {}),
           FREDHOLM_LIMIT, _disordered),
     Route("fredholm-discrete", _discrete, FREDHOLM_LIMIT, _ferroelectric),
     Route("fredholm-rational", _rational, domain=_real, in_all=False),
@@ -236,20 +257,18 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     rec = cache_load(cdir, key)
     if rec is not None:
         return rec, True
-    ctx = (PrecisionContext(args.bits) if args.bits is not None
-           else PrecisionContext.for_size(n))
-    vw = (VertexWeights(*args.weights) if args.weights
-          else VertexWeights.symmetric(*symmetric_weights(p)))
+    bits = args.bits or default_bits(n)
+    weights = args.weights or symmetric_weights(p)
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value, extra = route.fn(n, p, vw, ctx)
+        value, extra = route.fn(n, p, weights, bits)
     elapsed = 1000.0 * (time.perf_counter() - t0)
     if non_finite(value.log_magnitude, value.angle):
         raise ValueError(f"{route.name} gave a non-finite value at N={n}: "
                          f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
     rec = record(route.name, n, args.lam, args.eta, value.log_magnitude,
-                 value.angle, elapsed, ctx.mantissa_bits,
+                 value.angle, elapsed, DOUBLE_BITS,
                  [str(w.message) for w in caught], extra)
     cache_store(cdir, key, rec)
     return rec, False
@@ -419,9 +438,9 @@ def _add_common(sub, rep_choices):
                      help="crossing parameter, 're[,im]'")
     sub.add_argument("--weights", type=parse_weights, default=None,
                      help="explicit w1,...,w6 (enumerate and dp only)")
-    sub.add_argument("--bits", type=int, default=None,
-                     help="mantissa bits (default: size-adaptive)")
-    sub.add_argument("--tol", type=float, default=1e-8)
+    sub.add_argument("--bits", type=parse_bits, default=None,
+                     help="mantissa bits of hankel and wdet (default: size-adaptive)")
+    sub.add_argument("--tol", type=parse_tol, default=1e-8)
     sub.add_argument("--format", default="text", choices=("json", "csv", "text"))
     sub.add_argument("--out", default=None)
     sub.add_argument("--cache", default=None,

@@ -9,7 +9,13 @@ import mpmath
 import numpy as np
 
 from .errors import PrecisionWarning
-from .logscale import LogScaledValue, PrecisionContext
+from .logscale import LogScaledValue
+
+
+def default_bits(n: int) -> int:
+    """Mantissa bits of the extended-precision routes at size N."""
+    # Cancellation in det H grows with prod (k!)^2; empirical headroom x2.
+    return max(128, 64 + 16 * n)
 
 
 def lu_det(matrix):
@@ -45,19 +51,19 @@ def lu_det(matrix):
     return det, max_piv / min_piv
 
 
-def mp_logdet(matrix, ctx: PrecisionContext, warn_label: str = "determinant") -> LogScaledValue:
-    """Log-scaled LU determinant; warns when pivot growth eats more than
-    half of the mantissa budget."""
-    with ctx.workprec():
+def mp_logdet(matrix, bits: int, warn_label: str = "determinant") -> LogScaledValue:
+    """Log-scaled LU determinant at `bits` mantissa bits; warns when pivot
+    growth eats more than half of them."""
+    with mpmath.workprec(bits):
         det, growth = lu_det(matrix)
         if det == 0:
             return LogScaledValue(float("-inf"), 0.0)
         if mpmath.isfinite(growth):
             growth_bits = math.log2(max(float(growth), 1.0))
-            if growth_bits > ctx.mantissa_bits / 2:
+            if growth_bits > bits / 2:
                 warnings.warn(
                     f"{warn_label}: pivot growth ~2^{growth_bits:.0f} exceeds half "
-                    f"of the {ctx.mantissa_bits}-bit budget",
+                    f"of the {bits}-bit budget",
                     PrecisionWarning,
                 )
         return LogScaledValue.from_mpc(det)

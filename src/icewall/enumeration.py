@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import SizeLimitError
 from .logscale import LogScaledValue
-from .params import VertexWeights
 
 ENUM_LIMIT = 6
 DP_LIMIT = 18
@@ -156,7 +155,7 @@ def type_histogram(n: int) -> dict:
             for k, m in packed_hist.items()}
 
 
-def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
+def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
     """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6), taken as
     sum over type_histogram(n) of multiplicity * prod w_i^{n_i}.
 
@@ -166,7 +165,7 @@ def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
     when its weights differ by a factor of about 10^(300/N^2) or more.  A sum
     is refused when even its largest term underflows; one that cancels to 0 is Z = 0."""
     hist = type_histogram(n)
-    given = [complex(x) for x in w.as_tuple()]
+    given = [complex(x) for x in w]
     e = math.frexp(max(abs(x) for x in given))[1]
     weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in given]
     total = sum(m * math.prod(wi ** ni for wi, ni in zip(weights, counts))
@@ -181,7 +180,7 @@ def enumerate_configs(n: int, w: VertexWeights) -> EnumerationResult:
     return EnumerationResult(sum(hist.values()), z)
 
 
-def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:
+def partition_dp(n: int, w: tuple) -> LogScaledValue:
     """Vertex-by-vertex transfer over the 2^N vertical-edge states (N <= 18).
 
     Bit c of a state is the vertical edge in column c: below the vertex once
@@ -192,7 +191,7 @@ def partition_dp(n: int, w: VertexWeights) -> LogScaledValue:
     is refused: it would keep too few bits, or none (a false Z = 0)."""
     if not 1 <= n <= DP_LIMIT:
         raise SizeLimitError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
-    given = np.array(w.as_tuple(), dtype=complex)
+    given = np.array(w, dtype=complex)
     scale = np.max(np.abs(given)) or 1.0  # all-zero weights leave every row zero
     ws = (given if given.imag.any() else given.real) / scale  # real weights: half the work
     lost = (np.abs(ws) < sys.float_info.min) & (given != 0)

@@ -12,6 +12,3 @@ class SizeLimitError(ValueError):
 class PrecisionWarning(UserWarning):
     """The determinant condition estimate ate more than half the mantissa."""
 
-
-class ConvergenceWarning(UserWarning):
-    """A quadrature/truncation tail estimate exceeds the requested tolerance."""

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .determinants import slogdet_i_minus as _logdet_i_minus
-from .errors import ConvergenceWarning, SingularParameterError, SizeLimitError
+from .errors import SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
@@ -28,7 +27,8 @@ from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F4
 from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
 
-CONVERGENCE_TOL = 1e-8
+CONVERGENCE_TOL = 1e-8  # plan refinement of the disordered and rational kernels
+DISCRETE_TOL = 1e-10    # truncation refinement of the discrete kernel
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
 
@@ -141,25 +141,24 @@ def operator_matrix(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
 
 
 def fredholm_det(spec: KernelSpec) -> LogScaledValue:
-    """Fredholm determinant det(I - operator), with a refinement check:
-    the result is accepted only if doubling the discretization moves the
-    log-determinant by less than the convergence tolerance."""
+    """Fredholm determinant det(I - operator), refused unless refining the
+    discretization (ten more lattice sites, or twice the node density)
+    moves log|det| by at most its tolerance."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
         raise SizeLimitError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
     if spec.kind == "discrete":
-        x_max = discrete_cutoff(spec)
+        x_max, tol = discrete_cutoff(spec), DISCRETE_TOL
         result = _logdet_i_minus(operator_matrix(spec, x_max=x_max))
         refined = _logdet_i_minus(operator_matrix(spec, x_max=x_max + 10))
-        if abs(refined.log_magnitude - result.log_magnitude) > 1e-10:
-            warnings.warn("discrete kernel truncation not converged",
-                          ConvergenceWarning)
-        return result
-    plan = default_plan(spec)
-    result = _logdet_i_minus(operator_matrix(spec, plan=plan))
-    refined = _logdet_i_minus(operator_matrix(spec, plan=plan.refined()))
-    if abs(refined.log_magnitude - result.log_magnitude) > CONVERGENCE_TOL:
-        warnings.warn("Nystrom determinant not plan-converged",
-                      ConvergenceWarning)
+    else:
+        plan, tol = default_plan(spec), CONVERGENCE_TOL
+        result = _logdet_i_minus(operator_matrix(spec, plan=plan))
+        refined = _logdet_i_minus(operator_matrix(spec, plan=plan.refined()))
+    moved = abs(refined.log_magnitude - result.log_magnitude)
+    if not moved <= tol:   # a NaN is refused too
+        raise ValueError(f"fredholm-{spec.kind}: refining the discretization moves "
+                         f"log|det| by {moved:.2g} at N={spec.n}, above {tol:g}; "
+                         f"the Nystrom determinant has not converged")
     return result
 
 

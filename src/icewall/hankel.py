@@ -12,13 +12,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Optional
 
 import mpmath
 
 from .determinants import lu_det, mp_logdet
 from .errors import SingularParameterError
-from .logscale import LogScaledValue, PrecisionContext, mp_scalar
+from .logscale import LogScaledValue, mp_scalar
 from .params import SIN_CUTOFF, ModelParams
 
 
@@ -49,21 +48,18 @@ def _moments(c, count: int) -> list:
     return [mpmath.fdot(cot_derivative_poly(s), powers) for s in range(count)]
 
 
-def hankel_H(n: int, p: ModelParams, ctx: Optional[PrecisionContext] = None):
+def hankel_H(n: int, p: ModelParams, bits: int):
     """N x N matrix H_jk = T_{j+k}(cot phi_minus) - T_{j+k}(cot phi_plus)."""
-    ctx = ctx or PrecisionContext.for_size(n)
-    with ctx.workprec():
+    with mpmath.workprec(bits):
         cots = [mpmath.cot(mp_scalar(phi)) for phi in (p.phi_minus, p.phi_plus)]
         moments = [a - b for a, b in zip(*(_moments(c, 2 * n - 1) for c in cots))]
         return mpmath.matrix([[moments[j + k] for k in range(n)] for j in range(n)])
 
 
-def matrix_A(n: int, phi: complex, ctx: Optional[PrecisionContext] = None,
-             alpha: complex = -1j):
+def matrix_A(n: int, phi: complex, bits: int, alpha: complex = -1j):
     """N x N matrix of derivatives of cot(phi) + alpha (alpha = -i default)."""
     _require_regular(phi)
-    ctx = ctx or PrecisionContext.for_size(n)
-    with ctx.workprec():
+    with mpmath.workprec(bits):
         moments = _moments(mpmath.cot(mpmath.mpc(phi)), 2 * n - 1)
         moments[0] += mpmath.mpc(alpha)
         return mpmath.matrix([[moments[j + k] for k in range(n)] for j in range(n)])
@@ -74,24 +70,20 @@ def _log_factorial_sq_sum(n: int) -> float:
     return 2.0 * sum(math.lgamma(k + 1) for k in range(1, n))
 
 
-def partition_hankel(n: int, p: ModelParams,
-                     ctx: Optional[PrecisionContext] = None) -> LogScaledValue:
+def partition_hankel(n: int, p: ModelParams, bits: int) -> LogScaledValue:
     """Z_N = [sin phi_- sin phi_+]^{N^2} / prod (k!)^2 * det H, log-scaled."""
-    ctx = ctx or PrecisionContext.for_size(n)
-    logdet = mp_logdet(hankel_H(n, p, ctx), ctx, warn_label="hankel")
+    logdet = mp_logdet(hankel_H(n, p, bits), bits, warn_label="hankel")
     pref = n * n * (cmath.log(cmath.sin(p.phi_minus)) + cmath.log(cmath.sin(p.phi_plus)))
     pref -= _log_factorial_sq_sum(n)
     return logdet.scale_log(pref)
 
 
-def alpha_det_deviation(n: int, phi: complex, alpha: complex,
-                        ctx: Optional[PrecisionContext] = None) -> float:
+def alpha_det_deviation(n: int, phi: complex, alpha: complex, bits: int) -> float:
     """|LU det / closed form - 1| for the cot+alpha moment matrix, computed
-    entirely at ctx precision (the interesting tolerances sit far below
+    entirely at `bits` precision (the interesting tolerances sit far below
     double resolution)."""
-    ctx = ctx or PrecisionContext.for_size(n)
-    with ctx.workprec():
-        det, _ = lu_det(matrix_A(n, phi, ctx, alpha=alpha))
+    with mpmath.workprec(bits):
+        det, _ = lu_det(matrix_A(n, phi, bits, alpha=alpha))
         phi_mp = mpmath.mpc(phi)
         head = mpmath.cos(n * phi_mp) + mpmath.mpc(alpha) * mpmath.sin(n * phi_mp)
         closed = head * mpmath.sin(phi_mp) ** (-n * n)

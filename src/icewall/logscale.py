@@ -1,4 +1,4 @@
-"""Overflow-safe scalar values and the extended-precision policy.
+"""Overflow-safe scalar values.
 
 Partition functions carry factors like prod (k!)^2 and (sin phi)^(N^2),
 which overflow doubles long before N gets interesting.  Everything that
@@ -66,29 +66,3 @@ def mp_scalar(z: complex):
 def _wrap_angle(theta: float) -> float:
     return math.remainder(theta, 2.0 * math.pi)
 
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Mantissa budget for the extended-precision determinant paths.
-
-    Comparison tolerance follows the half-mantissa policy: results are
-    trusted to 2^(-mantissa_bits/2).
-    """
-
-    mantissa_bits: int = 128
-
-    def __post_init__(self):
-        if self.mantissa_bits < 64:
-            raise ValueError("mantissa_bits must be >= 64")
-
-    @classmethod
-    def for_size(cls, n: int) -> "PrecisionContext":
-        # Cancellation in det H grows with prod (k!)^2; empirical headroom x2.
-        return cls(max(128, 64 + 16 * n))
-
-    @property
-    def tolerance(self) -> float:
-        return 2.0 ** (-self.mantissa_bits / 2)
-
-    def workprec(self):
-        return mpmath.workprec(self.mantissa_bits)

@@ -45,28 +45,11 @@ class ModelParams:
         return self.lam - self.eta
 
 
-@dataclass(frozen=True)
-class VertexWeights:
-    """Boltzmann weights of the six vertex states."""
-
-    w1: complex
-    w2: complex
-    w3: complex
-    w4: complex
-    w5: complex
-    w6: complex
-
-    def as_tuple(self) -> tuple:
-        return (self.w1, self.w2, self.w3, self.w4, self.w5, self.w6)
-
-    @classmethod
-    def symmetric(cls, a: complex, b: complex, c: complex) -> "VertexWeights":
-        return cls(a, a, b, b, c, c)
-
-
 def symmetric_weights(p: ModelParams) -> tuple:
-    """(a, b, c) = (sin(lambda+eta), sin(lambda-eta), sin(2 eta))."""
-    return (cmath.sin(p.phi_plus), cmath.sin(p.phi_minus), cmath.sin(2 * p.eta))
+    """The six vertex weights (a, a, b, b, c, c), with a = sin(lambda+eta),
+    b = sin(lambda-eta) and c = sin(2 eta)."""
+    a, b, c = cmath.sin(p.phi_plus), cmath.sin(p.phi_minus), cmath.sin(2 * p.eta)
+    return (a, a, b, b, c, c)
 
 
 def qgroup_prefactor(n: int, p: ModelParams) -> complex:

@@ -8,14 +8,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 import numpy as np
 
 from .determinants import mp_logdet, slogdet_i_minus
 from .errors import SingularParameterError, SizeLimitError
-from .logscale import LogScaledValue, PrecisionContext, mp_scalar
+from .logscale import LogScaledValue, mp_scalar
 from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
 from .params import ModelParams, qgroup_prefactor
 from .quadrature import QuadraturePlan, decay_cutoff
@@ -96,21 +95,18 @@ def _w_matrix_mp(n: int, p: ModelParams):
     return mpmath.matrix(w_rows(n, beta, gamma)), mpmath.exp(-2j * eta)
 
 
-def z_tilde_det(n: int, p: ModelParams,
-                ctx: Optional[PrecisionContext] = None) -> LogScaledValue:
-    """det(I - zeta W) at ctx precision; zeta is always recomputed from eta."""
-    ctx = ctx or PrecisionContext.for_size(n)
-    with ctx.workprec():
+def z_tilde_det(n: int, p: ModelParams, bits: int) -> LogScaledValue:
+    """det(I - zeta W) at `bits` precision; zeta is always recomputed from eta."""
+    with mpmath.workprec(bits):
         w, zeta = _w_matrix_mp(n, p)
         m = mpmath.eye(n) - w * zeta   # zeta * w would repr w in a failed conversion
-    return mp_logdet(m, ctx, warn_label="w-det")
+    return mp_logdet(m, bits, warn_label="w-det")
 
 
-def full_partition(n: int, p: ModelParams,
-                   ctx: Optional[PrecisionContext] = None) -> LogScaledValue:
+def full_partition(n: int, p: ModelParams, bits: int) -> LogScaledValue:
     """Restore the symmetric-weight normalization:
     Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i phi_- N}."""
-    return z_tilde_det(n, p, ctx).scale_log(qgroup_prefactor(n, p))
+    return z_tilde_det(n, p, bits).scale_log(qgroup_prefactor(n, p))
 
 
 def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:

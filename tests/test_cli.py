@@ -16,6 +16,7 @@ import pytest
 import icewall
 from icewall import checks, cli
 from icewall.cli import main, parse_complex, parse_weights
+from icewall.determinants import default_bits
 from icewall.params import ModelParams
 
 
@@ -93,6 +94,12 @@ def test_singular_parameters_exit_code(capsys):
     ("compute", "--rep", "hankel", "--n", "-2"),
     ("compute", "--rep", "wdet", "--n", "3", "--bits", "0"),
     ("sweep", "--n", "5", "--n-max", "3"),
+    # refused by the parser, not point by point (which made the sweep exit 1)
+    ("sweep", "--rep", "wdet", "--n", "1", "--n-max", "2", "--bits", "63"),
+    # a NaN or negative tolerance failed every cross-check; inf passed any
+    ("compute", "--rep", "all", "--n", "3", "--tol", "nan"),
+    ("compute", "--rep", "all", "--n", "3", "--tol", "-1"),
+    ("compute", "--rep", "all", "--n", "3", "--tol", "inf"),
 ])
 def test_bad_size_bits_or_range_exit_code(capsys, argv):
     try:
@@ -268,6 +275,13 @@ def test_dp_weight_underflow_is_refused_and_not_cached(capsys, tmp_path, monkeyp
     (["--rep", "all", "--n", "3", "--lambda", "0.9,800"], "sin(lambda+eta)"),
     # dividing by 1e10 takes w5 = w6 = 1e-305 to subnormals: log|Z| was 3.0e-9 off
     (["--rep", "dp", "--n", "2", "--weights", "1e10,1e10,1e10,1e10,1e-305,1e-305"], "dp"),
+    # Nystrom determinants whose plan refinement moves them: log|Z| 2077.58
+    # where wdet gives 1393.76, then 2.0e-3 and 5.4e-7 off wdet
+    (["--rep", "fredholm-disordered", "--n", "3", "--eta", "0.3,100"], "fredholm-disordered"),
+    (["--rep", "fredholm-disordered", "--n", "16", "--lambda", "3.0", "--eta", "0.1"],
+     "fredholm-disordered"),
+    (["--rep", "fredholm-disordered", "--n", "12", "--lambda", "2.9", "--eta", "0.2"],
+     "fredholm-disordered"),
 ])
 def test_untrusted_values_exit_2_and_cache_nothing(capsys, tmp_path, monkeypatch, argv, named):
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
@@ -275,6 +289,21 @@ def test_untrusted_values_exit_2_and_cache_nothing(capsys, tmp_path, monkeypatch
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["--rep", "all", "--n", "5"], default_bits(5)),
+    (["--rep", "all", "--n", "5", "--bits", "300"], 300),
+    (["--rep", "all", "--n", "4", "--lambda", "0,0.55", "--eta", "0,0.25"], default_bits(4)),
+    (["--rep", "fredholm-rational", "--n", "8"], None),
+])
+def test_records_say_the_bits_they_were_computed_with(capsys, argv, bits):
+    # hankel and wdet run at default_bits(N) or --bits; every other route in doubles
+    code, out, _ = run(capsys, "compute", *argv, "--format", "json")
+    assert code == 0
+    for rec in json.loads(out)["records"]:
+        expected = bits if rec["representation"] in ("hankel", "wdet") else 53
+        assert rec["precision_bits"] == expected, rec["representation"]
 
 
 def test_compute_all_with_weights_runs_weighted_routes_only(capsys):

@@ -15,9 +15,7 @@ from icewall.enumeration import (ASM_COUNTS, ENUM_LIMIT, config_iterator,
                                  type_histogram)
 from icewall.errors import SizeLimitError
 from icewall.logscale import LogScaledValue
-from icewall.params import ModelParams, VertexWeights, symmetric_weights
-
-UNIT = VertexWeights.symmetric(1.0, 1.0, 1.0)
+from icewall.params import ModelParams, symmetric_weights
 
 weight_value = st.complex_numbers(min_magnitude=0.2, max_magnitude=2.0,
                                   allow_nan=False, allow_infinity=False)
@@ -28,10 +26,10 @@ def test_alternating_sign_matrix_counts():
         assert sum(1 for _ in config_iterator(n)) == ASM_COUNTS[n]
 
 
-def term_by_term(n: int, w: VertexWeights) -> LogScaledValue:
+def term_by_term(n: int, w: tuple) -> LogScaledValue:
     """The reference sum, one configuration at a time, with the same
     power-of-two rescaling as enumerate_configs."""
-    given = [complex(x) for x in w.as_tuple()]
+    given = [complex(x) for x in w]
     e = math.frexp(max(abs(x) for x in given))[1]
     weights = [x / 2.0 ** e for x in given]
     total = 0j
@@ -43,14 +41,13 @@ def term_by_term(n: int, w: VertexWeights) -> LogScaledValue:
     return LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
 
 
-def seeded_weights(seed: int) -> VertexWeights:
+def seeded_weights(seed: int) -> tuple:
     rng = random.Random(seed)
-    return VertexWeights(*[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                           for _ in range(6)])
+    return tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(6))
 
 
 @pytest.mark.parametrize("w", [seeded_weights(s) for s in (1, 2, 3)]
-                         + [VertexWeights(1, 1, 1j, 1j, 1, 1)])
+                         + [(1, 1, 1j, 1j, 1, 1)])
 def test_histogram_sum_matches_term_by_term_sum(w):
     for n in range(1, 7):
         res = enumerate_configs(n, w)
@@ -93,20 +90,19 @@ def test_vertex_count_conservation():
 @settings(max_examples=25, deadline=None)
 @given(ws=st.tuples(*[weight_value] * 6))
 def test_dp_matches_enumeration(ws):
-    w = VertexWeights(*ws)
     for n in (2, 3, 4):
-        ref = enumerate_configs(n, w).z_value
-        assert partition_dp(n, w).rel_diff(ref) < 1e-12
+        ref = enumerate_configs(n, ws).z_value
+        assert partition_dp(n, ws).rel_diff(ref) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(s=st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0,
                             allow_nan=False, allow_infinity=False))
 def test_gauge_scaling(s):
-    w = VertexWeights.symmetric(*symmetric_weights(ModelParams(0.9, 0.3)))
+    w = symmetric_weights(ModelParams(0.9, 0.3))
     n = 3
     base = enumerate_configs(n, w).z_value
-    scaled = enumerate_configs(n, VertexWeights(*(s * x for x in w.as_tuple()))).z_value
+    scaled = enumerate_configs(n, tuple(s * x for x in w)).z_value
     expected = base.scale_log(n * n * cmath.log(s))
     assert scaled.rel_diff(expected) < 1e-12
 
@@ -114,7 +110,7 @@ def test_gauge_scaling(s):
 @pytest.mark.parametrize("x", [1e40, 1e-30])
 def test_enumeration_takes_weights_beyond_double_range(x):
     # each term x^16 overflows (1e640) or underflows (1e-480) a double
-    w = VertexWeights(*[x] * 6)
+    w = (x,) * 6
     z = enumerate_configs(4, w).z_value
     assert z.rel_diff(partition_dp(4, w)) < 1e-12
     assert z.rel_diff(LogScaledValue(math.log(42) + 16 * math.log(x), 0.0)) < 1e-12
@@ -122,7 +118,7 @@ def test_enumeration_takes_weights_beyond_double_range(x):
 
 def test_enumeration_keeps_a_zero_from_cancelling_terms():
     # N=2 has the terms w3 w4 w6^2 and w1 w2 w6^2: here i*i + 1 = 0 exactly
-    w = VertexWeights(1, 1, 1j, 1j, 1, 1)
+    w = (1, 1, 1j, 1j, 1, 1)
     assert enumerate_configs(2, w).z_value.log_magnitude == -math.inf
     assert partition_dp(2, w).log_magnitude == -math.inf
 
@@ -131,24 +127,23 @@ def test_dp_refuses_a_weight_its_rescaling_takes_to_zero():
     # Z = 2 here: both configurations weigh w3 w4 w6^2 = w1 w2 w6^2 = 1
     # before the division by 1e300 takes w5 = w6 = 1e-300 to 0
     with pytest.raises(ValueError, match="dp: .* takes w5, w6 below the smallest normal"):
-        partition_dp(2, VertexWeights(1e300, 1e300, 1e300, 1e300, 1e-300, 1e-300))
+        partition_dp(2, (1e300, 1e300, 1e300, 1e300, 1e-300, 1e-300))
     # dividing by 1e10 takes w5 = w6 = 1e-305 to subnormals, which keep too
     # few bits: Z = 2e-590 came out 3.0e-9 off
     with pytest.raises(ValueError, match="dp: .* takes w5, w6 below the smallest normal"):
-        partition_dp(2, VertexWeights(1e10, 1e10, 1e10, 1e10, 1e-305, 1e-305))
+        partition_dp(2, (1e10, 1e10, 1e10, 1e10, 1e-305, 1e-305))
     # a weight given as 0 stays allowed: Z = w1 w2 w6^2 = 18
-    z = partition_dp(2, VertexWeights(2, 1, 0, 1, 1, 3))
+    z = partition_dp(2, (2, 1, 0, 1, 1, 3))
     assert z.rel_diff(LogScaledValue(math.log(18), 0.0)) < 1e-15
     # a spread within the double range is taken: Z = 2 e600 e-10
-    z = partition_dp(2, VertexWeights(1e300, 1e300, 1e300, 1e300, 1e-5, 1e-5))
+    z = partition_dp(2, (1e300, 1e300, 1e300, 1e300, 1e-5, 1e-5))
     assert z.rel_diff(LogScaledValue(math.log(2) + 590 * math.log(10), 0.0)) < 1e-12
 
 
 def test_ice_point_factorization():
     p = ModelParams(math.pi / 2, math.pi / 6)
-    w = VertexWeights.symmetric(*symmetric_weights(p))
     for n in range(1, 6):
-        z = enumerate_configs(n, w).z_value.value
+        z = enumerate_configs(n, symmetric_weights(p)).z_value.value
         expected = (math.sqrt(3) / 2) ** (n * n) * ASM_COUNTS[n]
         assert z.real == pytest.approx(expected, rel=1e-12)
         assert abs(z.imag) < 1e-12
@@ -170,15 +165,16 @@ def test_dp_handles_larger_sizes():
     # n1 = n2, n3 = n4 and n6 - n5 = N; the free-fermion weights
     # (eta = pi/4) give Z = c^N (a^2 + b^2)^{N(N-1)/2}
     s, t, u, v = 0.8, 1.3, 0.6, 1.25
-    gauge = VertexWeights(s * t, s / t, s * u, s / u, s * v, s / v)
+    gauge = (s * t, s / t, s * u, s / u, s * v, s / v)
     for n in (14, 16, 18):
         exact = LogScaledValue(n * n * math.log(s) - n * math.log(v) + log_asm(n), 0.0)
         assert partition_dp(n, gauge).rel_diff(exact) < 1e-12
         for lam in (0.9, 0.5 + 0.1j):
-            a, b, c = symmetric_weights(ModelParams(lam, math.pi / 4))
+            w = symmetric_weights(ModelParams(lam, math.pi / 4))
+            a, _, b, _, c, _ = w
             log_z = n * cmath.log(c) + n * (n - 1) / 2 * cmath.log(a * a + b * b)
             exact = LogScaledValue(log_z.real, log_z.imag)
-            z = partition_dp(n, VertexWeights.symmetric(a, b, c))
+            z = partition_dp(n, w)
             assert z.rel_diff(exact) < 1e-12
 
 

@@ -8,16 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
+from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
-from icewall.errors import ConvergenceWarning, SingularParameterError, SizeLimitError
+from icewall.errors import SingularParameterError, SizeLimitError
 from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_minus,
                               default_plan, discrete_cutoff, fredholm_det,
                               full_partition_fredholm, operator_matrix, trace_moments)
-from icewall.logscale import PrecisionContext
 from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
                                mp_deriv, mp_eval)
 from icewall.quadrature import QuadraturePlan
-from icewall.params import ModelParams, VertexWeights, symmetric_weights
+from icewall.params import ModelParams, symmetric_weights
 from icewall.wmatrix import (BetaGamma, full_partition, rational_z_tilde, w_matrix,
                              z_tilde_det)
 
@@ -146,16 +146,14 @@ def test_discrete_kernel_confluent_diagonal():
 
 
 def test_disordered_determinant_matches_finite():
-    ctx = PrecisionContext.for_size(5)
     for n in range(1, 6):
         zt = fredholm_det(KernelSpec.disordered(n, P_REF))
-        assert zt.rel_diff(z_tilde_det(n, P_REF, ctx)) < 1e-8
+        assert zt.rel_diff(z_tilde_det(n, P_REF, default_bits(5))) < 1e-8
 
 
 def test_full_partition_fredholm_vs_enumeration():
-    w = VertexWeights.symmetric(*symmetric_weights(P_REF))
     for n in range(1, 5):
-        ref = enumerate_configs(n, w).z_value
+        ref = enumerate_configs(n, symmetric_weights(P_REF)).z_value
         assert full_partition_fredholm(n, P_REF).rel_diff(ref) < 1e-8
 
 
@@ -170,10 +168,9 @@ def test_rational_determinant_matches_finite():
 def test_discrete_determinant_matches_continuation():
     # ferroelectric regime: phi_pm = i phi~_pm
     p = ModelParams(0.55j, 0.25j)
-    ctx = PrecisionContext.for_size(4)
     for n in range(1, 5):
         zt = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3))
-        assert zt.rel_diff(z_tilde_det(n, p, ctx)) < 1e-8
+        assert zt.rel_diff(z_tilde_det(n, p, default_bits(4))) < 1e-8
 
 
 def test_discrete_truncation_stability():
@@ -231,14 +228,15 @@ def test_operator_matrix_has_the_nystrom_determinant(kind):
 def test_disordered_large_n_matches_wdet(n):
     for lam, eta in DISORDERED_SAMPLES:
         p = ModelParams(lam, eta)
-        assert full_partition_fredholm(n, p).rel_diff(full_partition(n, p)) < 1e-8
+        assert full_partition_fredholm(n, p).rel_diff(
+            full_partition(n, p, default_bits(n))) < 1e-8
 
 
 @pytest.mark.parametrize("n", [12, 16])
 def test_discrete_and_rational_large_n(n):
     p = ModelParams(0.55j, 0.25j)
     zt = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3))
-    assert zt.rel_diff(z_tilde_det(n, p)) < 1e-10
+    assert zt.rel_diff(z_tilde_det(n, p, default_bits(n))) < 1e-10
     lam, eta = 0.9, 0.3
     zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
     assert zt.rel_diff(rational_z_tilde(n, lam, eta)) < 1e-10
@@ -255,11 +253,20 @@ def test_discrete_size_limit():
 
 
 def test_no_convergence_warnings_on_defaults():
+    # the refinement check refuses rather than warns: these pass it, silently
     with warnings.catch_warnings():
-        warnings.simplefilter("error", ConvergenceWarning)
+        warnings.simplefilter("error")
         fredholm_det(KernelSpec.disordered(3, P_REF))
         fredholm_det(KernelSpec.rational(3, 0.5))
         fredholm_det(KernelSpec.discrete(3, 0.8, 0.3))
+
+
+@pytest.mark.parametrize("n, lam, eta", [(3, 0.9, 0.3 + 100j), (16, 3.0, 0.1), (12, 2.9, 0.2)])
+def test_unconverged_refinement_is_refused(n, lam, eta):
+    # these gave log|Z| 2077.58 (wdet: 1393.76), and values 2.0e-3 and
+    # 5.4e-7 off wdet, with only a warning
+    with pytest.raises(ValueError, match="fredholm-disordered: refining"):
+        full_partition_fredholm(n, ModelParams(lam, eta))
 
 
 def test_trace_moments_match_finite_traces():

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
+from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.errors import PrecisionWarning, SingularParameterError
 from icewall.hankel import (alpha_det_deviation, cot_derivative_poly, hankel_H,
                             matrix_A, partition_hankel)
-from icewall.logscale import PrecisionContext
-from icewall.params import ModelParams, VertexWeights, qgroup_prefactor, symmetric_weights
+from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
 from icewall.wmatrix import z_tilde_det
 
 
@@ -51,7 +51,7 @@ def test_moment_derivative_consistency():
 
 
 def test_hankel_structure():
-    h = hankel_H(4, ModelParams(0.9, 0.3))
+    h = hankel_H(4, ModelParams(0.9, 0.3), default_bits(4))
     for j in range(3):
         for k in range(1, 4):
             assert mpmath.almosteq(h[j, k], h[j + 1, k - 1])
@@ -61,64 +61,63 @@ def test_hankel_entries_are_real_at_real_parameters():
     # real (lambda, eta) keep real mpf arithmetic through assembly and the LU
     for p, kind in ((ModelParams(0.9, 0.3), mpmath.mpf),
                     (ModelParams(0.9 + 0.1j, 0.3), mpmath.mpc)):
-        assert all(isinstance(x, kind) for row in hankel_H(6, p).tolist() for x in row)
+        assert all(isinstance(x, kind)
+                   for row in hankel_H(6, p, default_bits(6)).tolist() for x in row)
 
 
 def test_partition_hankel_vs_enumeration():
     p = ModelParams(0.9, 0.3)
-    w = VertexWeights.symmetric(*symmetric_weights(p))
     for n in range(1, 5):
-        ref = enumerate_configs(n, w).z_value
-        assert partition_hankel(n, p).rel_diff(ref) < 1e-12
+        ref = enumerate_configs(n, symmetric_weights(p)).z_value
+        assert partition_hankel(n, p, default_bits(n)).rel_diff(ref) < 1e-12
 
 
 def test_partition_hankel_complex_parameters():
     p = ModelParams(0.7 + 0.1j, 0.25 - 0.05j)
-    w = VertexWeights.symmetric(*symmetric_weights(p))
     for n in range(1, 5):
-        ref = enumerate_configs(n, w).z_value
-        assert partition_hankel(n, p).rel_diff(ref) < 1e-12
+        ref = enumerate_configs(n, symmetric_weights(p)).z_value
+        assert partition_hankel(n, p, default_bits(n)).rel_diff(ref) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(re=st.floats(0.3, 2.8), im=st.floats(-0.4, 0.4))
 def test_closed_determinant_matches_lu(re, im):
     phi = complex(re, im)
-    ctx = PrecisionContext.for_size(8)
-    assert alpha_det_deviation(8, phi, -1j, ctx) < ctx.tolerance
+    bits = default_bits(8)
+    assert alpha_det_deviation(8, phi, -1j, bits) < 2 ** (-bits / 2)
 
 
 @settings(max_examples=15, deadline=None)
 @given(re=st.floats(0.3, 2.8), a_re=st.floats(-1.5, 1.5), a_im=st.floats(-1.5, 1.5))
 def test_alpha_variant_matches_lu(re, a_re, a_im):
-    ctx = PrecisionContext.for_size(6)
-    assert alpha_det_deviation(6, complex(re), complex(a_re, a_im), ctx) < ctx.tolerance
+    bits = default_bits(6)
+    assert alpha_det_deviation(6, complex(re), complex(a_re, a_im), bits) < 2 ** (-bits / 2)
 
 
 def test_determinant_ratio_route():
     p = ModelParams(0.9, 0.3)
-    ctx = PrecisionContext.for_size(5)
+    bits = default_bits(5)
     for n in range(1, 6):
-        zt = partition_hankel(n, p, ctx).scale_log(-qgroup_prefactor(n, p))
-        assert zt.rel_diff(z_tilde_det(n, p, ctx)) < 1e-12
+        zt = partition_hankel(n, p, bits).scale_log(-qgroup_prefactor(n, p))
+        assert zt.rel_diff(z_tilde_det(n, p, bits)) < 1e-12
 
 
 def test_large_size_uses_enough_precision():
     p = ModelParams(0.9, 0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", PrecisionWarning)
-        value = partition_hankel(12, p)
+        value = partition_hankel(12, p, default_bits(12))
     assert np.isfinite(value.log_magnitude)
 
 
 def test_singular_phi_rejected():
     with pytest.raises(SingularParameterError):
-        matrix_A(3, 0.0)
+        matrix_A(3, 0.0, 128)
 
 
 def test_matrix_a_corner_entry():
     # only the (0,0) entry carries the -i from the contour closing
-    a = matrix_A(2, 0.8)
+    a = matrix_A(2, 0.8, 128)
     c = 1 / math.tan(0.8)
     assert complex(a[0, 0]) == pytest.approx(c - 1j)
     assert complex(a[0, 1]) == pytest.approx(-(1 + c * c))

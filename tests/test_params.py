@@ -17,7 +17,8 @@ safe_angle = st.floats(min_value=0.1, max_value=1.4)
 
 def test_symmetric_weights_values():
     p = ModelParams(0.9, 0.3)
-    a, b, c = symmetric_weights(p)
+    a, _, b, _, c, _ = symmetric_weights(p)
+    assert symmetric_weights(p) == (a, a, b, b, c, c)
     assert a == pytest.approx(math.sin(1.2))
     assert b == pytest.approx(math.sin(0.6))
     assert c == pytest.approx(math.sin(0.6))

@@ -28,6 +28,17 @@ def test_cross_check_runs():
     assert proc.stdout.count(" ok\n") == 5 * 4
 
 
+@pytest.mark.parametrize("script, args", [
+    # --n-max 0 checked nothing and passed; --n-max -1 printed an empty table
+    ("cross_check.py", ["--n-max", "0"]),
+    ("free_energy_sweep.py", ["--n-max", "-1"]),
+    ("cross_check.py", ["--tol", "nan"]),
+])
+def test_scripts_refuse_what_the_cli_refuses(script, args):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2 and "error:" in proc.stderr, proc.stdout + proc.stderr
+
+
 def test_free_energy_sweep_runs():
     proc = run_script("free_energy_sweep.py", "--n-max", "6")
     assert proc.returncode == 0, proc.stderr

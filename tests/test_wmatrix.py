@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.hankel import partition_hankel
-from icewall.logscale import LogScaledValue, PrecisionContext
-from icewall.params import ModelParams, VertexWeights, symmetric_weights
+from icewall.logscale import LogScaledValue
+from icewall.params import ModelParams, symmetric_weights
 from icewall.wmatrix import (BetaGamma, _w_matrix_mp, full_partition,
                              full_partition_gauss, rational_z_tilde,
                              reconstruction_deviation, w_entry_integral, w_matrix,
@@ -84,11 +85,9 @@ def test_integral_oracle_matches_entries():
 
 
 def test_full_partition_vs_enumeration():
-    w = VertexWeights.symmetric(*symmetric_weights(P_REF))
-    ctx = PrecisionContext.for_size(5)
     for n in range(1, 6):
-        ref = enumerate_configs(n, w).z_value
-        assert full_partition(n, P_REF, ctx).rel_diff(ref) < 1e-12
+        ref = enumerate_configs(n, symmetric_weights(P_REF)).z_value
+        assert full_partition(n, P_REF, default_bits(5)).rel_diff(ref) < 1e-12
         assert full_partition_gauss(n, P_REF).rel_diff(ref) < 1e-10
 
 
@@ -104,15 +103,14 @@ def test_gauss_takes_the_ice_point_up_to_its_limit():
     # the largest accepted estimate at any checked point: 2.4e-10 here at N=12
     p = ModelParams(math.pi / 2, math.pi / 6)
     for n in (11, 12):
-        assert full_partition_gauss(n, p).rel_diff(full_partition(n, p)) < 1e-10
+        assert full_partition_gauss(n, p).rel_diff(full_partition(n, p, default_bits(n))) < 1e-10
 
 
 def test_full_partition_complex_parameters():
     p = ModelParams(0.7 + 0.1j, 0.25 - 0.05j)
-    w = VertexWeights.symmetric(*symmetric_weights(p))
     for n in range(1, 5):
-        ref = enumerate_configs(n, w).z_value
-        assert full_partition(n, p).rel_diff(ref) < 1e-12
+        ref = enumerate_configs(n, symmetric_weights(p)).z_value
+        assert full_partition(n, p, default_bits(n)).rel_diff(ref) < 1e-12
 
 
 def test_rational_small_determinants():
@@ -120,9 +118,8 @@ def test_rational_small_determinants():
     v = rational_z_tilde(1, 0.9, 0.3).value
     assert v == pytest.approx(0.5)
     # rational weights (a, b, c) = (lam+eta, lam-eta, 2 eta) via enumeration
-    w = VertexWeights.symmetric(1.2, 0.6, 0.6)
     for n in (2, 3):
-        ref = enumerate_configs(n, w).z_value
+        ref = enumerate_configs(n, (1.2, 1.2, 0.6, 0.6, 0.6, 0.6)).z_value
         z = rational_z_tilde(n, 0.9, 0.3).scale_log(n * n * math.log(1.2))
         assert z.rel_diff(ref) < 1e-12
 
@@ -136,13 +133,12 @@ def test_z_tilde_matches_qgroup_enumeration():
     # det(I - zeta W) is the partition function in the quantum-group
     # normalization w1 = w2 = 1, w3 = w4 = b/a, w5, w6 = (c/a) e^{-/+ i phi_-}:
     # n6 - n5 = N, so the phase split strips the boundary factor e^{-i phi_- N}
-    a, b, c = symmetric_weights(P_REF)
+    a, _, b, _, c, _ = symmetric_weights(P_REF)
     ph = cmath.exp(1j * P_REF.phi_minus)
-    w = VertexWeights(1.0, 1.0, b / a, b / a, c / a / ph, c / a * ph)
-    ctx = PrecisionContext.for_size(4)
+    w = (1.0, 1.0, b / a, b / a, c / a / ph, c / a * ph)
     for n in range(1, 5):
         ref = enumerate_configs(n, w).z_value
-        zt = z_tilde_det(n, P_REF, ctx)
+        zt = z_tilde_det(n, P_REF, default_bits(4))
         assert zt.rel_diff(ref) < 1e-12
 
 
@@ -157,8 +153,8 @@ def test_ice_point_closed_form_large_n(n):
     assert num % den == 0
     exact = LogScaledValue(n * n * math.log(math.sqrt(3) / 2) + math.log(num // den), 0.0)
     p = ModelParams(math.pi / 2, math.pi / 6)
-    assert full_partition(n, p).rel_diff(exact) <= 1e-10
-    assert partition_hankel(n, p).rel_diff(exact) <= 1e-10
+    assert full_partition(n, p, default_bits(n)).rel_diff(exact) <= 1e-10
+    assert partition_hankel(n, p, default_bits(n)).rel_diff(exact) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [10, 30])
@@ -168,8 +164,9 @@ def test_free_fermion_closed_form_large_n(n, lam):
     # (the 2-enumeration of alternating-sign matrices) for every lambda;
     # |Z| = 1 at real lambda, so the bound is absolute in log Z
     p = ModelParams(lam, math.pi / 4)
-    a, b, c = symmetric_weights(p)
+    a, _, b, _, c, _ = symmetric_weights(p)
     exact = n * cmath.log(c) + n * (n - 1) / 2 * cmath.log(a * a + b * b)
-    for z in (full_partition(n, p), partition_hankel(n, p)):
+    bits = default_bits(n)
+    for z in (full_partition(n, p, bits), partition_hankel(n, p, bits)):
         assert abs(z.log_magnitude - exact.real) <= 1e-11
         assert abs(math.remainder(z.angle - exact.imag, 2 * math.pi)) <= 1e-11
