@@ -95,12 +95,14 @@ def parse_weights(text: str) -> tuple:
 
 def cache_key(route: str, n: int, args) -> str:
     """Hash of the canonicalized job: the inputs a record depends on and the
-    package version."""
+    package version.  --bits is one of them only for a route that reads it;
+    --tol never is."""
     payload = {"command": "compute", "representation": route, "n": n,
                "lambda": [args.lam.real, args.lam.imag],
                "eta": [args.eta.real, args.eta.imag],
                "weights": list(args.weights) if args.weights else None,
-               "bits": args.bits, "tol": args.tol, "version": __version__}
+               "bits": args.bits if ROUTES_BY_NAME[route].takes_bits else None,
+               "version": __version__}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -109,8 +111,7 @@ def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
            phase: float, elapsed_ms: float, precision_bits: int,
            messages: list, extra: Optional[dict] = None) -> dict:
     """One result, as the JSON dict that is emitted and cached.  `extra`
-    holds a route's own fields, such as enumerate's config_count; an
-    extended-precision route's precision_bits there overrides the argument."""
+    holds a route's own fields, such as enumerate's config_count."""
     return {"schema": SCHEMA, "representation": route, "n": n,
             "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
             "log_abs_z": log_abs_z, "phase": phase, "f_n": -log_abs_z / (n * n),
@@ -181,6 +182,7 @@ class Route:
     limit: float = math.inf     # the largest N it supports
     domain: Callable[[ModelParams], Optional[str]] = lambda p: None
     takes_weights: bool = False     # True for a route of arbitrary weights
+    takes_bits: bool = False    # True for a route computed at the mantissa bits
     in_all: bool = True     # False for a route that computes another model
 
     def refusal(self, n: int, p: ModelParams, weights: Optional[tuple]) -> Optional[str]:
@@ -228,10 +230,9 @@ ROUTES = (
     Route("enumerate", _enumerate, ENUM_LIMIT, takes_weights=True),
     Route("dp", lambda n, p, w, bits: (partition_dp(n, w), {}), DP_LIMIT,
           takes_weights=True),
-    Route("hankel", lambda n, p, w, bits: (partition_hankel(n, p, bits),
-                                           {"precision_bits": bits})),
-    Route("wdet", lambda n, p, w, bits: (full_partition(n, p, bits),
-                                         {"precision_bits": bits})),
+    Route("hankel", lambda n, p, w, bits: (partition_hankel(n, p, bits), {}),
+          takes_bits=True),
+    Route("wdet", lambda n, p, w, bits: (full_partition(n, p, bits), {}), takes_bits=True),
     Route("gauss", lambda n, p, w, bits: (full_partition_gauss(n, p), {}), GAUSS_LIMIT),
     Route("fredholm-disordered", lambda n, p, w, bits: (full_partition_fredholm(n, p), {}),
           FREDHOLM_LIMIT, _disordered),
@@ -268,7 +269,7 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
         raise ValueError(f"{route.name} gave a non-finite value at N={n}: "
                          f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
     rec = record(route.name, n, args.lam, args.eta, value.log_magnitude,
-                 value.angle, elapsed, DOUBLE_BITS,
+                 value.angle, elapsed, bits if route.takes_bits else DOUBLE_BITS,
                  [str(w.message) for w in caught], extra)
     cache_store(cdir, key, rec)
     return rec, False

@@ -3,8 +3,11 @@
 Entries of the moment matrices are high-order derivatives of cot, taken
 symbolically: d^k/dphi^k cot(phi) = T_k(cot phi) for exact integer
 polynomials T_k with T_0(c) = c and T_{k+1} = -(1 + c^2) T_k'.  Numerical
-differencing is hopeless here (entries grow like (j+k)!), the polynomial
-route costs one Horner evaluation per entry at working precision.
+differencing is hopeless here (entries grow like (j+k)!).  Each T_k(c) is
+one exact integer dot product of its coefficients with a block-floating-point
+table of the powers of c, rounded once at the working precision.  The
+matrices are lists of rows, and the prefactor of Z_N joins log det H at the
+working precision before the result is rounded to doubles.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import math
 
 import mpmath
 
-from .determinants import lu_det, mp_logdet
+from .determinants import BlockFloat, lu_det, mp_logdet
 from .errors import SingularParameterError
-from .logscale import LogScaledValue, mp_scalar
+from .logscale import LogScaledValue
 from .params import SIN_CUTOFF, ModelParams
 
 
@@ -43,39 +46,40 @@ def _require_regular(phi: complex):
 
 
 def _moments(c, count: int) -> list:
-    """T_s(c) for s < count, each one fdot over one shared table of powers of c."""
-    powers = [c ** e for e in range(count + 1)]
-    return [mpmath.fdot(cot_derivative_poly(s), powers) for s in range(count)]
+    """T_s(c) for s < count, each one exact dot product with one shared table
+    of the powers of c, rounded once."""
+    powers = BlockFloat.of([c ** e for e in range(count + 1)])
+    polys = (cot_derivative_poly(s) for s in range(count))
+    return [BlockFloat(list(t), None if powers.im is None else [0] * len(t), 0)
+            .rounded_dot(powers) for t in polys]
 
 
-def hankel_H(n: int, p: ModelParams, bits: int):
-    """N x N matrix H_jk = T_{j+k}(cot phi_minus) - T_{j+k}(cot phi_plus)."""
+def hankel_H(n: int, p: ModelParams, bits: int) -> list:
+    """Rows of the N x N matrix H_jk = T_{j+k}(cot phi_minus) - T_{j+k}(cot phi_plus)."""
     with mpmath.workprec(bits):
-        cots = [mpmath.cot(mp_scalar(phi)) for phi in (p.phi_minus, p.phi_plus)]
+        cots = [mpmath.cot(phi) for phi in p.mp_phis()]
         moments = [a - b for a, b in zip(*(_moments(c, 2 * n - 1) for c in cots))]
-        return mpmath.matrix([[moments[j + k] for k in range(n)] for j in range(n)])
+        return [moments[j:j + n] for j in range(n)]
 
 
-def matrix_A(n: int, phi: complex, bits: int, alpha: complex = -1j):
-    """N x N matrix of derivatives of cot(phi) + alpha (alpha = -i default)."""
+def matrix_A(n: int, phi: complex, bits: int, alpha: complex = -1j) -> list:
+    """Rows of the N x N matrix of derivatives of cot(phi) + alpha (alpha = -i
+    default)."""
     _require_regular(phi)
     with mpmath.workprec(bits):
         moments = _moments(mpmath.cot(mpmath.mpc(phi)), 2 * n - 1)
         moments[0] += mpmath.mpc(alpha)
-        return mpmath.matrix([[moments[j + k] for k in range(n)] for j in range(n)])
-
-
-def _log_factorial_sq_sum(n: int) -> float:
-    # 2 * sum_{k=1}^{N-1} log k!
-    return 2.0 * sum(math.lgamma(k + 1) for k in range(1, n))
+        return [moments[j:j + n] for j in range(n)]
 
 
 def partition_hankel(n: int, p: ModelParams, bits: int) -> LogScaledValue:
-    """Z_N = [sin phi_- sin phi_+]^{N^2} / prod (k!)^2 * det H, log-scaled."""
-    logdet = mp_logdet(hankel_H(n, p, bits), bits, warn_label="hankel")
-    pref = n * n * (cmath.log(cmath.sin(p.phi_minus)) + cmath.log(cmath.sin(p.phi_plus)))
-    pref -= _log_factorial_sq_sum(n)
-    return logdet.scale_log(pref)
+    """Z_N = [sin phi_- sin phi_+]^{N^2} / prod (k!)^2 * det H, log-scaled;
+    the log of the prefactor is taken at `bits` and added to log det H there."""
+    with mpmath.workprec(bits):
+        phi_minus, phi_plus = p.mp_phis()
+        pref = n * n * mpmath.log(mpmath.sin(phi_minus) * mpmath.sin(phi_plus))
+        pref -= 2 * mpmath.log(math.prod(math.factorial(k) for k in range(1, n)))
+    return mp_logdet(hankel_H(n, p, bits), bits, "hankel", pref)
 
 
 def alpha_det_deviation(n: int, phi: complex, alpha: complex, bits: int) -> float:

@@ -29,12 +29,12 @@ class LogScaledValue:
         return cls(math.log(abs(z)), cmath.phase(z))
 
     @classmethod
-    def from_mpc(cls, z) -> "LogScaledValue":
-        """Build from an mpmath scalar, taking the log at mp precision."""
-        if z == 0:
-            return cls(float("-inf"), 0.0)
-        w = mpmath.log(z)
-        return cls(float(mpmath.re(w)), float(mpmath.im(w)))
+    def from_mp_log(cls, w) -> "LogScaledValue":
+        """exp(w) for an mpmath log-value w; the angle is reduced to [-pi, pi]
+        at w's precision before it is rounded to a double."""
+        angle = mpmath.im(w)
+        angle -= 2 * mpmath.pi * mpmath.nint(angle / (2 * mpmath.pi))
+        return cls(float(mpmath.re(w)), float(angle))
 
     @property
     def value(self) -> complex:
@@ -42,7 +42,9 @@ class LogScaledValue:
         return cmath.exp(complex(self.log_magnitude, self.angle))
 
     def scale_log(self, log_factor: complex) -> "LogScaledValue":
-        """Multiply by exp(log_factor) without leaving log space."""
+        """Multiply by exp(log_factor) without leaving log space; an mpmath
+        log_factor is rounded to doubles first."""
+        log_factor = complex(log_factor)
         return LogScaledValue(
             self.log_magnitude + log_factor.real,
             _wrap_angle(self.angle + log_factor.imag),

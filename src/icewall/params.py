@@ -10,9 +10,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .errors import SingularParameterError
+from .logscale import mp_scalar
 
 SIN_CUTOFF = 1e-9
 
@@ -44,6 +46,12 @@ class ModelParams:
     def phi_minus(self) -> complex:
         return self.lam - self.eta
 
+    def mp_phis(self) -> tuple:
+        """(phi_minus, phi_plus) as mpmath scalars: lambda -+ eta summed at the
+        working precision, where the sum in doubles would round."""
+        lam, eta = mp_scalar(self.lam), mp_scalar(self.eta)
+        return lam - eta, lam + eta
+
 
 def symmetric_weights(p: ModelParams) -> tuple:
     """The six vertex weights (a, a, b, b, c, c), with a = sin(lambda+eta),
@@ -52,12 +60,14 @@ def symmetric_weights(p: ModelParams) -> tuple:
     return (a, a, b, b, c, c)
 
 
-def qgroup_prefactor(n: int, p: ModelParams) -> complex:
-    """log of [sin phi_+]^{N^2} e^{-i phi_- N}: Z_N = Z~_N exp(this), where
-    Z~_N is the partition function at the quantum-group weights w1 = w2 = 1,
-    w3 = w4 = b/a, w5 = (c/a) e^{-i phi_-}, w6 = (c/a) e^{i phi_-}; the phase
-    split uses n6 - n5 = N."""
-    return n * n * cmath.log(cmath.sin(p.phi_plus)) - 1j * complex(p.phi_minus) * n
+def qgroup_prefactor(n: int, p: ModelParams):
+    """log of [sin phi_+]^{N^2} e^{-i phi_- N} as an mpmath scalar at the
+    working precision: Z_N = Z~_N exp(this), where Z~_N is the partition
+    function at the quantum-group weights w1 = w2 = 1, w3 = w4 = b/a,
+    w5 = (c/a) e^{-i phi_-}, w6 = (c/a) e^{i phi_-}; the phase split uses
+    n6 - n5 = N.  `LogScaledValue.scale_log` rounds it to doubles."""
+    phi_minus, phi_plus = p.mp_phis()
+    return n * n * mpmath.log(mpmath.sin(phi_plus)) - 1j * n * phi_minus
 
 
 def r_matrix(nu: complex, eta: complex) -> np.ndarray:

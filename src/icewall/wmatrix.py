@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .determinants import mp_logdet, slogdet_i_minus
+from .determinants import BlockFloat, mp_logdet, slogdet_i_minus
 from .errors import SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue, mp_scalar
 from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
@@ -49,15 +49,25 @@ class BetaGamma:
 
 
 def w_rows(n: int, beta, gamma) -> list:
-    """W_jk = sum_m C(j,m) C(k,m) beta^{2m+1} gamma^{j+k-2m} as n lists, for
-    complex or mpmath scalars alike: the one copy of the binomial sum, as
-    sum_m L_jm beta^{2m+1} L_km with L_jm = C(j,m) gamma^{j-m}, one fdot per
-    entry.  gamma = 0 needs no special case: only the diagonal survives."""
+    """W_jk = sum_m C(j,m) C(k,m) beta^{2m+1} gamma^{j+k-2m} as n lists of
+    mpmath scalars at the working precision, for complex or mpmath beta,
+    gamma alike: the one copy of the binomial sum, as sum_m L_jm beta^{2m+1}
+    L_km with L_jm = C(j,m) gamma^{j-m}.  Only the two power tables are
+    rounded; L and its products with the odd powers of beta are exact in
+    block floating point, and each entry is one exact dot product, rounded
+    once.  gamma = 0 needs no special case: only the diagonal survives."""
     odd = [beta ** (2 * m + 1) for m in range(n)]
     g = [gamma ** e for e in range(n)]
-    low = [[math.comb(j, m) * g[j - m] for m in range(j + 1)] for j in range(n)]
-    scaled = [[x * b for x, b in zip(row, odd)] for row in low]
-    tri = [[mpmath.fdot(scaled[j], low[k]) for k in range(j + 1)] for j in range(n)]
+    cplx = any(isinstance(x, (complex, mpmath.mpc)) for x in (beta, gamma))
+    odd, g = BlockFloat.of(odd, cplx), BlockFloat.of(g, cplx)
+
+    def binomial(j: int, mants):   # C(j, m) mants[j - m] for m <= j
+        return None if mants is None else [math.comb(j, m) * x
+                                           for m, x in enumerate(mants[j::-1])]
+
+    low = [BlockFloat(binomial(j, g.re), binomial(j, g.im), g.exp) for j in range(n)]
+    scaled = [row.times(odd) for row in low]
+    tri = [[scaled[j].rounded_dot(low[k]) for k in range(j + 1)] for j in range(n)]
     return [[tri[max(j, k)][min(j, k)] for k in range(n)] for j in range(n)]
 
 
@@ -87,26 +97,33 @@ def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
 
 
 def _w_matrix_mp(n: int, p: ModelParams):
-    """W and zeta recomputed from the spectral parameters at mp precision."""
-    lam, eta = mp_scalar(p.lam), mp_scalar(p.eta)
-    sp = mpmath.sin(lam + eta)
-    beta = mpmath.sin(lam - eta) / sp
-    gamma = mpmath.sin(2 * eta) / sp
-    return mpmath.matrix(w_rows(n, beta, gamma)), mpmath.exp(-2j * eta)
+    """Rows of W, and zeta, recomputed from the spectral parameters at mp
+    precision."""
+    phi_minus, phi_plus = p.mp_phis()
+    eta = mp_scalar(p.eta)
+    sp = mpmath.sin(phi_plus)
+    return w_rows(n, mpmath.sin(phi_minus) / sp, mpmath.sin(2 * eta) / sp), mpmath.exp(-2j * eta)
 
 
-def z_tilde_det(n: int, p: ModelParams, bits: int) -> LogScaledValue:
-    """det(I - zeta W) at `bits` precision; zeta is always recomputed from eta."""
+def z_tilde_det(n: int, p: ModelParams, bits: int, log_factor=0) -> LogScaledValue:
+    """det(I - zeta W) exp(log_factor) at `bits` precision, `log_factor` an
+    mpmath scalar at `bits`; zeta is always recomputed from eta."""
     with mpmath.workprec(bits):
         w, zeta = _w_matrix_mp(n, p)
-        m = mpmath.eye(n) - w * zeta   # zeta * w would repr w in a failed conversion
-    return mp_logdet(m, bits, warn_label="w-det")
+        minus_zeta = -zeta
+        rows = [[minus_zeta * x for x in row] for row in w]
+        for j, row in enumerate(rows):
+            row[j] += 1
+    return mp_logdet(rows, bits, "w-det", log_factor)
 
 
 def full_partition(n: int, p: ModelParams, bits: int) -> LogScaledValue:
     """Restore the symmetric-weight normalization:
-    Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i phi_- N}."""
-    return z_tilde_det(n, p, bits).scale_log(qgroup_prefactor(n, p))
+    Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i phi_- N}, the prefactor
+    added to log det at `bits`."""
+    with mpmath.workprec(bits):
+        pref = qgroup_prefactor(n, p)
+    return z_tilde_det(n, p, bits, pref)
 
 
 def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:

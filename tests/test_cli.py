@@ -235,6 +235,22 @@ def test_cache_key_version_is_the_package_version():
         assert tomllib.load(fh)["project"]["version"] == icewall.__version__
 
 
+def test_cache_key_holds_only_inputs_the_record_depends_on(capsys, tmp_path, monkeypatch):
+    # --tol changes no record, and --bits only those of hankel and wdet
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    dp, hankel = tmp_path / "dp", tmp_path / "hankel"
+    for i, extra in enumerate(([], ["--tol", "1e-6"], ["--bits", "300"])):
+        code, _, err = run(capsys, "compute", "--rep", "dp", "--n", "3",
+                           "--cache", str(dp), *extra)
+        assert code == 0 and ("cache hit: dp" in err) == (i > 0)
+    assert len(list(dp.iterdir())) == 1
+    for bits in ("200", "300", "300"):
+        code, _, _ = run(capsys, "compute", "--rep", "hankel", "--n", "3",
+                         "--bits", bits, "--cache", str(hankel))
+        assert code == 0
+    assert len(list(hankel.iterdir())) == 2
+
+
 @pytest.mark.parametrize("argv, route", [
     (["--n", "3", "--rep", "wdet", "--weights", "1,1,1,1,1,1"], "wdet"),
     (["--n", "3", "--rep", "fredholm-rational", "--lambda", "0.9,0.1"],

@@ -1,20 +1,47 @@
-"""Pivoted LU determinant and its pivot-growth guard."""
+"""Pivoted LU determinant over block-floating-point dot products, and its
+pivot-growth guard."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp, round_nearest
 
-from icewall.determinants import lu_det, mp_logdet
+from icewall.determinants import BlockFloat, _nearest, default_bits, lu_det, mp_logdet
 from icewall.errors import PrecisionWarning
+from icewall.hankel import hankel_H
+from icewall.params import ModelParams
+from icewall.wmatrix import _w_matrix_mp
+
+ROUTE_POINTS = [(math.pi / 2, math.pi / 6), (1.1, 0.33), (0.9 + 0.1j, 0.3 + 0.05j),
+                (0.55j, 0.25j), (1.5, 0.35)]
 
 
-def _random_matrix(rng, n, complex_entries):
+def _random_rows(rng, n, complex_entries):
     a = rng.standard_normal((n, n))
     if complex_entries:
         a = a + 1j * rng.standard_normal((n, n))
-    return mpmath.matrix(a.tolist())
+    return [[mpmath.mpmathify(x) for x in row] for row in a.tolist()]
+
+
+def _exact_det(rows) -> Fraction:
+    """Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for j in range(n):
+        p = next((i for i in range(j, n) if a[i][j]), None)
+        if p is None:
+            return Fraction(0)
+        if p != j:
+            a[j], a[p], det = a[p], a[j], -det
+        det *= a[j][j]
+        for row in a[j + 1:]:
+            f = row[j] / a[j][j]
+            row[j:] = [x - f * y for x, y in zip(row[j:], a[j][j:])]
+    return det
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -22,42 +49,192 @@ def test_lu_det_matches_mpmath_det(complex_entries):
     rng = np.random.default_rng(20261018)
     with mpmath.workprec(256):
         for n in range(1, 13):
-            a = _random_matrix(rng, n, complex_entries)
+            rows = _random_rows(rng, n, complex_entries)
             if n == 5:
-                a[0, 0] = 0   # forces a row swap at the first column
-            det, growth = lu_det(a)
-            ref = mpmath.det(a)
+                rows[0][0] = mpmath.mpf(0)   # forces a row swap at the first column
+            det, growth = lu_det(rows)
+            ref = mpmath.det(mpmath.matrix(rows))
             assert abs(det - ref) <= 1e-70 * abs(ref)
             assert 1 <= growth < mpmath.inf
 
 
+def test_rows_are_not_modified():
+    rng = np.random.default_rng(7)
+    with mpmath.workprec(128):
+        rows = _random_rows(rng, 6, True)
+        before = [list(row) for row in rows]
+        lu_det(rows)
+    assert rows == before
+
+
+def test_real_input_stays_on_the_one_sum_path(monkeypatch):
+    # every dot product of a real LU is between real vectors, and det is an mpf
+    seen = []
+    dot = BlockFloat.dot
+
+    def spy(self, other):
+        seen.append((self.im, other.im))
+        return dot(self, other)
+
+    monkeypatch.setattr(BlockFloat, "dot", spy)
+    with mpmath.workprec(128):
+        det, _ = lu_det(_random_rows(np.random.default_rng(3), 6, False))
+    assert seen and all(a is None and b is None for a, b in seen)
+    assert isinstance(det, mpmath.mpf)
+    seen.clear()
+    with mpmath.workprec(128):
+        det, _ = lu_det([[1, 2], [2j, 4]])
+    assert seen and all(a is not None and b is not None for a, b in seen)
+    assert isinstance(det, mpmath.mpc) and det == 4 - 4j
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_rows_and_columns_scaled_by_far_powers_of_two(complex_entries):
+    # entries 2^-600 .. 2^600 apart: every dot product realigns exponents
+    rng = np.random.default_rng(11)
+    n = 8
+    r = [300 * int(s) for s in rng.choice([-1, 1], n)]
+    c = [300 * int(s) for s in rng.choice([-1, 0, 1], n)]
+    with mpmath.workprec(256):
+        base = _random_rows(rng, n, complex_entries)
+        rows = [[x * mpmath.ldexp(1, r[i] + c[k]) for k, x in enumerate(row)]
+                for i, row in enumerate(base)]
+        det, growth = lu_det(rows)
+        ref = mpmath.det(mpmath.matrix(base)) * mpmath.ldexp(1, sum(r) + sum(c))
+        assert abs(det - ref) <= 1e-70 * abs(ref)
+        assert 1 <= growth < mpmath.inf
+
+
+def test_exact_integer_matrices_give_exact_det_and_growth():
+    # A = P (4 L) U with unit lower L of quarters below 1 in magnitude: partial
+    # pivoting recovers the factors and every step is exact, so det and growth
+    # are exact
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 9):
+        low = [[Fraction(int(rng.integers(-3, 4)), 4) if k < i else Fraction(i == k)
+                for k in range(n)] for i in range(n)]
+        up = [[int(rng.integers(-9, 10)) if k > i else
+               int(rng.choice([-1, 1]) * rng.integers(1, 10)) if k == i else 0
+               for k in range(n)] for i in range(n)]
+        a = [[4 * sum(low[i][m] * up[m][k] for m in range(n)) for k in range(n)]
+             for i in range(n)]
+        assert all(x.denominator == 1 for row in a for x in row)
+        perm = [int(i) for i in rng.permutation(n)]
+        rows = [[int(x) for x in a[i]] for i in perm]
+        sign = int(_exact_det([[int(i == j) for j in perm] for i in range(n)]))
+        pivots = [4 * up[j][j] for j in range(n)]
+        with mpmath.workprec(128):
+            det, growth = lu_det(rows)
+            assert det == sign * math.prod(pivots)
+            assert growth == mpmath.mpf(max(map(abs, pivots))) / min(map(abs, pivots))
+
+
+def test_random_integer_matrices_round_to_the_exact_det():
+    rng = np.random.default_rng(9)
+    for n in (3, 6, 10):
+        rows = [[int(x) for x in row] for row in rng.integers(-50, 51, (n, n))]
+        exact = _exact_det(rows)
+        with mpmath.workprec(256):
+            det, _ = lu_det(rows)
+            assert abs(det - exact.numerator) <= mpmath.mpf(2) ** -200 * abs(exact.numerator)
+
+
 def test_zero_corner_swaps_rows():
     with mpmath.workprec(256):
-        det, growth = lu_det(mpmath.matrix([[0, 1], [1, 0]]))
+        det, growth = lu_det([[0, 1], [1, 0]])
     assert det == -1 and growth == 1
 
 
 def test_singular_matrix_has_zero_det_and_infinite_growth():
     with mpmath.workprec(256):
-        for rows in ([[1, 2], [2, 4]], [[0, 1], [0, 2]]):
-            det, growth = lu_det(mpmath.matrix(rows))
+        for rows in ([[1, 2], [2, 4]], [[0, 1], [0, 2]], [[0, 0], [0, 0]],
+                     [[1, 2, 3], [1, 0, 1], [2, 2, 4]],   # third row = first + second
+                     [[1j, 2], [1, -2j]]):
+            det, growth = lu_det(rows)
             assert det == 0 and growth == mpmath.inf
 
 
 def test_growth_of_a_fixed_matrix():
     # partial pivoting takes rows 2, 3, 4, 3 and meets the pivots
     # 4, 2, 1, -23/4, so det = (-1)^3 * 4 * 2 * 1 * (-23/4) = 46
-    a = mpmath.matrix([[2, 1, 0, 0], [4, 3, 1, 0], [0, 2, 5, 1], [0, 0, 1, 8]])
+    rows = [[2, 1, 0, 0], [4, 3, 1, 0], [0, 2, 5, 1], [0, 0, 1, 8]]
     with mpmath.workprec(256):
-        det, growth = lu_det(a)
+        det, growth = lu_det(rows)
     assert det == 46
     assert growth == mpmath.mpf(23) / 4
+
+
+def test_non_finite_entry_is_refused():
+    with mpmath.workprec(128), pytest.raises(ValueError, match="finite"):
+        lu_det([[1, mpmath.nan], [0, 1]])
+
+
+def test_rounding_is_mpmath_round_nearest():
+    # ties to even, carries into a new power of two, signs, and lengths around
+    # the precision, against mpmath's own rounding
+    prec = 64
+    ones = (1 << prec) - 1
+    cases = [ones, ones << 1 | 1, (ones << 3) | 0b100, (ones << 3) | 0b101,
+             (1 << prec) | 1, ((1 << prec) | 1) << 1 | 1, ((1 << prec) | 1) << 2 | 0b10,
+             ((1 << prec) | 2) << 2 | 0b10, 1, 3 << 200, (5 << 130) + 7]
+    rng = np.random.default_rng(17)
+    cases += [int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 150)) | int(rng.integers(0, 8))
+              for _ in range(200)]
+    with mpmath.workprec(prec):
+        for man in cases:
+            for signed in (man, -man):
+                m, e = _nearest(signed, -40)
+                assert from_man_exp(m, e) == from_man_exp(signed, -40, prec, round_nearest)
+
+
+def test_rounded_dot_is_fdot():
+    # one exact sum rounded once: fdot's result, bit for bit
+    rng = np.random.default_rng(13)
+    with mpmath.workprec(200):
+        for cplx in (False, True):
+            for _ in range(20):
+                a, b = ([x * mpmath.ldexp(1, int(e)) for x, e in
+                         zip(_random_rows(rng, 9, cplx)[0], rng.integers(-80, 80, 9))]
+                        for _ in range(2))
+                got = BlockFloat.of(a, cplx).rounded_dot(BlockFloat.of(b, cplx))
+                assert got == mpmath.fdot(a, b)
+
+
+def _route_rows(n, p, bits):
+    h = hankel_H(n, p, bits)
+    with mpmath.workprec(bits):
+        w, zeta = _w_matrix_mp(n, p)
+        m = [[(j == k) - zeta * x for k, x in enumerate(row)] for j, row in enumerate(w)]
+    return {"H": h, "I - zeta W": m}
+
+
+@pytest.mark.parametrize("n", [1, 5, 22, 40])
+@pytest.mark.parametrize("lam, eta", ROUTE_POINTS)
+def test_route_matrices_match_mpmath_det(n, lam, eta):
+    # within half the mantissa, the growth guard's budget: below 1e-60 from
+    # N = 22 (416 bits) on; the 144 bits of N = 5 cannot resolve 1e-60
+    bits = default_bits(n)
+    for name, rows in _route_rows(n, ModelParams(lam, eta), bits).items():
+        with mpmath.workprec(bits):
+            det, _ = lu_det(rows)
+        with mpmath.workprec(bits + 64):
+            ref = mpmath.det(mpmath.matrix(rows))
+            assert abs(det - ref) <= 2.0 ** (-bits / 2) * abs(ref), name
 
 
 def test_growth_guard_warns_past_half_the_mantissa():
     with warnings.catch_warnings():
         warnings.simplefilter("error", PrecisionWarning)
-        value = mp_logdet(mpmath.diag([1, mpmath.mpf(2) ** -10]), 128)
+        value = mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -10]], 128)
     assert value.log_magnitude == pytest.approx(-10 * np.log(2))
     with pytest.warns(PrecisionWarning, match="pivot growth"):
-        mp_logdet(mpmath.diag([1, mpmath.mpf(2) ** -100]), 128)
+        mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], 128)
+
+
+def test_log_factor_joins_at_working_precision():
+    # log det + log_factor is rounded to doubles once, angle reduced to [-pi, pi]
+    with mpmath.workprec(256):
+        factor = mpmath.mpf(10) ** 6 + mpmath.mpc(0, 7)
+        value = mp_logdet([[2]], 256, log_factor=factor)
+        assert value.log_magnitude == float(mpmath.log(2) + 10 ** 6)
+        assert value.angle == float(7 - 2 * mpmath.pi)

@@ -60,8 +60,8 @@ def test_w_builder_matches_term_by_term_binomial_sum(n, lam, eta):
             for k in range(n):
                 ref = sum(math.comb(j, m) * math.comb(k, m) * beta ** (2 * m + 1)
                           * gamma ** (j + k - 2 * m) for m in range(min(j, k) + 1))
-                assert abs(w[j, k] - ref) <= 1e-60 * abs(ref)
-                assert isinstance(w[j, k], mpmath.mpf) == (lam.imag == 0)
+                assert abs(w[j][k] - ref) <= 1e-60 * abs(ref)
+                assert isinstance(w[j][k], mpmath.mpf) == (lam.imag == 0)
 
 
 def test_matrix_symmetry_and_corner():
