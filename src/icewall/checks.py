@@ -17,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .cli import applicable
-from .determinants import default_bits
+from .determinants import PrecisionWarning, default_bits
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs
-from .errors import PrecisionWarning
 from .fredholm import KernelSpec, fredholm_det, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \

@@ -27,7 +27,6 @@ from . import __version__
 from .determinants import default_bits
 from .enumeration import DP_LIMIT, ENUM_LIMIT, dump_configs, \
     enumerate_configs, partition_dp
-from .errors import SingularParameterError
 from .fredholm import FREDHOLM_LIMIT, KernelSpec, fredholm_det, \
     full_partition_fredholm
 from .hankel import partition_hankel
@@ -220,10 +219,12 @@ def _discrete(n, p, weights, bits):
 
 
 def _rational(n, p, weights, bits):
-    # rational degeneration: weights (lam+eta, lam-eta, 2 eta)
+    # rational degeneration: weights (a, b, c) = (lam+eta, lam-eta, 2 eta); Z is
+    # homogeneous of degree N^2 in them, so a < 0 adds N^2 pi to the phase
     lam, eta = p.lam.real, p.eta.real
-    zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
-    return zt.scale_log(n * n * math.log(lam + eta)), {}
+    a = lam + eta
+    zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / a))
+    return zt.scale_log(n * n * complex(math.log(abs(a)), math.pi * (a < 0))), {}
 
 
 ROUTES = (
@@ -370,8 +371,7 @@ def run_sweep(args) -> int:
     if not ns:
         raise ValueError(f"empty sweep: --n-max {args.n_max} is below --n {args.n}")
     if len(ns) > 10_000:
-        print("sweep grid exceeds 10^4 points", file=sys.stderr)
-        return 2
+        raise ValueError("sweep grid exceeds 10^4 points")
     route = ROUTES_BY_NAME[args.rep]
     cdir = cache_dir(args.cache)
     records, hits, failed = [], 0, 0
@@ -486,7 +486,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SingularParameterError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

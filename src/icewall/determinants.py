@@ -20,8 +20,11 @@ import mpmath
 import numpy as np
 from mpmath.libmp import fzero, from_man_exp
 
-from .errors import PrecisionWarning
 from .logscale import LogScaledValue
+
+
+class PrecisionWarning(UserWarning):
+    """The determinant condition estimate ate more than half the mantissa."""
 
 
 def default_bits(n: int) -> int:
@@ -225,25 +228,24 @@ def lu_det(rows: list):
     return det, max_piv / min_piv
 
 
-def mp_logdet(rows: list, bits: int, warn_label: str = "determinant",
-              log_factor=0) -> LogScaledValue:
-    """log det(rows) + log_factor, both at `bits` mantissa bits, rounded to
-    doubles once; warns when pivot growth eats more than half of the bits.
-    `log_factor` is an mpmath scalar computed at `bits`, such as a route's
+def mp_logdet(rows: list, warn_label: str, log_factor) -> LogScaledValue:
+    """log det(rows) + log_factor at the caller's precision, rounded to
+    doubles once; warns when pivot growth eats more than half of the
+    mantissa.  `log_factor` is an mpmath scalar, such as a route's
     prefactor."""
-    with mpmath.workprec(bits):
-        det, growth = lu_det(rows)
-        if det == 0:
-            return LogScaledValue(float("-inf"), 0.0)
-        if mpmath.isfinite(growth):
-            growth_bits = math.log2(max(float(growth), 1.0))
-            if growth_bits > bits / 2:
-                warnings.warn(
-                    f"{warn_label}: pivot growth ~2^{growth_bits:.0f} exceeds half "
-                    f"of the {bits}-bit budget",
-                    PrecisionWarning,
-                )
-        return LogScaledValue.from_mp_log(mpmath.log(det) + log_factor)
+    det, growth = lu_det(rows)
+    if det == 0:
+        return LogScaledValue(float("-inf"), 0.0)
+    bits = mpmath.mp.prec
+    if mpmath.isfinite(growth):
+        growth_bits = math.log2(max(float(growth), 1.0))
+        if growth_bits > bits / 2:
+            warnings.warn(
+                f"{warn_label}: pivot growth ~2^{growth_bits:.0f} exceeds half "
+                f"of the {bits}-bit budget",
+                PrecisionWarning,
+            )
+    return LogScaledValue.from_mp_log(mpmath.log(det) + log_factor)
 
 
 def slogdet_i_minus(m: np.ndarray) -> LogScaledValue:

@@ -20,7 +20,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import SizeLimitError
 from .logscale import LogScaledValue
 
 ENUM_LIMIT = 6
@@ -111,7 +110,7 @@ class _RowTable(dict):
     def __init__(self, n: int):
         super().__init__()
         if not 1 <= n <= ENUM_LIMIT:
-            raise SizeLimitError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
+            raise ValueError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
         self.n = n
 
     def __missing__(self, state: tuple) -> list:
@@ -190,7 +189,7 @@ def partition_dp(n: int, w: tuple) -> LogScaledValue:
     nonzero weight that this division takes below the smallest normal double
     is refused: it would keep too few bits, or none (a false Z = 0)."""
     if not 1 <= n <= DP_LIMIT:
-        raise SizeLimitError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
+        raise ValueError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
     given = np.array(w, dtype=complex)
     scale = np.max(np.abs(given)) or 1.0  # all-zero weights leave every row zero
     ws = (given if given.imag.any() else given.real) / scale  # real weights: half the work
@@ -222,7 +221,7 @@ def partition_dp(n: int, w: tuple) -> LogScaledValue:
 def dump_configs(n: int, fmt: str = "text"):
     """Debug dump of all configurations for N <= 4."""
     if n > 4:
-        raise SizeLimitError("configuration dump supports N <= 4")
+        raise ValueError("configuration dump supports N <= 4")
     if fmt == "json":
         return [
             {"h_edges": [list(r) for r in cfg.h_edges],

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .determinants import slogdet_i_minus as _logdet_i_minus
-from .errors import SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
@@ -43,13 +42,13 @@ class KernelSpec:
     @classmethod
     def disordered(cls, n: int, p: ModelParams) -> "KernelSpec":
         if not 0 < complex(p.phi_plus).real < math.pi:
-            raise SingularParameterError("disordered kernel needs 0 < Re phi_+ < pi")
+            raise ValueError("disordered kernel needs 0 < Re phi_+ < pi")
         return cls("disordered", n, params=p)
 
     @classmethod
     def discrete(cls, n: int, phi_tilde_plus: complex, phi_tilde_minus: complex) -> "KernelSpec":
         if complex(phi_tilde_plus).real <= 0:
-            raise SingularParameterError("discrete kernel needs Re phi~_+ > 0")
+            raise ValueError("discrete kernel needs Re phi~_+ > 0")
         return cls("discrete", n, phi_tilde=(complex(phi_tilde_plus), complex(phi_tilde_minus)))
 
     @classmethod
@@ -145,7 +144,7 @@ def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     discretization (ten more lattice sites, or twice the node density)
     moves log|det| by at most its tolerance."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
-        raise SizeLimitError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
+        raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
     if spec.kind == "discrete":
         x_max, tol = discrete_cutoff(spec), DISCRETE_TOL
         result = _logdet_i_minus(operator_matrix(spec, x_max=x_max))

@@ -19,7 +19,6 @@ import math
 import mpmath
 
 from .determinants import BlockFloat, lu_det, mp_logdet
-from .errors import SingularParameterError
 from .logscale import LogScaledValue
 from .params import SIN_CUTOFF, ModelParams
 
@@ -42,7 +41,7 @@ def cot_derivative_poly(k: int) -> tuple:
 
 def _require_regular(phi: complex):
     if abs(cmath.sin(complex(phi))) < SIN_CUTOFF:
-        raise SingularParameterError(f"sin(phi) vanishes at {phi}")
+        raise ValueError(f"sin(phi) vanishes at {phi}")
 
 
 def _moments(c, count: int) -> list:
@@ -54,32 +53,29 @@ def _moments(c, count: int) -> list:
             .rounded_dot(powers) for t in polys]
 
 
-def hankel_H(n: int, p: ModelParams, bits: int) -> list:
+def hankel_H(n: int, p: ModelParams) -> list:
     """Rows of the N x N matrix H_jk = T_{j+k}(cot phi_minus) - T_{j+k}(cot phi_plus)."""
-    with mpmath.workprec(bits):
-        cots = [mpmath.cot(phi) for phi in p.mp_phis()]
-        moments = [a - b for a, b in zip(*(_moments(c, 2 * n - 1) for c in cots))]
-        return [moments[j:j + n] for j in range(n)]
+    cots = [mpmath.cot(phi) for phi in p.mp_phis()]
+    moments = [a - b for a, b in zip(*(_moments(c, 2 * n - 1) for c in cots))]
+    return [moments[j:j + n] for j in range(n)]
 
 
-def matrix_A(n: int, phi: complex, bits: int, alpha: complex = -1j) -> list:
-    """Rows of the N x N matrix of derivatives of cot(phi) + alpha (alpha = -i
-    default)."""
+def matrix_A(n: int, phi: complex, alpha: complex) -> list:
+    """Rows of the N x N matrix of derivatives of cot(phi) + alpha."""
     _require_regular(phi)
-    with mpmath.workprec(bits):
-        moments = _moments(mpmath.cot(mpmath.mpc(phi)), 2 * n - 1)
-        moments[0] += mpmath.mpc(alpha)
-        return [moments[j:j + n] for j in range(n)]
+    moments = _moments(mpmath.cot(mpmath.mpc(phi)), 2 * n - 1)
+    moments[0] += mpmath.mpc(alpha)
+    return [moments[j:j + n] for j in range(n)]
 
 
 def partition_hankel(n: int, p: ModelParams, bits: int) -> LogScaledValue:
     """Z_N = [sin phi_- sin phi_+]^{N^2} / prod (k!)^2 * det H, log-scaled;
-    the log of the prefactor is taken at `bits` and added to log det H there."""
+    matrix, determinant and the log of the prefactor all at `bits`."""
     with mpmath.workprec(bits):
         phi_minus, phi_plus = p.mp_phis()
         pref = n * n * mpmath.log(mpmath.sin(phi_minus) * mpmath.sin(phi_plus))
         pref -= 2 * mpmath.log(math.prod(math.factorial(k) for k in range(1, n)))
-    return mp_logdet(hankel_H(n, p, bits), bits, "hankel", pref)
+        return mp_logdet(hankel_H(n, p), "hankel", pref)
 
 
 def alpha_det_deviation(n: int, phi: complex, alpha: complex, bits: int) -> float:
@@ -87,7 +83,7 @@ def alpha_det_deviation(n: int, phi: complex, alpha: complex, bits: int) -> floa
     entirely at `bits` precision (the interesting tolerances sit far below
     double resolution)."""
     with mpmath.workprec(bits):
-        det, _ = lu_det(matrix_A(n, phi, bits, alpha=alpha))
+        det, _ = lu_det(matrix_A(n, phi, alpha))
         phi_mp = mpmath.mpc(phi)
         head = mpmath.cos(n * phi_mp) + mpmath.mpc(alpha) * mpmath.sin(n * phi_mp)
         closed = head * mpmath.sin(phi_mp) ** (-n * n)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularParameterError
 from .params import SIN_CUTOFF
 from .quadrature import QuadraturePlan, decay_cutoff
 
@@ -107,7 +106,7 @@ def weight_shifted(x, phi):
     """
     phi = complex(phi)
     if not 0 < phi.real < math.pi:
-        raise SingularParameterError("shifted weight needs 0 < Re phi < pi")
+        raise ValueError("shifted weight needs 0 < Re phi < pi")
     x = np.asarray(x, dtype=float)
     # log(1 + e^{pi x}) is stable via logaddexp; the full exponent keeps a
     # bounded real part for any x.
@@ -132,7 +131,7 @@ def connection_coeffs(n: int, lam: float, tau: complex, phi: complex) -> list:
     """
     s_phi = cmath.sin(complex(phi))
     if abs(s_phi) < SIN_CUTOFF:
-        raise SingularParameterError("sin(phi) vanishes")
+        raise ValueError("sin(phi) vanishes")
     s_tau = cmath.sin(complex(tau))
     s_diff = cmath.sin(complex(phi) - complex(tau))
     out = []
@@ -158,10 +157,10 @@ def inm_closed(n: int, m: int, lam: float, tau: complex, omega: complex,
     tau = phi or omega = phi just truncates the sum.
     """
     if not 0 < phi < math.pi or lam <= 0:
-        raise SingularParameterError("need real lam > 0 and 0 < phi < pi")
+        raise ValueError("need real lam > 0 and 0 < phi < pi")
     s_phi = math.sin(phi)
     if s_phi < SIN_CUTOFF:
-        raise SingularParameterError("sin(phi) vanishes")
+        raise ValueError("sin(phi) vanishes")
     st, so = cmath.sin(complex(tau)), cmath.sin(complex(omega))
     dt, do = cmath.sin(phi - complex(tau)), cmath.sin(phi - complex(omega))
     norm = (2 * s_phi) ** (-2 * lam)
@@ -192,7 +191,7 @@ def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
     """Direct quadrature of the overlap integral; |Gamma(lam+ix)|^2 goes
     through log-gamma so large |x| never overflows."""
     if not 0 < phi < math.pi or lam <= 0:
-        raise SingularParameterError("need real lam > 0 and 0 < phi < pi")
+        raise ValueError("need real lam > 0 and 0 < phi < pi")
     order = n + m + int(2 * lam)
     plan = QuadraturePlan.on_interval(-decay_cutoff(2 * phi, poly_order=order),
                                       decay_cutoff(2 * math.pi - 2 * phi, poly_order=order))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .errors import SingularParameterError
 from .logscale import mp_scalar
 
 SIN_CUTOFF = 1e-9
@@ -36,7 +35,7 @@ class ModelParams:
             except OverflowError:
                 raise ValueError(f"sin({name}) = sin({z}) overflows a double") from None
             if name != "2 eta" and abs(s) < SIN_CUTOFF:   # c = sin 2 eta may be 0
-                raise SingularParameterError(f"sin({name}) = sin({z}) is below {SIN_CUTOFF}")
+                raise ValueError(f"sin({name}) = sin({z}) is below {SIN_CUTOFF}")
 
     @property
     def phi_plus(self) -> complex:
@@ -76,7 +75,7 @@ def r_matrix(nu: complex, eta: complex) -> np.ndarray:
     beta = sin nu / sin(nu+2 eta), gamma = sin 2 eta / sin(nu+2 eta)."""
     denom = cmath.sin(nu + 2 * eta)
     if abs(denom) < SIN_CUTOFF:
-        raise SingularParameterError("sin(nu + 2 eta) vanishes")
+        raise ValueError("sin(nu + 2 eta) vanishes")
     beta = cmath.sin(nu) / denom
     gamma = cmath.sin(2 * eta) / denom
     m = np.zeros((4, 4), dtype=complex)

@@ -13,7 +13,6 @@ import mpmath
 import numpy as np
 
 from .determinants import BlockFloat, mp_logdet, slogdet_i_minus
-from .errors import SingularParameterError, SizeLimitError
 from .logscale import LogScaledValue, mp_scalar
 from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
 from .params import ModelParams, qgroup_prefactor
@@ -44,7 +43,7 @@ class BetaGamma:
     def rational(cls, lam: float, eta: float) -> "BetaGamma":
         """sin(*) -> (*) degeneration of the weights; zeta degenerates to 1."""
         if lam + eta == 0:
-            raise SingularParameterError("rational weights need lambda + eta != 0")
+            raise ValueError("rational weights need lambda + eta != 0")
         return cls(beta=(lam - eta) / (lam + eta), gamma=2 * eta / (lam + eta), zeta=1.0)
 
 
@@ -87,7 +86,7 @@ def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
     with P = P^{(1/2)}(.; phi_-)."""
     pp = complex(p.phi_plus)
     if not 0 < pp.real < math.pi:
-        raise SingularParameterError("integral form needs 0 < Re phi_+ < pi")
+        raise ValueError("integral form needs 0 < Re phi_+ < pi")
     plan = QuadraturePlan.on_interval(-decay_cutoff(2 * pp.real, poly_order=j + k),
                                       decay_cutoff(2 * math.pi - 2 * pp.real, poly_order=j + k))
     x = plan.nodes
@@ -96,25 +95,25 @@ def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
     return 2 * cmath.sin(p.phi_minus) * complex(np.sum(pj * pk * weight * plan.weights))
 
 
-def _w_matrix_mp(n: int, p: ModelParams):
-    """Rows of W, and zeta, recomputed from the spectral parameters at mp
-    precision."""
+def _w_matrix_mp(n: int, p: ModelParams) -> tuple:
+    """Rows of W - zeta^{-1} I, and log (-zeta)^N = N (i pi - 2 i eta), at the
+    caller's precision: det(I - zeta W) = (-zeta)^N det(W - zeta^{-1} I), so
+    W is not multiplied by zeta and stays real at real parameters."""
     phi_minus, phi_plus = p.mp_phis()
     eta = mp_scalar(p.eta)
     sp = mpmath.sin(phi_plus)
-    return w_rows(n, mpmath.sin(phi_minus) / sp, mpmath.sin(2 * eta) / sp), mpmath.exp(-2j * eta)
+    rows = w_rows(n, mpmath.sin(phi_minus) / sp, mpmath.sin(2 * eta) / sp)
+    inv_zeta = mpmath.exp(2j * eta)
+    for j, row in enumerate(rows):
+        row[j] -= inv_zeta
+    return rows, n * (1j * mpmath.pi - 2j * eta)
 
 
-def z_tilde_det(n: int, p: ModelParams, bits: int, log_factor=0) -> LogScaledValue:
-    """det(I - zeta W) exp(log_factor) at `bits` precision, `log_factor` an
-    mpmath scalar at `bits`; zeta is always recomputed from eta."""
+def z_tilde_det(n: int, p: ModelParams, bits: int) -> LogScaledValue:
+    """det(I - zeta W) at `bits` precision; zeta is always recomputed from eta."""
     with mpmath.workprec(bits):
-        w, zeta = _w_matrix_mp(n, p)
-        minus_zeta = -zeta
-        rows = [[minus_zeta * x for x in row] for row in w]
-        for j, row in enumerate(rows):
-            row[j] += 1
-    return mp_logdet(rows, bits, "w-det", log_factor)
+        rows, log_minus_zeta = _w_matrix_mp(n, p)
+        return mp_logdet(rows, "w-det", log_minus_zeta)
 
 
 def full_partition(n: int, p: ModelParams, bits: int) -> LogScaledValue:
@@ -122,8 +121,8 @@ def full_partition(n: int, p: ModelParams, bits: int) -> LogScaledValue:
     Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i phi_- N}, the prefactor
     added to log det at `bits`."""
     with mpmath.workprec(bits):
-        pref = qgroup_prefactor(n, p)
-    return z_tilde_det(n, p, bits, pref)
+        rows, log_minus_zeta = _w_matrix_mp(n, p)
+        return mp_logdet(rows, "w-det", log_minus_zeta + qgroup_prefactor(n, p))
 
 
 def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
@@ -132,7 +131,7 @@ def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
     Refused where cond_2(I - zeta W) 2^-52, which tracks the relative error
     of that determinant, exceeds GAUSS_TOL."""
     if n > GAUSS_LIMIT:
-        raise SizeLimitError(f"gauss supports N <= {GAUSS_LIMIT}")
+        raise ValueError(f"gauss supports N <= {GAUSS_LIMIT}")
     bg = BetaGamma.from_params(p)
     m = bg.zeta * w_matrix_gauss(n, bg)
     error = np.linalg.cond(np.eye(n) - m) * 2.0 ** -52 if np.isfinite(m).all() else math.inf

@@ -17,6 +17,7 @@ import icewall
 from icewall import checks, cli
 from icewall.cli import main, parse_complex, parse_weights
 from icewall.determinants import default_bits
+from icewall.logscale import LogScaledValue
 from icewall.params import ModelParams
 
 
@@ -100,6 +101,7 @@ def test_singular_parameters_exit_code(capsys):
     ("compute", "--rep", "all", "--n", "3", "--tol", "nan"),
     ("compute", "--rep", "all", "--n", "3", "--tol", "-1"),
     ("compute", "--rep", "all", "--n", "3", "--tol", "inf"),
+    ("sweep", "--n", "1", "--n-max", "20000"),
 ])
 def test_bad_size_bits_or_range_exit_code(capsys, argv):
     try:
@@ -320,6 +322,22 @@ def test_records_say_the_bits_they_were_computed_with(capsys, argv, bits):
     for rec in json.loads(out)["records"]:
         expected = bits if rec["representation"] in ("hankel", "wdet") else 53
         assert rec["precision_bits"] == expected, rec["representation"]
+
+
+@pytest.mark.parametrize("lam, eta", [(-1, 0.3), (0.3, -0.5), (-0.2, -0.3), (0.9, 0.3)])
+def test_rational_route_matches_dp_at_either_sign_of_lambda_plus_eta(capsys, lam, eta):
+    # Z is homogeneous of degree N^2 in the weights (a, b, c) = (lam + eta,
+    # lam - eta, 2 eta), so a < 0 only adds N^2 pi to the phase
+    a, b, c = lam + eta, lam - eta, 2 * eta
+    for n in range(1, 6):
+        values = []
+        for argv in (["--rep", "fredholm-rational", f"--lambda={lam}", f"--eta={eta}"],
+                     ["--rep", "dp", f"--weights={a},{a},{b},{b},{c},{c}"]):
+            code, out, _ = run(capsys, "compute", "--n", str(n), *argv, "--format", "json")
+            assert code == 0
+            rec = json.loads(out)["records"][0]
+            values.append(LogScaledValue(rec["log_abs_z"], rec["phase"]))
+        assert values[0].rel_diff(values[1]) < 1e-8, n
 
 
 def test_compute_all_with_weights_runs_weighted_routes_only(capsys):

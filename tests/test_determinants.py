@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from mpmath.libmp import from_man_exp, round_nearest
 
-from icewall.determinants import BlockFloat, _nearest, default_bits, lu_det, mp_logdet
-from icewall.errors import PrecisionWarning
+from icewall.determinants import (BlockFloat, PrecisionWarning, _nearest, default_bits,
+                                  lu_det, mp_logdet)
 from icewall.hankel import hankel_H
 from icewall.params import ModelParams
 from icewall.wmatrix import _w_matrix_mp
@@ -200,41 +200,61 @@ def test_rounded_dot_is_fdot():
                 assert got == mpmath.fdot(a, b)
 
 
-def _route_rows(n, p, bits):
-    h = hankel_H(n, p, bits)
-    with mpmath.workprec(bits):
-        w, zeta = _w_matrix_mp(n, p)
-        m = [[(j == k) - zeta * x for k, x in enumerate(row)] for j, row in enumerate(w)]
-    return {"H": h, "I - zeta W": m}
+def _i_minus_zeta_w(n, p):
+    """I - zeta W with W_jk = sum_m C(j,m) C(k,m) beta^{2m+1} gamma^{j+k-2m}
+    summed term by term at the working precision."""
+    phi_minus, phi_plus = p.mp_phis()
+    eta = mpmath.mpmathify(p.eta)
+    sp = mpmath.sin(phi_plus)
+    odd = [(mpmath.sin(phi_minus) / sp) ** (2 * m + 1) for m in range(n)]
+    g = [(mpmath.sin(2 * eta) / sp) ** e for e in range(2 * n)]
+    zeta = mpmath.exp(-2j * eta)
+    m = mpmath.eye(n)
+    for j in range(n):
+        for k in range(j + 1):
+            w = sum(math.comb(j, i) * math.comb(k, i) * odd[i] * g[j + k - 2 * i]
+                    for i in range(k + 1))
+            m[j, k] = m[k, j] = (j == k) - zeta * w
+    return m
 
 
 @pytest.mark.parametrize("n", [1, 5, 22, 40])
 @pytest.mark.parametrize("lam, eta", ROUTE_POINTS)
 def test_route_matrices_match_mpmath_det(n, lam, eta):
     # within half the mantissa, the growth guard's budget: below 1e-60 from
-    # N = 22 (416 bits) on; the 144 bits of N = 5 cannot resolve 1e-60
+    # N = 22 (416 bits) on; the 144 bits of N = 5 cannot resolve 1e-60.  The
+    # W route factors W - zeta^{-1} I; its det times (-zeta)^N is held to
+    # det(I - zeta W) built independently
+    p = ModelParams(lam, eta)
     bits = default_bits(n)
-    for name, rows in _route_rows(n, ModelParams(lam, eta), bits).items():
-        with mpmath.workprec(bits):
-            det, _ = lu_det(rows)
-        with mpmath.workprec(bits + 64):
-            ref = mpmath.det(mpmath.matrix(rows))
+    with mpmath.workprec(bits):
+        h = hankel_H(n, p)
+        h_det, _ = lu_det(h)
+        rows, log_minus_zeta = _w_matrix_mp(n, p)
+        w_det = lu_det(rows)[0] * mpmath.exp(log_minus_zeta)
+    with mpmath.workprec(bits + 64):
+        for name, det, ref in (("H", h_det, mpmath.det(mpmath.matrix(h))),
+                               ("I - zeta W", w_det,
+                                mpmath.det(_i_minus_zeta_w(n, p)))):
             assert abs(det - ref) <= 2.0 ** (-bits / 2) * abs(ref), name
 
 
 def test_growth_guard_warns_past_half_the_mantissa():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PrecisionWarning)
-        value = mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -10]], 128)
-    assert value.log_magnitude == pytest.approx(-10 * np.log(2))
-    with pytest.warns(PrecisionWarning, match="pivot growth"):
-        mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], 128)
+    # the budget is the caller's precision: 2^10 is within half of 128 bits,
+    # 2^100 is not
+    with mpmath.workprec(128):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            value = mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -10]], "guard", 0)
+        assert value.log_magnitude == pytest.approx(-10 * np.log(2))
+        with pytest.warns(PrecisionWarning, match="guard: pivot growth .* 128-bit"):
+            mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], "guard", 0)
 
 
 def test_log_factor_joins_at_working_precision():
     # log det + log_factor is rounded to doubles once, angle reduced to [-pi, pi]
     with mpmath.workprec(256):
         factor = mpmath.mpf(10) ** 6 + mpmath.mpc(0, 7)
-        value = mp_logdet([[2]], 256, log_factor=factor)
+        value = mp_logdet([[2]], "factor", factor)
         assert value.log_magnitude == float(mpmath.log(2) + 10 ** 6)
         assert value.angle == float(7 - 2 * mpmath.pi)

@@ -13,7 +13,6 @@ from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
 from scipy.special import eval_laguerre, loggamma
 
-from icewall.errors import SingularParameterError
 from icewall.hankel import cot_derivative_poly
 from icewall.orthopoly import (_log_abs_gamma_sq, connection_coeffs,
                                exp_jplus_entries, inm_closed, inm_quadrature,

@@ -34,3 +34,40 @@ def test_every_top_level_name_is_used_outside_its_definition():
                           and not (g == f and node.lineno <= line <= node.end_lineno)
                           for g, name, line in uses)]
     assert unused == []
+
+
+def workprec_blocks(fn):
+    """The `with mpmath.workprec(...)` statements in the body of `fn`."""
+    return [node for node in ast.walk(fn) if isinstance(node, ast.With)
+            and any(isinstance(item.context_expr, ast.Call)
+                    and isinstance(item.context_expr.func, ast.Attribute)
+                    and item.context_expr.func.attr == "workprec" for item in node.items)]
+
+
+def called_names(tree):
+    """The names of the functions called anywhere in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_one_precision_scope_per_route():
+    # only a route's entry point sets the working precision; everything it
+    # calls inside that scope runs at the caller's precision and never enters
+    # another one, directly or through a helper of src/icewall
+    functions = [node for f in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.FunctionDef)]
+    reaches = {fn.name for fn in functions if workprec_blocks(fn)}
+    while True:   # close over callers: a function reaches a scope through its callees
+        callers = {fn.name for fn in functions if not reaches.isdisjoint(called_names(fn))}
+        if callers <= reaches:
+            break
+        reaches |= callers
+    nested = sorted({f"{fn.name} -> {name}" for fn in functions for block in workprec_blocks(fn)
+                     for name in called_names(block) if name in reaches})
+    assert nested == []

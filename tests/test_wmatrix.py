@@ -51,17 +51,22 @@ def test_entry_binomial_matches_hypergeometric(j, k):
 @pytest.mark.parametrize("lam, eta", [(0.9, 0.3), (0.9 + 0.1j, 0.3 + 0.05j)])
 @pytest.mark.parametrize("n", [8, 16])
 def test_w_builder_matches_term_by_term_binomial_sum(n, lam, eta):
+    # rows of W - zeta^{-1} I and log (-zeta)^N; W stays real at real
+    # parameters, only the diagonal carries zeta^{-1}
     with mpmath.workprec(256):
-        w, _ = _w_matrix_mp(n, ModelParams(lam, eta))
+        rows, log_minus_zeta = _w_matrix_mp(n, ModelParams(lam, eta))
         sp = mpmath.sin(mpmath.mpc(lam) + eta)
         beta = mpmath.sin(mpmath.mpc(lam) - eta) / sp
         gamma = mpmath.sin(2 * mpmath.mpc(eta)) / sp
+        zeta = mpmath.exp(-2j * mpmath.mpc(eta))
+        assert abs(mpmath.exp(log_minus_zeta) - (-zeta) ** n) <= 1e-60
         for j in range(n):
             for k in range(n):
                 ref = sum(math.comb(j, m) * math.comb(k, m) * beta ** (2 * m + 1)
                           * gamma ** (j + k - 2 * m) for m in range(min(j, k) + 1))
-                assert abs(w[j][k] - ref) <= 1e-60 * abs(ref)
-                assert isinstance(w[j][k], mpmath.mpf) == (lam.imag == 0)
+                ref -= (j == k) / zeta
+                assert abs(rows[j][k] - ref) <= 1e-60 * abs(ref)
+                assert isinstance(rows[j][k], mpmath.mpf) == (lam.imag == 0 and j != k)
 
 
 def test_matrix_symmetry_and_corner():
