@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from icewall.cli import parse_complex, parse_size
+from icewall.cli import join_signed_values, parse_complex, parse_size
 from icewall.determinants import default_bits
 from icewall.params import ModelParams
 from icewall.wmatrix import full_partition
@@ -24,7 +24,7 @@ def main() -> int:
     ap.add_argument("--lambda", dest="lam", type=parse_complex,
                     default=complex(math.pi / 2))
     ap.add_argument("--eta", type=parse_complex, default=complex(math.pi / 6))
-    args = ap.parse_args()
+    args = ap.parse_args(join_signed_values(sys.argv[1:]))
 
     p = ModelParams(args.lam, args.eta)
     print(f"lambda={args.lam}  eta={args.eta}")

@@ -14,13 +14,16 @@ import math
 import warnings
 from typing import Optional
 
-import numpy as np
+import mpmath
 
 from .cli import applicable
 from .determinants import PrecisionWarning, default_bits
-from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs
+from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs, \
+    partition_dp
 from .fredholm import KernelSpec, fredholm_det, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
+from .lazynp import np
+from .logscale import LogScaledValue
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \
     mp_eval, su11_matrices
@@ -43,6 +46,10 @@ DISORDERED_SAMPLES = ((0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.
 ALL_ROUTES = ("enumerate", "dp", "hankel", "wdet", "gauss", "fredholm-disordered")
 TAU, OMEGA, PHI = 1.1, 0.7, 0.9     # parameters of the overlap and connection identities
 P_REF = ModelParams(0.9, 0.3)
+# Delta = -1/2: (lambda, eta) = (pi/2, pi/3), and its weights a = b = 1/2,
+# c = sqrt3/2 taken exactly
+DELTA_HALF = ModelParams(math.pi / 2, math.pi / 3)
+DELTA_HALF_WEIGHTS = (0.5,) * 4 + (math.sqrt(3) / 2,) * 2
 
 
 def _seed7_draws() -> tuple:
@@ -74,6 +81,39 @@ def _ice_point() -> float:
     s = math.sqrt(3) / 2
     return max(abs(enumerate_configs(n, (s,) * 6).z_value.value
                    / (s ** (n * n) * ASM_COUNTS[n]) - 1) for n in range(1, 7))
+
+
+def three_enumeration(n: int) -> int:
+    """A_N(3), the ASMs of order N weighted by 3^(number of -1 entries), by
+    Kuperberg's product formulas: A_{2m+1}(3) = 3^{m(m+1)}
+    prod_{k=1..m} [(3k-1)! / (m+k)!]^2 and A_{2m+2}(3) = A_{2m+1}(3)
+    3^m (3m+2)! m! / [(2m+1)!]^2, in exact integers."""
+    m, even = divmod(n - 1, 2)
+    num, den = 3 ** (m * (m + 1)), 1
+    for k in range(1, m + 1):
+        num *= math.factorial(3 * k - 1) ** 2
+        den *= math.factorial(m + k) ** 2
+    if even:
+        num *= 3 ** m * math.factorial(3 * m + 2) * math.factorial(m)
+        den *= math.factorial(2 * m + 1) ** 2
+    return num // den
+
+
+def delta_half_log_z(n: int) -> float:
+    """log Z_N at DELTA_HALF: Z_N = 2^(-N^2) 3^(N/2) A_N(3)."""
+    with mpmath.workprec(128):
+        return float(mpmath.log(three_enumeration(n)) + n * mpmath.log(3) / 2
+                     - n * n * mpmath.log(2))
+
+
+def _delta_half() -> float:
+    """hankel and wdet at N=20 and dp at N=12 against Z_N = 2^(-N^2) 3^(N/2)
+    A_N(3), relative to |log Z_N|."""
+    values = [(20, partition_hankel(20, DELTA_HALF, default_bits(20))),
+              (20, full_partition(20, DELTA_HALF, default_bits(20))),
+              (12, partition_dp(12, DELTA_HALF_WEIGHTS))]
+    exact = {n: delta_half_log_z(n) for n in (12, 20)}
+    return max(z.rel_diff(LogScaledValue(exact[n], 0.0)) / abs(exact[n]) for n, z in values)
 
 
 def _closed_determinants() -> float:
@@ -163,6 +203,7 @@ CHECKS = (
      lambda: max(abs(sum(1 for _ in config_iterator(n)) - ASM_COUNTS[n])
                  for n in range(1, 7)), 0.0),
     (2, "ice point vs (sqrt3/2)^(N^2) A_N, N<=6", _ice_point, 1e-10),
+    (2, "Delta=-1/2 vs 2^(-N^2) 3^(N/2) A_N(3), N=12,20", _delta_half, 5e-15),
     (3, "det A, alpha det / budget, 25 phi, N in 1,4,6,7,10", _closed_determinants, 1.0),
     (4, "overlap integrals closed vs quadrature, n,m<=8",
      lambda: max(abs(inm_closed(n, m, lam, TAU, OMEGA, PHI)

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -431,6 +432,23 @@ def run_enumerate_dump(args) -> int:
 # argument parsing
 
 
+# options whose values may be negative comma-separated numbers, which argparse
+# takes for options unless joined to their option with '='
+SIGNED_VALUE_OPTIONS = ("--lambda", "--eta", "--weights")
+
+
+def join_signed_values(argv: list) -> list:
+    """argv with `--lambda -0.9,0.1` (and likewise --eta, --weights) joined
+    into `--lambda=-0.9,0.1`, so that argparse reads it as a value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in SIGNED_VALUE_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _add_common(sub, rep_choices):
     sub.add_argument("--rep", default="all", choices=rep_choices)
     sub.add_argument("--lambda", dest="lam", type=parse_complex,
@@ -483,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -17,9 +17,9 @@ import warnings
 from operator import add, mul, sub
 
 import mpmath
-import numpy as np
 from mpmath.libmp import fzero, from_man_exp
 
+from .lazynp import np
 from .logscale import LogScaledValue
 
 

@@ -18,8 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
+from .lazynp import np
 from .logscale import LogScaledValue
 
 ENUM_LIMIT = 6

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .determinants import slogdet_i_minus as _logdet_i_minus
+from .lazynp import np
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401

@@ -13,8 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .lazynp import np
 from .params import SIN_CUTOFF
 from .quadrature import QuadraturePlan, decay_cutoff
 

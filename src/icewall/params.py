@@ -11,8 +11,8 @@ import cmath
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
+from .lazynp import np
 from .logscale import mp_scalar
 
 SIN_CUTOFF = 1e-9

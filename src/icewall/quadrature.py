@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .lazynp import np
 
 
 @dataclass(frozen=True)

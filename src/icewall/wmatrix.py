@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 
 from .determinants import BlockFloat, mp_logdet, slogdet_i_minus
+from .lazynp import np
 from .logscale import LogScaledValue, mp_scalar
 from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
 from .params import ModelParams, qgroup_prefactor

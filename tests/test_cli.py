@@ -460,11 +460,76 @@ def test_enumerate_dump_is_unchanged(capsys, n, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DUMP_DIGESTS[n, fmt]
 
 
-def test_import_loads_no_scipy():
+def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """`code` run by a new interpreter that has imported nothing of ours."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, icewall.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    env.pop("ICEWALL_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc
+
+
+LOADED_NUMPY_OR_SCIPY = """
+import contextlib, io, sys
+from icewall.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("numpy.", "scipy"))))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["compute", "--rep", "hankel", "--n", "6"],
+    ["compute", "--rep", "wdet", "--n", "6"],
+    ["compute", "--rep", "wdet", "--n", "6", "--lambda", "0.9,0.1", "--eta", "0.3,0.05"],
+    ["compute", "--rep", "enumerate", "--n", "4"],
+    ["sweep", "--rep", "wdet", "--n", "1", "--n-max", "6"],
+    ["enumerate-dump", "--n", "3"],
+], ids=["import", "hankel", "wdet-real", "wdet-complex", "enumerate", "sweep-wdet",
+        "enumerate-dump"])
+def test_extended_precision_commands_load_neither_numpy_nor_scipy(argv):
+    # numpy is bound lazily (icewall.lazynp); only a double route loads it
+    assert fresh_python(LOADED_NUMPY_OR_SCIPY, *argv).stdout.strip() == "[]"
+
+
+def without_elapsed(doc: dict) -> dict:
+    return {**doc, "records": [{k: v for k, v in r.items() if k != "elapsed_ms"}
+                               for r in doc["records"]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rep", "all", "--n", "5", "--lambda", repr(math.pi / 2), "--eta", repr(math.pi / 6)],
+    ["--rep", "all", "--n", "5", "--lambda", "0.9,0.1", "--eta", "0.3,0.05"],
+    ["--rep", "dp", "--n", "7", "--weights", "1.1,0.9,0.7,0.8,1.3,0.6"],
+])
+def test_a_lazily_loaded_numpy_gives_the_same_records(capsys, monkeypatch, argv):
+    # in this process numpy was imported before icewall, so icewall.lazynp
+    # bound numpy itself; the fresh process takes the lazy path
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    argv = ["compute", *argv, "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    proc = fresh_python("import sys; from icewall.cli import main; sys.exit(main())", *argv)
+    assert without_elapsed(json.loads(proc.stdout)) == without_elapsed(json.loads(out))
+
+
+@pytest.mark.parametrize("split, joined", [
+    (["--rep", "wdet", "--n", "3", "--lambda", "-0.9,0.1", "--eta", "0.3"],
+     ["--rep", "wdet", "--n", "3", "--lambda=-0.9,0.1", "--eta", "0.3"]),
+    (["--rep", "wdet", "--n", "3", "--lambda", "0.9", "--eta", "-0.3,0.1"],
+     ["--rep", "wdet", "--n", "3", "--lambda", "0.9", "--eta=-0.3,0.1"]),
+    (["--rep", "dp", "--n", "3", "--weights", "-1,-1,1,1,1,1"],
+     ["--rep", "dp", "--n", "3", "--weights=-1,-1,1,1,1,1"]),
+])
+def test_a_negative_value_may_follow_its_option(capsys, monkeypatch, split, joined):
+    # argparse took '-0.9,0.1' for an option: the split form exited 2
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    docs = []
+    for argv in (split, joined):
+        code, out, err = run(capsys, "compute", *argv, "--format", "json")
+        assert code == 0, err
+        docs.append(without_elapsed(json.loads(out)))
+    assert docs[0] == docs[1]

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icewall import enumeration
+from icewall.checks import DELTA_HALF_WEIGHTS, delta_half_log_z, three_enumeration
 from icewall.enumeration import (ASM_COUNTS, ENUM_LIMIT, config_iterator,
                                  dump_configs, enumerate_configs, partition_dp,
                                  type_histogram)
@@ -156,6 +157,26 @@ def log_asm(n: int) -> float:
         den *= math.factorial(n + k)
     assert num % den == 0
     return math.log(num // den)
+
+
+def test_three_enumeration_product_formula_matches_the_histogram():
+    # A_N(3) sums 3^(number of -1 entries) over the ASMs; a -1 entry is a
+    # type-5 vertex
+    for n in range(1, ENUM_LIMIT + 1):
+        brute = sum(m * 3 ** counts[4] for counts, m in type_histogram(n).items())
+        assert three_enumeration(n) == brute
+    for n in (7, 8, 9):   # beyond enumeration, the DP's Z_N 2^(N^2) 3^(-N/2) rounds to it
+        z = partition_dp(n, DELTA_HALF_WEIGHTS)
+        assert round(math.exp(z.log_magnitude + n * n * math.log(2) - n * math.log(3) / 2)) \
+            == three_enumeration(n)
+
+
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_dp_matches_the_three_enumeration_at_delta_minus_half(n):
+    # a = b = 1/2, c = sqrt3/2: Z_N = 2^(-N^2) 3^(N/2) A_N(3)
+    exact = delta_half_log_z(n)
+    z = partition_dp(n, DELTA_HALF_WEIGHTS)
+    assert z.rel_diff(LogScaledValue(exact, 0.0)) <= 1e-15 * abs(exact)
 
 
 def test_dp_handles_larger_sizes():

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
+from icewall.checks import DELTA_HALF, delta_half_log_z
 from icewall.determinants import PrecisionWarning, default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.hankel import (alpha_det_deviation, cot_derivative_poly, hankel_H,
                             matrix_A, partition_hankel)
+from icewall.logscale import LogScaledValue
 from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
 from icewall.wmatrix import full_partition, z_tilde_det
 
@@ -111,6 +113,16 @@ def test_hankel_agrees_with_wdet_at_n40(lam, eta):
     p = ModelParams(lam, eta)
     bits = default_bits(40)
     assert partition_hankel(40, p, bits).rel_diff(full_partition(40, p, bits)) < 5e-14
+
+
+@pytest.mark.parametrize("route", [partition_hankel, full_partition])
+@pytest.mark.parametrize("n", [20, 40, 60])
+def test_determinants_match_the_three_enumeration_at_delta_minus_half(route, n):
+    # (lambda, eta) = (pi/2, pi/3): a = b = 1/2, c = sqrt3/2, Delta = -1/2,
+    # and Z_N = 2^(-N^2) 3^(N/2) A_N(3) with A_N(3) in exact integers
+    exact = delta_half_log_z(n)
+    z = route(n, DELTA_HALF, default_bits(n))
+    assert z.rel_diff(LogScaledValue(exact, 0.0)) <= 5e-15 * abs(exact)
 
 
 def test_large_size_uses_enough_precision():

@@ -46,6 +46,13 @@ def test_free_energy_sweep_runs():
     assert [int(r[0]) for r in rows] == list(range(1, 7))
 
 
+def test_free_energy_sweep_takes_a_negative_lambda_after_its_option():
+    split = run_script("free_energy_sweep.py", "--n-max", "3", "--lambda", "-0.9,0.1")
+    joined = run_script("free_energy_sweep.py", "--n-max", "3", "--lambda=-0.9,0.1")
+    assert split.returncode == 0, split.stderr
+    assert split.stdout == joined.stdout
+
+
 def test_perfbench_self_check():
     # the benchmark wraps icewall functions by name; this fails when one is gone
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
