@@ -23,6 +23,9 @@ from .lazynp import np
 from .logscale import LogScaledValue
 
 
+DOUBLE_TOL = 1e-9  # the largest error estimate a double-precision det(I - M) may carry
+
+
 class PrecisionWarning(UserWarning):
     """The determinant condition estimate ate more than half the mantissa."""
 
@@ -246,6 +249,21 @@ def mp_logdet(rows: list, warn_label: str, log_factor) -> LogScaledValue:
                 PrecisionWarning,
             )
     return LogScaledValue.from_mp_log(mpmath.log(det) + log_factor)
+
+
+def refuse_untrusted_i_minus(m: np.ndarray, label: str) -> None:
+    """Refuse a double-precision det(I - m) whose relative error estimate
+    2^-52 max(sigma_1(I - m), |m|_2) / sigma_min(I - m) exceeds DOUBLE_TOL.
+    It is cond_2(I - m) 2^-52 unless forming I - m cancels: then the
+    rounding of m's entries, up to 2^-52 |m|_2, sets the error."""
+    error = math.inf
+    if np.isfinite(m).all():
+        s = np.linalg.svd(np.eye(len(m)) - m, compute_uv=False)
+        if s[-1]:
+            error = max(s[0], np.linalg.norm(m, 2)) / s[-1] * 2.0 ** -52
+    if error > DOUBLE_TOL:
+        raise ValueError(f"{label}: the error estimate {error:.2g} of its double-precision "
+                         f"det(I - M) at N={len(m)} exceeds {DOUBLE_TOL:g}; it cannot be trusted")
 
 
 def slogdet_i_minus(m: np.ndarray) -> LogScaledValue:

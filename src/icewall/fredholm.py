@@ -16,16 +16,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .determinants import slogdet_i_minus as _logdet_i_minus
+from .determinants import refuse_untrusted_i_minus, slogdet_i_minus as _logdet_i_minus
 from .lazynp import np
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
                         mp_deriv, mp_eval, weight_shifted)
 from .params import ModelParams, qgroup_prefactor
-from .quadrature import QuadraturePlan, decay_cutoff
+from .quadrature import decay_cutoff, fermi_rule, gauss_legendre
 
-CONVERGENCE_TOL = 1e-8  # plan refinement of the disordered and rational kernels
+CONVERGENCE_TOL = 1e-8  # node refinement of the disordered and rational kernels
 DISCRETE_TOL = 1e-10    # truncation refinement of the discrete kernel
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
@@ -98,19 +98,6 @@ def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
 # discretized operators
 
 
-def default_plan(spec: KernelSpec) -> QuadraturePlan:
-    if spec.kind == "disordered":
-        pp = complex(spec.params.phi_plus)
-        order = 2 * spec.n + 1
-        hi = decay_cutoff(2 * math.pi - 2 * pp.real, poly_order=order)
-        lo = -decay_cutoff(2 * pp.real, poly_order=order)
-        return QuadraturePlan.on_interval(lo, hi, panel_width=1.0, nodes_per_panel=32)
-    if spec.kind == "rational":
-        hi = decay_cutoff(1.0, poly_order=2 * spec.n + 1)
-        return QuadraturePlan.on_interval(0.0, hi, panel_width=1.0, nodes_per_panel=32)
-    raise ValueError("the discrete kernel uses truncation, not quadrature")
-
-
 def discrete_cutoff(spec: KernelSpec) -> int:
     pt_plus = spec.phi_tilde[0].real
     x = 10.0
@@ -119,17 +106,27 @@ def discrete_cutoff(spec: KernelSpec) -> int:
     return int(math.ceil(x)) + 2
 
 
-def operator_matrix(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
-                    x_max: Optional[int] = None) -> np.ndarray:
-    """The N x N matrix zeta D G with G_jk = sum_i w(x_i) dx_i P_j(x_i) P_k(x_i)
-    and D = diag(d_k): det(I - zeta D G) equals det(I - zeta K) on the same
-    nodes, by Sylvester's identity.  zeta is folded in for the disordered
-    kernel; the discrete and rational kernels carry their own prefactors."""
+def nodes(spec: KernelSpec, refined: bool = False) -> tuple:
+    """(x, dx), the one discretization of each kernel: the lattice
+    0..discrete_cutoff - 1 for the discrete kernel, ten more sites when
+    refined; unit panels of 32 Gauss-Legendre nodes over the interval
+    outside which the continuous kernels' integrands fall below 1e-18,
+    twice as many panels when refined."""
     if spec.kind == "discrete":
-        x, dx = np.arange(x_max or discrete_cutoff(spec), dtype=float), 1.0
-    else:
-        plan = plan or default_plan(spec)
-        x, dx = plan.nodes, plan.weights
+        return np.arange(discrete_cutoff(spec) + (10 if refined else 0), dtype=float), 1.0
+    order, density = 2 * spec.n + 1, 2 if refined else 1
+    if spec.kind == "disordered":
+        return fermi_rule(complex(spec.params.phi_plus).real, order, density)
+    hi = decay_cutoff(1.0, order)
+    return gauss_legendre(0.0, hi, density * math.ceil(hi))
+
+
+def operator_matrix(spec: KernelSpec, x: np.ndarray, dx) -> np.ndarray:
+    """The N x N matrix zeta D G with G_jk = sum_i w(x_i) dx_i P_j(x_i) P_k(x_i)
+    and D = diag(d_k): det(I - zeta D G) equals det(I - zeta K) on the
+    nodes x with weights dx, by Sylvester's identity.  zeta is folded in for
+    the disordered kernel; the discrete and rational kernels carry their own
+    prefactors."""
     zeta = 1
     if spec.kind == "disordered":
         p = spec.params
@@ -140,18 +137,16 @@ def operator_matrix(spec: KernelSpec, plan: Optional[QuadraturePlan] = None,
 
 def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     """Fredholm determinant det(I - operator), refused unless refining the
-    discretization (ten more lattice sites, or twice the node density)
-    moves log|det| by at most its tolerance."""
+    discretization moves log|det| by at most its tolerance; the discrete
+    kernel's is refused too where its double-precision roundoff shows."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
         raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
+    primary = operator_matrix(spec, *nodes(spec))
     if spec.kind == "discrete":
-        x_max, tol = discrete_cutoff(spec), DISCRETE_TOL
-        result = _logdet_i_minus(operator_matrix(spec, x_max=x_max))
-        refined = _logdet_i_minus(operator_matrix(spec, x_max=x_max + 10))
-    else:
-        plan, tol = default_plan(spec), CONVERGENCE_TOL
-        result = _logdet_i_minus(operator_matrix(spec, plan=plan))
-        refined = _logdet_i_minus(operator_matrix(spec, plan=plan.refined()))
+        refuse_untrusted_i_minus(primary, "fredholm-discrete")
+    result = _logdet_i_minus(primary)
+    refined = _logdet_i_minus(operator_matrix(spec, *nodes(spec, refined=True)))
+    tol = DISCRETE_TOL if spec.kind == "discrete" else CONVERGENCE_TOL
     moved = abs(refined.log_magnitude - result.log_magnitude)
     if not moved <= tol:   # a NaN is refused too
         raise ValueError(f"fredholm-{spec.kind}: refining the discretization moves "
@@ -169,6 +164,6 @@ def full_partition_fredholm(n: int, p: ModelParams) -> LogScaledValue:
 def trace_moments(spec: KernelSpec) -> list:
     """tr(V^k) for k = 1, 2, 3 of the discretized operator; by cyclicity the
     N x N form has the traces of the m x m Nystrom matrix."""
-    d = operator_matrix(spec)
+    d = operator_matrix(spec, *nodes(spec))
     d2 = d @ d
     return [complex(np.trace(m)) for m in (d, d2, d2 @ d)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .lazynp import np
 from .params import SIN_CUTOFF
-from .quadrature import QuadraturePlan, decay_cutoff
+from .quadrature import fermi_rule
 
 # --------------------------------------------------------------------------
 # basic families
@@ -136,13 +136,9 @@ def connection_coeffs(n: int, lam: float, tau: complex, phi: complex) -> list:
     out = []
     for k in range(n + 1):
         c = _gamma_ratio(n, k, 2 * lam) / math.factorial(n - k)
-        c *= _pow(s_diff, n - k) * _pow(s_tau, k) / _pow(s_phi, n)
+        c *= s_diff ** (n - k) * s_tau ** k / s_phi ** n
         out.append(c)
     return out
-
-
-def _pow(z: complex, p: int) -> complex:
-    return 1.0 + 0j if p == 0 else z ** p
 
 
 def inm_closed(n: int, m: int, lam: float, tau: complex, omega: complex,
@@ -168,8 +164,7 @@ def inm_closed(n: int, m: int, lam: float, tau: complex, omega: complex,
         c = math.exp(math.lgamma(n + 2 * lam) + math.lgamma(m + 2 * lam)
                      - math.lgamma(k + 2 * lam) - math.lgamma(n - k + 1)
                      - math.lgamma(m - k + 1) - math.lgamma(k + 1))
-        acc += (c * _pow(dt, n - k) * _pow(do, m - k) * _pow(st * so, k)
-                / _pow(s_phi, n + m))
+        acc += c * dt ** (n - k) * do ** (m - k) * (st * so) ** k / s_phi ** (n + m)
     return norm * acc
 
 
@@ -191,13 +186,10 @@ def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
     through log-gamma so large |x| never overflows."""
     if not 0 < phi < math.pi or lam <= 0:
         raise ValueError("need real lam > 0 and 0 < phi < pi")
-    order = n + m + int(2 * lam)
-    plan = QuadraturePlan.on_interval(-decay_cutoff(2 * phi, poly_order=order),
-                                      decay_cutoff(2 * math.pi - 2 * phi, poly_order=order))
-    x = plan.nodes
+    x, dx = fermi_rule(phi, n + m + int(2 * lam))
     log_w = _log_abs_gamma_sq(lam, x) + (2 * phi - math.pi) * x
     vals = mp_eval(n, lam, x, tau) * mp_eval(m, lam, x, omega) * np.exp(log_w)
-    return complex(np.sum(vals * plan.weights)) / (2 * math.pi)
+    return complex(np.sum(vals * dx)) / (2 * math.pi)
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +226,7 @@ def exp_jplus_entries(alpha: complex, lam: float, m: int) -> np.ndarray:
     for n in range(m):
         for k in range(n + 1):
             out[n, k] = (_gamma_ratio(n, k, 2 * lam) / math.factorial(n - k)
-                         * _pow(complex(alpha), n - k))
+                         * complex(alpha) ** (n - k))
     return out
 
 

@@ -1,47 +1,38 @@
-"""Piecewise Gauss-Legendre plans for the integral representations.
+"""Panel Gauss-Legendre rules for the integral representations, and the
+interval that covers the Fermi weight.
 
 All integrands here are analytic on the (shifted) real contour, so fixed
-panels of unit width with a few dozen nodes converge far below the target
+panels of unit width with 32 nodes converge far below the target
 tolerances; panel placement just has to cover the exponential tails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .lazynp import np
 
 
-@dataclass(frozen=True)
-class QuadraturePlan:
-    nodes: np.ndarray
-    weights: np.ndarray
-    lo: float = 0.0
-    hi: float = 0.0
-
-    @classmethod
-    def on_interval(cls, a: float, b: float, panel_width: float = 1.0,
-                    nodes_per_panel: int = 32) -> "QuadraturePlan":
-        n_panels = max(1, int(math.ceil((b - a) / panel_width)))
-        x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-        edges = np.linspace(a, b, n_panels + 1)
-        nodes, weights = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            nodes.append(mid + half * x)
-            weights.append(half * w)
-        return cls(np.concatenate(nodes), np.concatenate(weights), float(a), float(b))
-
-    def refined(self) -> "QuadraturePlan":
-        """Same interval with doubled node density (for convergence checks)."""
-        panels = max(1, 2 * len(self.nodes) // 32)
-        return QuadraturePlan.on_interval(self.lo, self.hi,
-                                          panel_width=(self.hi - self.lo) / panels)
+def gauss_legendre(a: float, b: float, panels: int) -> tuple:
+    """(nodes, weights) of `panels` equal panels on [a, b], each carrying
+    the 32-point Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(a, b, panels + 1)[:, None]
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def decay_cutoff(rate: float, poly_order: int = 0) -> float:
+def fermi_rule(phi: float, order: int, density: int = 1) -> tuple:
+    """(nodes, weights) for the Fermi weight e^{2 phi x}/(1 + e^{2 pi x}),
+    0 < phi < pi, times a polynomial of degree `order`: unit panels over the
+    interval outside which that integrand is below 1e-18, `density` times as
+    many panels when refined."""
+    lo = -decay_cutoff(2 * phi, order)
+    hi = decay_cutoff(2 * math.pi - 2 * phi, order)
+    return gauss_legendre(lo, hi, density * math.ceil(hi - lo))
+
+
+def decay_cutoff(rate: float, poly_order: int) -> float:
     """Smallest L with exp(-rate*L) * L^poly_order below 1e-18.
 
     `rate` must be positive; poly_order accounts for polynomial growth of

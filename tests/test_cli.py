@@ -300,6 +300,15 @@ def test_dp_weight_underflow_is_refused_and_not_cached(capsys, tmp_path, monkeyp
      "fredholm-disordered"),
     (["--rep", "fredholm-disordered", "--n", "12", "--lambda", "2.9", "--eta", "0.2"],
      "fredholm-disordered"),
+    # gauss at N=1: log|Z| -0.31826879 with phase 1.8e-6 where dp gives
+    # -0.31827042 with phase 0; forming I - zeta W lost the digits, and the
+    # 1 x 1 matrix has condition 1
+    (["--rep", "gauss", "--n", "1", "--lambda", "1.0987419351120005,11.516766095946057",
+      "--eta", "1.1635292152239898"], "gauss"),
+    # fredholm-discrete's Gram roundoff in the ferroelectric regime: log|Z|
+    # 1.6e-6 off wdet, though its refinement check passed
+    (["--rep", "fredholm-discrete", "--n", "8", "--lambda", "0,2", "--eta", "0,0.5"],
+     "fredholm-discrete"),
 ])
 def test_untrusted_values_exit_2_and_cache_nothing(capsys, tmp_path, monkeypatch, argv, named):
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)

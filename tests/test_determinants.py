@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from mpmath.libmp import from_man_exp, round_nearest
 
+from icewall.cli import ROUTES_BY_NAME
 from icewall.determinants import (BlockFloat, PrecisionWarning, _nearest, default_bits,
                                   lu_det, mp_logdet)
 from icewall.hankel import hankel_H
 from icewall.params import ModelParams
-from icewall.wmatrix import _w_matrix_mp
+from icewall.wmatrix import _w_matrix_mp, full_partition
 
 ROUTE_POINTS = [(math.pi / 2, math.pi / 6), (1.1, 0.33), (0.9 + 0.1j, 0.3 + 0.05j),
                 (0.55j, 0.25j), (1.5, 0.35)]
@@ -258,3 +259,30 @@ def test_log_factor_joins_at_working_precision():
         value = mp_logdet([[2]], "factor", factor)
         assert value.log_magnitude == float(mpmath.log(2) + 10 ** 6)
         assert value.angle == float(7 - 2 * mpmath.pi)
+
+
+def _ferroelectric_draws(count: int = 30) -> list:
+    """Seeded (t, gamma, N) with 0 < gamma < t <= 3 and N <= 12."""
+    rng = np.random.default_rng(18)
+    draws = []
+    for _ in range(count):
+        t = rng.uniform(0.1, 3.0)
+        draws.append((t, rng.uniform(0.02, 0.98) * t, int(rng.integers(1, 13))))
+    return draws
+
+
+@pytest.mark.parametrize("route", ["gauss", "fredholm-discrete"])
+def test_double_precision_routes_refuse_or_agree_in_the_ferroelectric_regime(route):
+    # fredholm-discrete's refinement check passed where its Gram roundoff
+    # showed: log|Z| 447.319 with phase pi at (2i, 0.5i), N=16, where wdet
+    # gives 436.657 with phase 0; at this seed it was wrong 2 times of 30
+    answered = 0
+    for t, gamma, n in _ferroelectric_draws():
+        p = ModelParams(1j * t, 1j * gamma)
+        try:
+            z = ROUTES_BY_NAME[route].fn(n, p, None, None)[0]
+        except ValueError:
+            continue
+        answered += 1
+        assert z.rel_diff(full_partition(n, p, 256)) <= 1e-8, (t, gamma, n)
+    assert answered >= 15

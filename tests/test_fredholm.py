@@ -11,11 +11,11 @@ import pytest
 from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_minus,
-                              default_plan, discrete_cutoff, fredholm_det,
-                              full_partition_fredholm, operator_matrix, trace_moments)
+                              fredholm_det, full_partition_fredholm, nodes, operator_matrix,
+                              trace_moments)
 from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
                                mp_deriv, mp_eval)
-from icewall.quadrature import QuadraturePlan
+from icewall.quadrature import gauss_legendre
 from icewall.params import ModelParams, symmetric_weights
 from icewall.wmatrix import (BetaGamma, full_partition, rational_z_tilde, w_matrix,
                              z_tilde_det)
@@ -174,11 +174,29 @@ def test_discrete_determinant_matches_continuation():
 
 def test_discrete_truncation_stability():
     spec = KernelSpec.discrete(3, 0.8, 0.3)
-    x_max = discrete_cutoff(spec)
-    a = np.linalg.slogdet(np.eye(spec.n) - operator_matrix(spec, x_max=x_max))[1]
+    a = np.linalg.slogdet(np.eye(spec.n) - operator_matrix(spec, *nodes(spec)))[1]
     b = np.linalg.slogdet(np.eye(spec.n)
-                          - operator_matrix(spec, x_max=x_max + 10))[1]
+                          - operator_matrix(spec, *nodes(spec, refined=True)))[1]
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_refined_nodes_extend_the_lattice_or_double_the_rule(kind, n):
+    # fredholm_det's refinement check compares these two discretizations
+    spec = spec_of(kind, n)
+    (x, dx), (xr, dxr) = nodes(spec), nodes(spec, refined=True)
+    if kind == "discrete":
+        assert dx == dxr == 1.0
+        assert np.array_equal(xr, np.arange(len(x) + 10, dtype=float))
+        return
+
+    def ends(x, dx):
+        # a panel's 32 nodes are symmetric about its midpoint; its weights sum to its width
+        return (x[0] + x[31] - dx[:32].sum()) / 2, (x[-32] + x[-1] + dx[-32:].sum()) / 2
+
+    assert len(xr) == 2 * len(x)
+    assert ends(xr, dxr) == pytest.approx(ends(x, dx), abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
@@ -205,12 +223,9 @@ def test_operator_matrix_has_the_nystrom_determinant(kind):
     n = 4
     spec = spec_of(kind, n)
     if kind == "discrete":
-        x, dx, plan = np.arange(14, dtype=float), np.ones(14), None
+        x, dx = np.arange(14, dtype=float), np.ones(14)
     else:
-        plan = QuadraturePlan.on_interval(*{"disordered": (-12.0, 8.0),
-                                            "rational": (0.0, 30.0)}[kind],
-                                          panel_width=5.0, nodes_per_panel=8)
-        x, dx = plan.nodes, plan.weights
+        x, dx = gauss_legendre(*{"disordered": (-12.0, 8.0), "rational": (0.0, 30.0)}[kind], 4)
     c, poly, deriv, w = bracket_family(kind, n)
     pn, pn1 = poly(n, x), poly(n - 1, x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -218,7 +233,7 @@ def test_operator_matrix_has_the_nystrom_determinant(kind):
     np.fill_diagonal(bracket, deriv(n, x) * pn1 - deriv(n - 1, x) * pn)
     zeta = cmath.exp(-2j * P_REF.eta) if kind == "disordered" else 1
     nystrom = zeta * c * bracket * (w(x) * dx)[None, :]
-    rank_n = operator_matrix(spec, plan=plan, x_max=len(x))
+    rank_n = operator_matrix(spec, x, dx)
     assert rank_n.shape == (n, n)
     assert _logdet_i_minus(rank_n).rel_diff(_logdet_i_minus(nystrom)) < 1e-12
 

@@ -20,7 +20,7 @@ from icewall.orthopoly import (_log_abs_gamma_sq, connection_coeffs,
                                laguerre_eval, masked_commutator_residuals,
                                meixner_poly, mp_deriv, mp_eval, su11_matrices,
                                weight_shifted)
-from icewall.quadrature import QuadraturePlan
+from icewall.quadrature import gauss_legendre
 
 
 # --------------------------------------------------------------------------
@@ -75,8 +75,8 @@ def test_laguerre_derivative_near_zero():
 def test_weight_normalization():
     # integral of e^{phi x}/(1 + e^{pi x}) over the real axis is 1/sin(phi)
     phi = 0.9
-    plan = QuadraturePlan.on_interval(-45.0, 25.0)
-    total = np.sum(weight_shifted(plan.nodes, phi) * plan.weights)
+    x, dx = gauss_legendre(-45.0, 25.0, 70)
+    total = np.sum(weight_shifted(x, phi) * dx)
     assert complex(total).real == pytest.approx(1 / math.sin(phi), rel=1e-12)
 
 

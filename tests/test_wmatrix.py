@@ -100,7 +100,7 @@ def test_full_partition_vs_enumeration():
 def test_gauss_refuses_an_ill_conditioned_determinant(lam, eta):
     # at N=10, cond_2(I - zeta W) 2^-52 is 3.6 and 2.4e-3 here: gauss was
     # off by 3.45 in log|Z| and by 2.9e-3
-    with pytest.raises(ValueError, match="gauss: cond"):
+    with pytest.raises(ValueError, match="gauss: the error estimate"):
         full_partition_gauss(10, ModelParams(lam, eta))
 
 
@@ -175,3 +175,20 @@ def test_free_fermion_closed_form_large_n(n, lam):
     for z in (full_partition(n, p, bits), partition_hankel(n, p, bits)):
         assert abs(z.log_magnitude - exact.real) <= 1e-11
         assert abs(math.remainder(z.angle - exact.imag, 2 * math.pi)) <= 1e-11
+
+
+@pytest.mark.parametrize("t, gamma, n, per_log_z, floor", [
+    (2.0, 0.5, 24, 5e-15, 0), (2.0, 0.5, 40, 5e-15, 0), (2.0, 0.5, 60, 5e-15, 0),
+    (0.8, 0.3, 60, 0, 1e-8)])
+def test_ferroelectric_asymptotics_large_n(t, gamma, n, per_log_z, floor):
+    # Bleher & Liechty (2009): at (lambda, eta) = (i t, i gamma), 0 < gamma < t,
+    # Z_N = C e^{N (gamma - t)} sinh(t + gamma)^{N^2} e^{i pi N^2/2} up to an
+    # exponentially small remainder, with C = prod_{l>=1} (1 - e^{-4 l gamma});
+    # at (0.8i, 0.3i) the remainder is still 2.2e-9 at N=60, the floor
+    log_c = sum(math.log1p(-math.exp(-4 * l * gamma)) for l in range(1, 100))
+    log_z = log_c + n * (gamma - t) + n * n * math.log(math.sinh(t + gamma))
+    exact = LogScaledValue(log_z, n * n % 4 * math.pi / 2)
+    p = ModelParams(1j * t, 1j * gamma)
+    tol = max(per_log_z * abs(log_z), floor)
+    for route in (full_partition, partition_hankel):
+        assert route(n, p, default_bits(n)).rel_diff(exact) <= tol
