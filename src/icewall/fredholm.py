@@ -6,7 +6,10 @@ nonnegative integers (imaginary parameters), and the Laguerre kernel on
 the positive half-axis (rational degeneration).  Each kernel is a
 Christoffel-Darboux sum of N rank-one terms, so on any set of nodes the
 determinant of I minus the m x m Nystrom matrix equals that of an N x N
-Gram matrix (Sylvester's identity); only the N x N matrix is built.
+Gram matrix (Sylvester's identity); only the N x N matrix is built.  The
+Gram integrand of a continuous kernel is a polynomial of degree at most
+2N - 2 times the weight, so the N-node Gauss rule of the weight gives the
+matrix exactly.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from .lazynp import np
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
-                        mp_deriv, mp_eval, weight_shifted)
+                        mp_deriv, mp_eval)
 from .params import ModelParams, qgroup_prefactor
-from .quadrature import decay_cutoff, fermi_rule, gauss_legendre
+from .quadrature import gauss_rule
 
-CONVERGENCE_TOL = 1e-8  # node refinement of the disordered and rational kernels
+CONVERGENCE_TOL = 1e-8  # N against N + 1 nodes, and the disordered rule's orthonormality
 DISCRETE_TOL = 1e-10    # truncation refinement of the discrete kernel
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
@@ -60,9 +63,10 @@ class KernelSpec:
 
 
 def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
-    """(P, d, w) with P[i, k] = P_k(x_i) for k < N and w = w(x), such that the
-    kernel is K(x, y) = sum_k d_k P_k(x) P_k(y) w(y), the Christoffel-Darboux
-    sum of c_N [P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)]/(x - y) w(y):
+    """(P, d) with P[i, k] = P_k(x_i) for k < N, such that the kernel is
+    K(x, y) = sum_k d_k P_k(x) P_k(y) w(y), the Christoffel-Darboux sum of
+    c_N [P_N(x) P_{N-1}(y) - P_{N-1}(x) P_N(y)]/(x - y) w(y); `nodes` folds
+    the weight w into its weights:
 
     disordered  c_N = N,                  d_k = 2 sin phi_-,
                 w(y) = e^{2 phi_+ y}/(1 + e^{2 pi y}),
@@ -77,21 +81,17 @@ def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
         phi = spec.params.phi_minus
         polys = [mp_eval(k, 0.5, x, phi) for k in range(n)]
         d = np.full(n, 2 * cmath.sin(phi))
-        w = weight_shifted(2 * x, spec.params.phi_plus)
     elif spec.kind == "rational":
         polys = [laguerre_eval(k, spec.xi * x) for k in range(n)]
         d = np.full(n, spec.xi)
-        w = np.exp(-x)
     elif spec.kind == "discrete":
-        pt_plus, pt_minus = spec.phi_tilde
-        q = cmath.exp(-2 * pt_minus)
+        q = cmath.exp(-2 * spec.phi_tilde[1])
         q = q.real if abs(q.imag) < 1e-15 else q
         polys = [meixner_poly(k, 1.0, q)(x) for k in range(n)]
         d = (1 - q) * q ** np.arange(n)
-        w = np.exp(-2 * pt_plus * x)
     else:
         raise ValueError(f"unknown kernel kind {spec.kind!r}")
-    return np.column_stack([np.broadcast_to(v, x.shape) for v in polys]), d, w
+    return np.column_stack([np.broadcast_to(v, x.shape) for v in polys]), d
 
 
 # --------------------------------------------------------------------------
@@ -107,43 +107,62 @@ def discrete_cutoff(spec: KernelSpec) -> int:
 
 
 def nodes(spec: KernelSpec, refined: bool = False) -> tuple:
-    """(x, dx), the one discretization of each kernel: the lattice
-    0..discrete_cutoff - 1 for the discrete kernel, ten more sites when
-    refined; unit panels of 32 Gauss-Legendre nodes over the interval
-    outside which the continuous kernels' integrands fall below 1e-18,
-    twice as many panels when refined."""
+    """(x, w), the one discretization of each kernel, with the kernel's
+    weight function folded into the weights w.  The discrete kernel takes
+    the lattice 0..discrete_cutoff - 1, ten more sites when refined.  The
+    continuous kernels take the N-node Gauss rule of their weight, exact for
+    the Gram matrix, and N + 1 nodes when refined: Gauss-Laguerre for the
+    rational kernel, and for the disordered kernel the rule of the
+    Meixner-Pollaczek weight, lambda = 1/2 at phi_+."""
     if spec.kind == "discrete":
-        return np.arange(discrete_cutoff(spec) + (10 if refined else 0), dtype=float), 1.0
-    order, density = 2 * spec.n + 1, 2 if refined else 1
-    if spec.kind == "disordered":
-        return fermi_rule(complex(spec.params.phi_plus).real, order, density)
-    hi = decay_cutoff(1.0, order)
-    return gauss_legendre(0.0, hi, density * math.ceil(hi))
+        x = np.arange(discrete_cutoff(spec) + (10 if refined else 0), dtype=float)
+        return x, np.exp(-2 * spec.phi_tilde[0] * x)
+    m = spec.n + refined
+    if spec.kind == "rational":
+        return np.polynomial.laguerre.laggauss(m)
+    return _meixner_pollaczek_rule(m, complex(spec.params.phi_plus))
 
 
-def operator_matrix(spec: KernelSpec, x: np.ndarray, dx) -> np.ndarray:
-    """The N x N matrix zeta D G with G_jk = sum_i w(x_i) dx_i P_j(x_i) P_k(x_i)
+def _meixner_pollaczek_rule(m: int, phi: complex) -> tuple:
+    """The m-node Gauss rule of e^{2 phi y}/(1 + e^{2 pi y}), the
+    Meixner-Pollaczek weight of lambda = 1/2: alpha_k = -(k + 1/2) cot phi,
+    b_k = k/(2 sin phi), mass 1/(2 sin phi).  Complex at complex phi, and
+    refused where it fails its orthonormality check, as it does at large
+    |Im phi|."""
+    s = cmath.sin(phi)
+    k = np.arange(m)
+    x, w, defect = gauss_rule(-(k + 0.5) * (cmath.cos(phi) / s), k[1:] / (2 * s), 1 / (2 * s))
+    if not defect <= CONVERGENCE_TOL:
+        raise ValueError(f"fredholm-disordered: its {m}-node Gauss rule misses "
+                         f"orthonormality by {defect:.2g}, above {CONVERGENCE_TOL:g}")
+    return x, w
+
+
+def operator_matrix(spec: KernelSpec, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The N x N matrix zeta D G with G_jk = sum_i weights_i P_j(x_i) P_k(x_i)
     and D = diag(d_k): det(I - zeta D G) equals det(I - zeta K) on the
-    nodes x with weights dx, by Sylvester's identity.  zeta is folded in for
-    the disordered kernel; the discrete and rational kernels carry their own
-    prefactors."""
+    nodes x, by Sylvester's identity, when the weights carry the kernel's
+    weight function.  zeta is folded in for the disordered kernel; the
+    discrete and rational kernels carry their own prefactors."""
     zeta = 1
     if spec.kind == "disordered":
         p = spec.params
         zeta = cmath.exp(1j * (complex(p.phi_minus) - complex(p.phi_plus)))
-    polys, d, w = _expansion(spec, x)
-    return zeta * d[:, None] * (polys.T @ (polys * (w * dx)[:, None]))
+    polys, d = _expansion(spec, x)
+    return zeta * d[:, None] * (polys.T @ (polys * weights[:, None]))
 
 
 def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     """Fredholm determinant det(I - operator), refused unless refining the
-    discretization moves log|det| by at most its tolerance; the discrete
-    kernel's is refused too where its double-precision roundoff shows."""
+    discretization moves log|det| by at most its tolerance; the disordered
+    and discrete kernels' are refused too where their double-precision
+    roundoff shows.  At N = 1 the two Gauss rules give the same Gram
+    matrix, so only that estimate sees the digits lost in forming I - M."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
         raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
     primary = operator_matrix(spec, *nodes(spec))
-    if spec.kind == "discrete":
-        refuse_untrusted_i_minus(primary, "fredholm-discrete")
+    if spec.kind != "rational":
+        refuse_untrusted_i_minus(primary, f"fredholm-{spec.kind}")
     result = _logdet_i_minus(primary)
     refined = _logdet_i_minus(operator_matrix(spec, *nodes(spec, refined=True)))
     tol = DISCRETE_TOL if spec.kind == "discrete" else CONVERGENCE_TOL

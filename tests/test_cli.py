@@ -293,8 +293,9 @@ def test_dp_weight_underflow_is_refused_and_not_cached(capsys, tmp_path, monkeyp
     (["--rep", "all", "--n", "3", "--lambda", "0.9,800"], "sin(lambda+eta)"),
     # dividing by 1e10 takes w5 = w6 = 1e-305 to subnormals: log|Z| was 3.0e-9 off
     (["--rep", "dp", "--n", "2", "--weights", "1e10,1e10,1e10,1e10,1e-305,1e-305"], "dp"),
-    # Nystrom determinants whose plan refinement moves them: log|Z| 2077.58
-    # where wdet gives 1393.76, then 2.0e-3 and 5.4e-7 off wdet
+    # Nystrom determinants that panel rules gave as log|Z| 2077.58 where wdet
+    # gives 1393.76, then 2.0e-3 and 5.4e-7 off wdet; the Gauss rule's
+    # orthonormality check and the estimate of det(I - M) refuse them
     (["--rep", "fredholm-disordered", "--n", "3", "--eta", "0.3,100"], "fredholm-disordered"),
     (["--rep", "fredholm-disordered", "--n", "16", "--lambda", "3.0", "--eta", "0.1"],
      "fredholm-disordered"),

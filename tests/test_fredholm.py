@@ -1,20 +1,25 @@
-"""Rank-N Fredholm determinants of the three integrable kernels, on quadrature
-nodes or a truncated lattice."""
+"""Rank-N Fredholm determinants of the three integrable kernels, on Gauss
+rules or a truncated lattice."""
 
 import cmath
 import math
+import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from icewall import fredholm
+from icewall.cli import ROUTES_BY_NAME
 from icewall.determinants import default_bits
-from icewall.enumeration import enumerate_configs
+from icewall.enumeration import enumerate_configs, partition_dp
 from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_minus,
                               fredholm_det, full_partition_fredholm, nodes, operator_matrix,
                               trace_moments)
+from icewall.logscale import LogScaledValue
 from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
-                               mp_deriv, mp_eval)
+                               mp_deriv, mp_eval, weight_shifted)
 from icewall.quadrature import gauss_legendre
 from icewall.params import ModelParams, symmetric_weights
 from icewall.wmatrix import (BetaGamma, full_partition, rational_z_tilde, w_matrix,
@@ -45,10 +50,19 @@ def bracket_family(kind: str, n: int):
             lambda y: np.exp(-2 * PT_PLUS * y))
 
 
+def weight(spec: KernelSpec, y):
+    """The kernel's weight function w(y), which `nodes` folds into its weights."""
+    if spec.kind == "disordered":
+        return weight_shifted(2 * y, spec.params.phi_plus)
+    if spec.kind == "rational":
+        return np.exp(-y)
+    return np.exp(-2 * spec.phi_tilde[0] * y)
+
+
 def kernel(spec: KernelSpec, x: float, y: float) -> complex:
     """K(x, y) of the rank-N expansion at one pair of points."""
-    p, d, w = _expansion(spec, np.array([x, y], dtype=float))
-    return np.sum(d * p[0] * p[1]) * w[1]
+    p, d = _expansion(spec, np.array([x, y], dtype=float))
+    return np.sum(d * p[0] * p[1]) * weight(spec, y)
 
 
 def spec_of(kind: str, n: int) -> KernelSpec:
@@ -180,23 +194,63 @@ def test_discrete_truncation_stability():
     assert abs(a - b) < 1e-10
 
 
+def orthonormality_defect(spec: KernelSpec, x, w) -> float:
+    """max_jk |sum_i w_i p_j(x_i) p_k(x_i) - delta_jk| for the orthonormal
+    polynomials of the kernel's weight, k <= N: the Meixner-Pollaczek
+    P_k^{(1/2)}(.; phi_+) times sqrt(2 sin phi_+), or the Laguerre L_k."""
+    if spec.kind == "disordered":
+        phi = complex(spec.params.phi_plus)
+        p = np.array([mp_eval(k, 0.5, x, phi) + 0 * x for k in range(spec.n + 1)])
+        p = p * cmath.sqrt(2 * cmath.sin(phi))
+    else:
+        p = np.array([laguerre_eval(k, x) + 0 * x for k in range(spec.n + 1)])
+    return float(np.max(np.abs((p * w) @ p.T - np.eye(spec.n + 1))))
+
+
 @pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
 @pytest.mark.parametrize("n", [1, 5, 16])
 def test_refined_nodes_extend_the_lattice_or_double_the_rule(kind, n):
-    # fredholm_det's refinement check compares these two discretizations
+    # fredholm_det's refinement check compares these two discretizations: the
+    # lattice gains ten sites; a continuous kernel's N-node Gauss rule gains
+    # one node, and both rules integrate the Gram integrand exactly
     spec = spec_of(kind, n)
-    (x, dx), (xr, dxr) = nodes(spec), nodes(spec, refined=True)
+    (x, w), (xr, wr) = nodes(spec), nodes(spec, refined=True)
     if kind == "discrete":
-        assert dx == dxr == 1.0
         assert np.array_equal(xr, np.arange(len(x) + 10, dtype=float))
+        assert np.array_equal(wr[:len(x)], w)
+        assert np.allclose(w, weight(spec, x), rtol=1e-15)
         return
+    assert (len(x), len(xr)) == (n, n + 1)
+    # the N + 1 node rule is exact through degree 2N + 1, so through p_N^2
+    assert orthonormality_defect(spec, xr, wr) < 1e-12
+    # the N-node rule is exact through degree 2N - 1: p_j p_k for j, k < N
+    assert orthonormality_defect(spec_of(kind, n - 1), x, w) < 1e-12
 
-    def ends(x, dx):
-        # a panel's 32 nodes are symmetric about its midpoint; its weights sum to its width
-        return (x[0] + x[31] - dx[:32].sum()) / 2, (x[-32] + x[-1] + dx[-32:].sum()) / 2
 
-    assert len(xr) == 2 * len(x)
-    assert ends(xr, dxr) == pytest.approx(ends(x, dx), abs=1e-12)
+@pytest.mark.parametrize("phi_plus", [0.4 + 0.3j, 2.9 - 1.5j, 0.1 + 1j])
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_meixner_pollaczek_rule_is_exact_at_complex_phi_plus(phi_plus, n):
+    # sum_i w_i p_j(x_i) p_k(x_i) = delta_jk for j, k < N, complex nodes and all
+    p = ModelParams(phi_plus - 0.3, 0.3)
+    x, w = nodes(KernelSpec.disordered(n, p))
+    assert orthonormality_defect(KernelSpec.disordered(n - 1, p), x, w) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["disordered", "rational"])
+def test_continuous_kernels_pass_at_most_n_plus_one_nodes(kind, monkeypatch):
+    # no panel rule: operator_matrix sees N nodes, then N + 1 for the check
+    seen = []
+    build = fredholm.operator_matrix
+
+    def recording(spec, x, w):
+        seen.append(len(x))
+        return build(spec, x, w)
+
+    monkeypatch.setattr(fredholm, "operator_matrix", recording)
+    for n in (1, 4, 9, 16):
+        seen.clear()
+        fredholm_det(spec_of(kind, n))
+        assert seen == [n, n + 1]
 
 
 @pytest.mark.parametrize("kind", ["disordered", "rational", "discrete"])
@@ -233,7 +287,7 @@ def test_operator_matrix_has_the_nystrom_determinant(kind):
     np.fill_diagonal(bracket, deriv(n, x) * pn1 - deriv(n - 1, x) * pn)
     zeta = cmath.exp(-2j * P_REF.eta) if kind == "disordered" else 1
     nystrom = zeta * c * bracket * (w(x) * dx)[None, :]
-    rank_n = operator_matrix(spec, x, dx)
+    rank_n = operator_matrix(spec, x, w(x) * dx)
     assert rank_n.shape == (n, n)
     assert _logdet_i_minus(rank_n).rel_diff(_logdet_i_minus(nystrom)) < 1e-12
 
@@ -277,10 +331,117 @@ def test_no_convergence_warnings_on_defaults():
 
 @pytest.mark.parametrize("n, lam, eta", [(3, 0.9, 0.3 + 100j), (16, 3.0, 0.1), (12, 2.9, 0.2)])
 def test_unconverged_refinement_is_refused(n, lam, eta):
-    # these gave log|Z| 2077.58 (wdet: 1393.76), and values 2.0e-3 and
-    # 5.4e-7 off wdet, with only a warning
-    with pytest.raises(ValueError, match="fredholm-disordered: refining"):
+    # on panel rules these gave log|Z| 2077.58 (wdet: 1393.76), and values
+    # 2.0e-3 and 5.4e-7 off wdet, with only a warning; on Gauss rules the
+    # rule's orthonormality check refuses the first, the estimate of
+    # det(I - M) the others
+    reasons = "refining|the error estimate|its 3-node Gauss rule"
+    with pytest.raises(ValueError, match=f"fredholm-disordered: ({reasons})"):
         full_partition_fredholm(n, ModelParams(lam, eta))
+
+
+# (left, bottom) -> [(right, top, weight)] for lines that run up and to the
+# right: weight 0 (a) for an empty or crossed vertex, 1 (b) for a line going
+# straight through, 2 (c) for a line that turns
+_LINE_MOVES = {(0, 0): [(0, 0, 0)], (1, 1): [(1, 1, 0)],
+               (1, 0): [(1, 0, 1), (0, 1, 2)], (0, 1): [(0, 1, 1), (1, 0, 2)]}
+
+
+def dwbc_partition(n: int, a, b, c):
+    """Z_N at the weights (a, a, b, b, c, c), summed vertex by vertex in
+    mpmath, independent of every route: a line enters at the bottom of each
+    column and one leaves at the right end of each row; the state is the set
+    of occupied vertical edges and the horizontal edge carried along a row."""
+    states = {(1 << n) - 1: mpmath.mpf(1)}
+    for _ in range(n):
+        row = {(s, 0): z for s, z in states.items()}
+        for j in range(n):
+            nxt = {}
+            for (s, h), z in row.items():
+                for right, top, k in _LINE_MOVES[h, s >> j & 1]:
+                    key = (s & ~(1 << j) | top << j, right)
+                    nxt[key] = nxt.get(key, 0) + z * (a, b, c)[k]
+            row = nxt
+        states = {s: z for (s, h), z in row.items() if h}
+    return states.get(0, mpmath.mpf(0))
+
+
+def reference(route: str, n: int, lam: complex, eta: complex) -> LogScaledValue:
+    """Z_N of the route's model at 400 bits: the weights sin(lambda + eta),
+    sin(lambda - eta), sin(2 eta), or lambda + eta, lambda - eta, 2 eta for
+    the rational degeneration."""
+    with mpmath.workprec(400):
+        lam, eta = mpmath.mpc(lam), mpmath.mpc(eta)
+        weights = (lam + eta, lam - eta, 2 * eta)
+        if route != "fredholm-rational":
+            weights = tuple(mpmath.sin(w) for w in weights)
+        return LogScaledValue.from_mp_log(mpmath.log(dwbc_partition(n, *weights)))
+
+
+def test_line_sum_reference_matches_dp():
+    for n in range(1, 7):
+        a, b, c = 0.7 + 0.1j, 1.3 - 0.2j, 0.4 + 0.5j
+        with mpmath.workprec(200):
+            z = dwbc_partition(n, mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(c))
+            z = LogScaledValue.from_mp_log(mpmath.log(z))
+        assert z.rel_diff(partition_dp(n, (a, a, b, b, c, c))) < 1e-14
+
+
+def seeded_draws(count: int, seed: int) -> list:
+    """(lambda, eta, N): Re lambda on (0.05, 3.1), Re eta on (0.05, 1.5), each
+    imaginary part 0 with probability 1/2, uniform on (-1, 1) with
+    probability 1/4 and 10^U(-1, 2) with probability 1/4, N on 1..6."""
+    rng = random.Random(seed)
+
+    def imag():
+        u = rng.random()
+        return 0.0 if u < 0.5 else rng.uniform(-1, 1) if u < 0.75 else 10 ** rng.uniform(-1, 2)
+
+    draws = []
+    for _ in range(count):
+        lam = complex(rng.uniform(0.05, 3.1), imag())
+        eta = complex(rng.uniform(0.05, 1.5), imag())
+        draws.append((lam, eta, rng.randint(1, 6)))
+    return draws
+
+
+@pytest.mark.parametrize("route, least", [("fredholm-disordered", 300),
+                                          ("fredholm-rational", 120)])
+def test_continuous_kernels_refuse_or_agree(route, least):
+    # on panel rules fredholm-disordered gave 1.2e-8 off at N=2,
+    # (2.2448+3.0555i, 0.6207-0.2320i), with exit 0
+    answered = 0
+    for lam, eta, n in seeded_draws(600, 1):
+        try:
+            p = ModelParams(lam, eta)
+        except ValueError:
+            continue
+        if ROUTES_BY_NAME[route].refusal(n, p, None):
+            continue
+        try:
+            z = ROUTES_BY_NAME[route].fn(n, p, None, None)[0]
+        except ValueError:
+            continue
+        answered += 1
+        assert z.rel_diff(reference(route, n, lam, eta)) <= 1e-8, (lam, eta, n)
+    assert answered >= least
+
+
+@pytest.mark.parametrize("n, lam, eta", [
+    # on panel rules: log|Z| 71.84016456577 with phase -2.34417586676 where
+    # dp gives 71.84016456188 and -2.34417588061
+    (3, 0.05137520027820655, 0.7284417585884891 + 5.577034719881467j),
+    # on panel rules: log|Z| -56.105996231, 2.2e-8 from wdet's -56.105996254
+    (14, math.pi / 2, math.pi / 3)])
+def test_disordered_kernel_refuses_or_agrees_where_panel_rules_were_wrong(n, lam, eta):
+    p = ModelParams(lam, eta)
+    try:
+        z = full_partition_fredholm(n, p)
+    except ValueError:
+        return
+    ref = reference("fredholm-disordered", n, lam, eta) if n <= 6 else \
+        full_partition(n, p, default_bits(n))
+    assert z.rel_diff(ref) <= 1e-8
 
 
 def test_trace_moments_match_finite_traces():
