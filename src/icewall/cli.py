@@ -119,7 +119,10 @@ def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
             "warnings": messages, **(extra or {})}
 
 
-COMMON_FIELDS = frozenset(record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, []))
+# the type of each field of every record; a cache entry must have them all
+FIELD_TYPES = {k: type(v) for k, v in record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, []).items()}
+COMMON_FIELDS = frozenset(FIELD_TYPES)
+JOB_FIELDS = ("representation", "n", "lambda", "eta")   # a hit must match the job's
 
 
 # --------------------------------------------------------------------------
@@ -140,14 +143,19 @@ def non_finite(log_magnitude: float, angle: float) -> bool:
 
 
 def cache_load(path: Optional[str], key: str) -> Optional[dict]:
-    """The stored record, or None on a miss."""
+    """The stored record, or None on a miss: no entry, or one that is not a
+    record (not JSON, say truncated, or not an object with every common
+    field at the type a record gives it), or whose value is not finite."""
     if not path:
         return None
-    fn = os.path.join(path, key + ".json")
-    if not os.path.exists(fn):
+    try:
+        with open(os.path.join(path, key + ".json"), "r", encoding="utf-8") as fh:
+            rec = json.load(fh)
+    except (FileNotFoundError, ValueError):   # no entry; invalid JSON or UTF-8
         return None
-    with open(fn, "r", encoding="utf-8") as fh:
-        rec = json.load(fh)
+    if not (isinstance(rec, dict)
+            and all(type(rec.get(k)) is t for k, t in FIELD_TYPES.items())):
+        return None
     return None if non_finite(rec["log_abs_z"], rec["phase"]) else rec   # a miss: recompute
 
 
@@ -257,8 +265,9 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     if reason:
         raise ValueError(f"{route.name} {reason}")
     key = cache_key(route.name, n, args)
-    rec = cache_load(cdir, key)
-    if rec is not None:
+    job = record(route.name, n, args.lam, args.eta, 0.0, 0.0, 0.0, 0, [])
+    rec = cache_load(cdir, key)   # a record, but the key is only a hash of the job
+    if rec is not None and all(rec[f] == job[f] for f in JOB_FIELDS):
         return rec, True
     bits = args.bits or default_bits(n)
     weights = args.weights or symmetric_weights(p)

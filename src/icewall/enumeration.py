@@ -134,23 +134,23 @@ def config_iterator(n: int) -> Iterator[LatticeConfig]:
 
 def type_histogram(n: int) -> dict:
     """{vertex-type counts (n1, ..., n6): number of DWBC configurations with
-    them}.  Walks the row table as config_iterator does, adding packed counts
-    where it builds objects."""
+    them}, by a transfer over the rows: after each row, every state of the
+    vertical edges below it maps to {packed counts of the rows so far:
+    number of ways}.  Distinct pairs are few (at most 300 a row at N = 6),
+    where the configurations number 7,436."""
     table = _RowTable(n)
-    up = (True,) * n
-    packed_hist: dict = {}
-    stack = [(0, (False,) * n, 0)]
-    while stack:
-        row, state, packed = stack.pop()
-        if row == n:
-            if state == up:
-                packed_hist[packed] = packed_hist.get(packed, 0) + 1
-            continue
-        for _h, bottom, p in table[state]:
-            stack.append((row + 1, bottom, packed + p))
+    layer = {(False,) * n: {0: 1}}  # arrows above row 0 point down (inward)
+    for _row in range(n):
+        below: dict = {}
+        for state, ways in layer.items():
+            for _h, bottom, p in table[state]:
+                out = below.setdefault(bottom, {})
+                for packed, m in ways.items():
+                    out[packed + p] = out.get(packed + p, 0) + m
+        layer = below
     mask = (1 << _FIELD_BITS) - 1
     return {tuple(k >> _FIELD_BITS * t & mask for t in range(6)): m
-            for k, m in packed_hist.items()}
+            for k, m in layer[(True,) * n].items()}
 
 
 def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
@@ -179,14 +179,24 @@ def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
 
 
 def partition_dp(n: int, w: tuple) -> LogScaledValue:
-    """Vertex-by-vertex transfer over the 2^N vertical-edge states (N <= 18).
+    """Vertex-by-vertex transfer over the vertical-edge states (N <= 18).
 
     Bit c of a state is the vertical edge in column c: below the vertex once
-    column c of the row is done, above it before.  a0 and a1 hold the states
-    whose last horizontal edge points left and right.  The weights and each
-    row are divided by their largest magnitude, so no weights overflow.  A
-    nonzero weight that this division takes below the smallest normal double
-    is refused: it would keep too few bits, or none (a false Z = 0)."""
+    column c of the row is done, above it before.  A vertex keeps
+    popcount(state) - h, h the horizontal edge to its right (1: right), so
+    row r only reaches the popcount-r states with h = 0 (a0) and the
+    popcount-(r+1) states with h = 1 (a1): each array holds one popcount
+    sector, not all 2^N states.  At vertex c a sector is in increasing order
+    of the state rotated to put bit c on top.  Then the a0 states whose edge
+    c points down come first, the a1 states with bit c set come last, and
+    each of the latter is the former with bit c set, in the same order.  One
+    fixed permutation per sector moves that order on to column c + 1, and N
+    of them bring it back for the next row.
+
+    The weights and each row are divided by their largest magnitude, so no
+    weights overflow.  A nonzero weight that this division takes below the
+    smallest normal double is refused: it would keep too few bits, or none
+    (a false Z = 0)."""
     if not 1 <= n <= DP_LIMIT:
         raise ValueError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
     given = np.array(w, dtype=complex)
@@ -199,22 +209,42 @@ def partition_dp(n: int, w: tuple) -> LogScaledValue:
                          f"takes {names} below the smallest normal double")
     w1, w2, w3, w4, w5, w6 = ws
     log_z = n * n * math.log(scale)
-    a0, a1, b0, b1 = (np.zeros(1 << n, dtype=ws.dtype) for _ in range(4))
-    a0[0] = 1.0  # arrows above the first row point down
-    for _row in range(n):
-        for c in range(n):
-            x0, x1, y0, y1 = (v.reshape(-1, 2, 1 << c) for v in (a0, a1, b0, b1))
-            y0[:, 0] = w2 * x0[:, 0] + w5 * x1[:, 1]
-            y0[:, 1] = w4 * x0[:, 1]
-            y1[:, 0] = w3 * x1[:, 0]
-            y1[:, 1] = w6 * x0[:, 0] + w1 * x1[:, 1]
-            a0, a1, b0, b1 = b0, b1, a0, a1
+    pop = np.zeros(1, dtype=np.int8)  # popcount of every state
+    for _ in range(n):
+        pop = np.concatenate((pop, pop + 1))
+    rank = np.empty(1 << n, dtype=np.int32)  # position of a state in its sector
+
+    def rotation(k: int):
+        """The gather that takes sector k from the order of column c to that
+        of column c + 1: the rotation by one more bit."""
+        states = np.flatnonzero(pop == k)
+        rank[states] = np.arange(len(states))
+        turn = rank[(states << 1 | states >> (n - 1)) & ((1 << n) - 1)]
+        return turn.astype(np.intp)   # else each gather converts it again
+
+    a0 = np.ones(1, dtype=ws.dtype)  # arrows above the first row point down
+    turn1 = rotation(0)
+    for row in range(n):
+        turn0, turn1 = turn1, rotation(row + 1)
+        split0 = math.comb(n - 1, row)   # a0[:split0]: edge c points down
+        split1 = math.comb(n - 1, row + 1)   # a1[split1:]: those states, bit c set
+        a1 = np.zeros(len(turn1), dtype=ws.dtype)
+        for _c in range(n):
+            # weight first: numpy rounds a complex a * w apart from w * a
+            from0, from1 = a0[:split0], a1[split1:]
+            to0 = w2 * from0 + w5 * from1
+            to1 = w6 * from0 + w1 * from1
+            a0[:split0] = to0
+            a0[split0:] = w4 * a0[split0:]
+            a1[split1:] = to1
+            a1[:split1] = w3 * a1[:split1]
+            a0, a1 = a0[turn0], a1[turn1]
         # the right boundary arrow points right, the next row's left one left
-        a0, a1 = a1, np.zeros_like(a1)
+        a0 = a1
         peak = np.max(np.abs(a0)) or 1.0  # a zero row stays zero: Z = 0
         a0 /= peak
         log_z += math.log(peak)
-    return LogScaledValue.from_complex(a0[-1]).scale_log(log_z)
+    return LogScaledValue.from_complex(a0[0]).scale_log(log_z)
 
 
 def dump_configs(n: int, fmt: str = "text"):

@@ -196,6 +196,44 @@ def test_non_finite_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, log_abs
     assert math.isfinite(cli.cache_load(str(tmp_path), key)["log_abs_z"])
 
 
+WDET_3 = cli.record("wdet", 3, 0.9 + 0j, 0.3 + 0j, 0.0, 0.0, 0.0, 128, [])
+
+
+@pytest.mark.parametrize("entry", [
+    json.dumps(WDET_3)[:40],    # truncated: exited 2 with "Expecting ',' delimiter"
+    json.dumps({k: v for k, v in WDET_3.items() if k != "log_abs_z"}),   # a KeyError
+    json.dumps({"log_abs_z": 5.0, "phase": 0.0}),   # was re-emitted as a hit
+    json.dumps(dict(WDET_3, n=4)),     # another job's record
+    json.dumps(dict(WDET_3, representation="hankel")),
+    json.dumps(dict(WDET_3, eta=[0.3, 0.1])),
+    json.dumps(dict(WDET_3, phase="0")),
+    json.dumps([WDET_3]),
+    b"\xff\xfe",
+], ids=["truncated", "no-log_abs_z", "two-fields", "other-n", "other-route",
+        "other-eta", "string-phase", "list", "not-utf8"])
+def test_cache_entry_that_is_not_this_jobs_record_is_a_miss(capsys, tmp_path, monkeypatch,
+                                                             entry):
+    # anything at the key but a well-formed record of this very job is
+    # recomputed, and the entry is replaced by the computed record
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    fn = tmp_path / (cli.cache_key("wdet", 3, job_args("wdet", 3)) + ".json")
+    if isinstance(entry, bytes):
+        fn.write_bytes(entry)
+    else:
+        fn.write_text(entry, encoding="utf-8")
+    argv = ["compute", "--rep", "wdet", "--n", "3", "--format", "json",
+            "--cache", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "cache hit" not in err
+    rec = json.loads(out)["records"][0]
+    assert math.isfinite(rec["log_abs_z"]) and rec["log_abs_z"] != 0.0
+    assert json.loads(fn.read_text(encoding="utf-8")) == rec
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "cache hit: wdet" in err
+    assert json.loads(out)["records"][0] == rec
+    assert [p.name for p in tmp_path.iterdir()] == [fn.name]
+
+
 def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
     key = cli.cache_key("dp", 2, job_args("dp", 2))
     rec = cli.record("dp", 2, 0.9 + 0j, 0.3 + 0j, 0.0, 0.0, 0.0, 128, [])

@@ -3,8 +3,10 @@
 import cmath
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +87,63 @@ def test_c_type_excess_is_n():
 def test_vertex_count_conservation():
     for cfg in config_iterator(4):
         assert sum(cfg.type_counts()) == 16
+
+
+def bit_sliced_dp(n: int, w: tuple) -> LogScaledValue:
+    """The reference transfer: the same vertex updates as partition_dp, on
+    four dense 2^N arrays with bit c of the index sliced out by a reshape,
+    and the same per-row rescaling."""
+    given = np.array(w, dtype=complex)
+    scale = np.max(np.abs(given)) or 1.0
+    ws = (given if given.imag.any() else given.real) / scale
+    w1, w2, w3, w4, w5, w6 = ws
+    log_z = n * n * math.log(scale)
+    a0, a1, b0, b1 = (np.zeros(1 << n, dtype=ws.dtype) for _ in range(4))
+    a0[0] = 1.0
+    for _row in range(n):
+        for c in range(n):
+            x0, x1, y0, y1 = (v.reshape(-1, 2, 1 << c) for v in (a0, a1, b0, b1))
+            y0[:, 0] = w2 * x0[:, 0] + w5 * x1[:, 1]
+            y0[:, 1] = w4 * x0[:, 1]
+            y1[:, 0] = w3 * x1[:, 0]
+            y1[:, 1] = w6 * x0[:, 0] + w1 * x1[:, 1]
+            a0, a1, b0, b1 = b0, b1, a0, a1
+        a0, a1 = a1, np.zeros_like(a1)
+        peak = np.max(np.abs(a0)) or 1.0
+        a0 /= peak
+        log_z += math.log(peak)
+    return LogScaledValue.from_complex(a0[-1]).scale_log(log_z)
+
+
+@pytest.mark.parametrize("w", [
+    tuple(random.Random(5).uniform(0.2, 2.0) for _ in range(6)),
+    seeded_weights(4),
+    (2, 1, 0, 1, 1, 3),
+    (1,) * 6,
+    (0.7, 1.3, 0.4, 2.1, 0.9, 0),   # w6 = 0: every configuration has a type-6 vertex
+], ids=["real", "complex", "w3=0", "ones", "zero"])
+def test_dp_equals_the_bit_sliced_reference(w):
+    # the sector transfer does each state's arithmetic in the same order, so
+    # it gives the very same doubles, a zero Z included
+    for n in range(1, 14):
+        z = partition_dp(n, w)
+        ref = bit_sliced_dp(n, w)
+        assert (z.log_magnitude, z.angle) == (ref.log_magnitude, ref.angle), n
+    if w[5] == 0:
+        assert z.log_magnitude == -math.inf
+
+
+def test_dp_memory_stays_within_its_sectors():
+    # four dense complex 2^16 arrays alone take 4 MB; the popcount sectors
+    # and the O(2^N) index tables stay under 3 MB at their peak
+    w = seeded_weights(4)
+    tracemalloc.start()
+    try:
+        partition_dp(16, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6, f"{peak / 1e6:.2f} MB"
 
 
 @settings(max_examples=25, deadline=None)
