@@ -151,7 +151,7 @@ def cache_load(path: Optional[str], key: str) -> Optional[dict]:
     try:
         with open(os.path.join(path, key + ".json"), "r", encoding="utf-8") as fh:
             rec = json.load(fh)
-    except (FileNotFoundError, ValueError):   # no entry; invalid JSON or UTF-8
+    except (OSError, ValueError):   # no entry, or not a readable file; invalid JSON or UTF-8
         return None
     if not (isinstance(rec, dict)
             and all(type(rec.get(k)) is t for k, t in FIELD_TYPES.items())):
@@ -161,16 +161,21 @@ def cache_load(path: Optional[str], key: str) -> Optional[dict]:
 
 def cache_store(path: Optional[str], key: str, rec: dict):
     """Write to a temporary file beside the entry, then rename it into place,
-    so that an interrupted write never leaves a truncated entry."""
+    so that an interrupted write never leaves a truncated entry.  A failed
+    write or rename (say, a directory at the entry) leaves no temporary file
+    and raises a ValueError naming the entry."""
     if not path:
         return
+    entry = os.path.join(path, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=path, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(rec, fh, sort_keys=True)
-        os.replace(tmp, os.path.join(path, key + ".json"))
-    except BaseException:
+        os.replace(tmp, entry)
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot store the cache entry {entry}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -13,6 +13,7 @@ the left of each row points left (False) and to the right points right
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -104,7 +105,8 @@ def _row_fillings(n: int, state: tuple) -> list:
 
 class _RowTable(dict):
     """state -> _row_fillings(n, state), filled as states are first reached.
-    Each enumeration builds its own table; none is kept between calls."""
+    Each enumeration builds its own table; none is kept between calls, only
+    type_histogram's result."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -134,10 +136,16 @@ def config_iterator(n: int) -> Iterator[LatticeConfig]:
 
 def type_histogram(n: int) -> dict:
     """{vertex-type counts (n1, ..., n6): number of DWBC configurations with
-    them}, by a transfer over the rows: after each row, every state of the
-    vertical edges below it maps to {packed counts of the rows so far:
-    number of ways}.  Distinct pairs are few (at most 300 a row at N = 6),
-    where the configurations number 7,436."""
+    them}, a new dict on each call; the histogram is built once per N."""
+    return dict(_histogram(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _histogram(n: int) -> tuple:
+    """type_histogram(n)'s items, by a transfer over the rows: after each
+    row, every state of the vertical edges below it maps to {packed counts of
+    the rows so far: number of ways}.  Distinct pairs are few (at most 300 a
+    row at N = 6), where the configurations number 7,436."""
     table = _RowTable(n)
     layer = {(False,) * n: {0: 1}}  # arrows above row 0 point down (inward)
     for _row in range(n):
@@ -149,8 +157,8 @@ def type_histogram(n: int) -> dict:
                     out[packed + p] = out.get(packed + p, 0) + m
         layer = below
     mask = (1 << _FIELD_BITS) - 1
-    return {tuple(k >> _FIELD_BITS * t & mask for t in range(6)): m
-            for k, m in layer[(True,) * n].items()}
+    return tuple((tuple(k >> _FIELD_BITS * t & mask for t in range(6)), m)
+                 for k, m in layer[(True,) * n].items())
 
 
 def enumerate_configs(n: int, w: tuple) -> EnumerationResult:

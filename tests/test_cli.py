@@ -249,6 +249,26 @@ def test_cache_store_leaves_no_partial_entry(tmp_path, monkeypatch):
     assert cli.cache_load(str(tmp_path), key) is None
 
 
+def test_directory_at_a_cache_key_is_an_error_not_a_traceback(capsys, tmp_path, monkeypatch):
+    # it was an IsADirectoryError traceback from cache_load; the load is now a
+    # miss, and the store that follows fails as an error naming the entry
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    entry = tmp_path / (cli.cache_key("wdet", 3, job_args("wdet", 3)) + ".json")
+    entry.mkdir()
+    code, out, err = run(capsys, "compute", "--rep", "wdet", "--n", "3",
+                         "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and entry.name in err and "Traceback" not in err
+    code, out, err = run(capsys, "sweep", "--rep", "wdet", "--n", "2", "--n-max", "3",
+                         "--format", "json", "--cache", str(tmp_path))
+    assert code == 1 and "1 of 2 points failed" in err
+    failed = json.loads(out)["records"][1]
+    assert failed["n"] == 3 and entry.name in failed["warnings"][0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [entry.name, cli.cache_key("wdet", 2, job_args("wdet", 2)) + ".json"])
+    assert not any(entry.iterdir())
+
+
 def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch):
     # an entry stored under another package version is never re-emitted:
     # the point is recomputed and stored under the current version's key

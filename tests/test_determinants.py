@@ -1,4 +1,5 @@
-"""Pivoted LU determinant over block-floating-point dot products, and its
+"""The fixed-point determinant kernel (unpivoted L D L^T for a symmetric
+matrix, pivoted LU otherwise), block-floating-point dot products, and the
 pivot-growth guard."""
 
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from mpmath.libmp import from_man_exp, round_nearest
 
+from icewall import determinants
 from icewall.cli import ROUTES_BY_NAME
 from icewall.determinants import (BlockFloat, PrecisionWarning, _nearest, default_bits,
                                   lu_det, mp_logdet)
@@ -69,23 +71,28 @@ def test_rows_are_not_modified():
 
 
 def test_real_input_stays_on_the_one_sum_path(monkeypatch):
-    # every dot product of a real LU is between real vectors, and det is an mpf
+    # every dot product of a real factorization, symmetric (L D L^T) or not
+    # (LU), is between real vectors, one sum each, and det is an mpf; complex
+    # input takes three sums (Gauss's trick) and gives an mpc
     seen = []
-    dot = BlockFloat.dot
+    dot = determinants._dot
 
-    def spy(self, other):
-        seen.append((self.im, other.im))
-        return dot(self, other)
+    def spy(x, y):
+        seen.append((len(x), len(y)))
+        return dot(x, y)
 
-    monkeypatch.setattr(BlockFloat, "dot", spy)
+    monkeypatch.setattr(determinants, "_dot", spy)
     with mpmath.workprec(128):
-        det, _ = lu_det(_random_rows(np.random.default_rng(3), 6, False))
-    assert seen and all(a is None and b is None for a, b in seen)
-    assert isinstance(det, mpmath.mpf)
+        rows = _random_rows(np.random.default_rng(3), 6, False)
+        symmetric = [[rows[i][k] + rows[k][i] for k in range(6)] for i in range(6)]
+        for m in (rows, symmetric):
+            det, _ = lu_det(m)
+            assert isinstance(det, mpmath.mpf)
+    assert seen and all(s == (1, 1) for s in seen)
     seen.clear()
     with mpmath.workprec(128):
         det, _ = lu_det([[1, 2], [2j, 4]])
-    assert seen and all(a is not None and b is not None for a, b in seen)
+    assert seen and all(s == (3, 3) for s in seen)
     assert isinstance(det, mpmath.mpc) and det == 4 - 4j
 
 
@@ -240,16 +247,80 @@ def test_route_matrices_match_mpmath_det(n, lam, eta):
             assert abs(det - ref) <= 2.0 ** (-bits / 2) * abs(ref), name
 
 
+REAL_POINTS = [(0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.15),
+               (math.pi / 2, math.pi / 6), (math.pi / 2, math.pi / 3), (2.9, 0.1)]
+
+
+def _count_fallbacks(monkeypatch) -> list:
+    """Record every call of the pivoted fallback."""
+    calls = []
+    pivoted = determinants._lu
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return pivoted(*args)
+
+    monkeypatch.setattr(determinants, "_lu", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam, eta", REAL_POINTS)
+def test_route_matrices_at_real_points_take_the_unpivoted_path(monkeypatch, lam, eta):
+    # H is positive definite there, and e^{i(pi/2 - eta)} (W - zeta^{-1} I)
+    # has a definite Hermitian part: L D L^T needs no pivoting
+    fallbacks = _count_fallbacks(monkeypatch)
+    p = ModelParams(lam, eta)
+    for n in range(1, 23):
+        with mpmath.workprec(default_bits(n)):
+            for rows in (hankel_H(n, p), _w_matrix_mp(n, p)[0]):
+                det, growth = lu_det(rows)
+                assert det != 0 and growth < mpmath.inf
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],                     # a zero pivot at the corner
+    [[1, 2], [2, 4]],                     # singular: the second pivot is zero
+    [[mpmath.mpf(2) ** -200, 1], [1, mpmath.mpf(2) ** -200]],   # L_21 = 2^200 after scaling
+], ids=["zero-corner", "singular", "tiny-diagonal"])
+def test_symmetric_matrices_without_a_trusted_ldl_fall_back(monkeypatch, rows):
+    fallbacks = _count_fallbacks(monkeypatch)
+    with mpmath.workprec(512):
+        det, growth = lu_det(rows)
+        assert det == mpmath.det(mpmath.matrix(rows))
+    assert fallbacks == [2]
+    assert (growth == mpmath.inf) == (det == 0)
+
+
+def test_w_at_a_large_imaginary_eta_is_within_half_the_mantissa():
+    # the widest pivot spread of the sampled route matrices on the unpivoted
+    # path: max|d|/min|d| ~ 2^322 at 704 bits (measured error 2^-388)
+    n = 40
+    p = ModelParams(0.05137520027820655, 0.7284417585884891 + 5.577034719881467j)
+    bits = default_bits(n)
+    with mpmath.workprec(bits):
+        rows = _w_matrix_mp(n, p)[0]
+        det, _ = lu_det(rows)
+    with mpmath.workprec(bits + 200):
+        ref = mpmath.det(mpmath.matrix(rows))
+        assert abs(det - ref) <= 2.0 ** (-bits / 2) * abs(ref)
+
+
 def test_growth_guard_warns_past_half_the_mantissa():
-    # the budget is the caller's precision: 2^10 is within half of 128 bits,
-    # 2^100 is not
+    # the budget is the caller's precision: the pivots 1 and 2^-10 are within
+    # half of 128 bits, 1 and 2^-100 are not.  The figure is read after
+    # equilibration, so diag(1, 2^-100), whose scaled pivots are equal, is silent
+    def rows(k):
+        return [[1, 1], [1, 1 + mpmath.mpf(2) ** -k]]
+
     with mpmath.workprec(128):
         with warnings.catch_warnings():
             warnings.simplefilter("error", PrecisionWarning)
-            value = mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -10]], "guard", 0)
+            value = mp_logdet(rows(10), "guard", 0)
+            mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], "guard", 0)
         assert value.log_magnitude == pytest.approx(-10 * np.log(2))
         with pytest.warns(PrecisionWarning, match="guard: pivot growth .* 128-bit"):
-            mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], "guard", 0)
+            mp_logdet(rows(100), "guard", 0)
 
 
 def test_log_factor_joins_at_working_precision():

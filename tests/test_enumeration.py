@@ -64,6 +64,22 @@ def test_type_histogram_counts_every_configuration():
         assert sum(hist.values()) == ASM_COUNTS[n]
 
 
+def test_type_histogram_is_built_once_per_size(monkeypatch):
+    # a second call rebuilds no row table, and what a caller does to the
+    # returned dict never reaches the next caller
+    first = type_histogram(5)
+    calls = []
+    fillings = enumeration._row_fillings
+    monkeypatch.setattr(enumeration, "_row_fillings",
+                        lambda n, state: calls.append(state) or fillings(n, state))
+    first.clear()
+    again = type_histogram(5)
+    assert calls == []
+    assert again == Counter(cfg.type_counts() for cfg in config_iterator(5))
+    assert calls   # config_iterator still builds its own table
+    assert type_histogram(5) is not again
+
+
 def test_packed_type_counts_fit_their_fields():
     # a lattice holds ENUM_LIMIT^2 vertices of one type at most
     assert ENUM_LIMIT ** 2 < 2 ** enumeration._FIELD_BITS
