@@ -10,13 +10,13 @@ prints the worst pairwise relative deviation.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
 from icewall.checks import DISORDERED_SAMPLES
 from icewall.cli import applicable, parse_size, parse_tol
 from icewall.determinants import default_bits
+from icewall.logscale import worst_rel_diff
 from icewall.params import ModelParams, symmetric_weights
 
 
@@ -37,8 +37,7 @@ def main() -> int:
         p = ModelParams(lam, eta)
         for n in range(1, args.n_max + 1):
             vals = routes(n, p)
-            worst = max(a.rel_diff(b)
-                        for a, b in itertools.combinations(vals.values(), 2))
+            worst = worst_rel_diff(vals.values())
             worst_overall = max(worst_overall, worst)
             flag = "ok" if worst <= args.tol else "FAIL"
             print(f"lam={lam:<4} eta={eta:<4} N={n}  "

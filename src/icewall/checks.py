@@ -9,7 +9,6 @@ NaN deviation fails.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from typing import Optional
@@ -23,7 +22,7 @@ from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs, \
 from .fredholm import KernelSpec, fredholm_det, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
 from .lazynp import np
-from .logscale import LogScaledValue
+from .logscale import LogScaledValue, worst_rel_diff
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \
     mp_eval, su11_matrices
@@ -71,7 +70,7 @@ def _cross_representation() -> float:
             if tuple(r.name for r in routes) != ALL_ROUTES:
                 return math.inf
             values = [r.fn(n, p, weights, default_bits(n))[0] for r in routes]
-            worst = max([worst] + [a.rel_diff(b) for a, b in itertools.combinations(values, 2)])
+            worst = max(worst, worst_rel_diff(values))
     return worst
 
 

@@ -31,7 +31,7 @@ from .enumeration import DP_LIMIT, ENUM_LIMIT, dump_configs, \
 from .fredholm import FREDHOLM_LIMIT, KernelSpec, fredholm_det, \
     full_partition_fredholm
 from .hankel import partition_hankel
-from .logscale import LogScaledValue
+from .logscale import LogScaledValue, worst_rel_diff
 from .params import ModelParams, qgroup_prefactor, symmetric_weights
 from .wmatrix import GAUSS_LIMIT, full_partition, full_partition_gauss
 
@@ -365,11 +365,7 @@ def run_compute(args) -> int:
     summary = None
     status = 0
     if len(records) > 1:
-        values = [LogScaledValue(r["log_abs_z"], r["phase"]) for r in records]
-        worst = 0.0
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                worst = max(worst, values[i].rel_diff(values[j]))
+        worst = worst_rel_diff(LogScaledValue(r["log_abs_z"], r["phase"]) for r in records)
         summary = {"max_pairwise_rel_deviation": worst, "tol": args.tol,
                    "pass": worst <= args.tol}
         if not summary["pass"]:
@@ -473,7 +469,6 @@ def _add_common(sub, rep_choices):
                      help="explicit w1,...,w6 (enumerate and dp only)")
     sub.add_argument("--bits", type=parse_bits, default=None,
                      help="mantissa bits of hankel and wdet (default: size-adaptive)")
-    sub.add_argument("--tol", type=parse_tol, default=1e-8)
     sub.add_argument("--format", default="text", choices=("json", "csv", "text"))
     sub.add_argument("--out", default=None)
     sub.add_argument("--cache", default=None,
@@ -491,6 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("compute", help="compute Z_N by one or all representations")
     c.add_argument("--n", type=parse_size, required=True)
     _add_common(c, tuple(ROUTES_BY_NAME) + ("all",))
+    c.add_argument("--tol", type=parse_tol, default=1e-8,
+                   help="cross-check tolerance of --rep all")
     c.set_defaults(fn=run_compute)
 
     s = subs.add_parser("sweep", help="sweep N over a range")

@@ -3,33 +3,33 @@ det(I - M) in doubles.
 
 A vector of mpmath scalars is held in block floating point (`BlockFloat`):
 Python-int mantissas at one shared exponent, so that a dot product is an
-exact integer sum, `sum(map(mul, ...))` in C, rounded once to the working
-precision, to nearest with ties to even as mpmath rounds.  These are
-`mpmath.fdot`'s semantics without fdot's Python calls per term.  A complex
-vector keeps its real and imaginary mantissas side by side and takes three
-real sums per dot product (Gauss's trick); a real one takes one.  The route
-matrices are assembled this way.
+exact integer sum, `sum(map(mul, ...))` in C, rounded once by mpmath to the
+working precision, to nearest with ties to even.  These are `mpmath.fdot`'s
+semantics without fdot's Python calls per term.  A real vector is held as
+(re,), a complex one as (re, im, re + im), the sums kept for Gauss's trick:
+a dot product takes one real sum when both vectors are real, two when one
+is, and three when neither is.  The route matrices are assembled this way.
 
 `lu_det` factors a matrix in fixed point.  The matrix is converted exactly to
 integers at one exponent, each nonzero entry at least `GUARD_BITS` bits wider
 than the working precision; a symmetric matrix is first equilibrated by
-exact powers of two.  A
-symmetric matrix, real or complex, is factored as L D L^T without pivoting;
-any other, or one whose pivots leave the budget, by partially pivoted LU
-on the same integers.  Each entry is one exact integer dot product and one
-shift or division; nothing is rounded to the working precision before the
-determinant itself.
+exact powers of two.  A symmetric matrix, real or complex, is factored as
+L D L^T without pivoting; any other, or one whose pivots leave the budget,
+by partially pivoted LU on the same integers.  The factorizations' rows are
+vectors of the same form.  Each entry is one exact integer dot product and
+one shift or division; nothing is rounded to the working precision before
+the determinant itself.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import islice, repeat
-from operator import add, mul, sub
+from itertools import repeat
+from operator import add, mul
 
 import mpmath
-from mpmath.libmp import fzero, from_man_exp
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .lazynp import np
 from .logscale import LogScaledValue
@@ -66,104 +66,16 @@ def _align(raws: list, bits: int = 0) -> tuple:
             for sign, man, e, _ in raws], exp
 
 
-def _nearest(man: int, exp: int) -> tuple:
-    """man 2^exp rounded to the working precision, to nearest with ties to
-    even as mpmath's round_nearest, as (mantissa, exponent)."""
-    mag = -man if man < 0 else man
-    drop = mag.bit_length() - mpmath.mp.prec
-    if drop <= 0:
-        return man, exp
-    head = mag >> (drop - 1)   # the kept bits, then the first dropped one
-    if head & 1 and (head & 2 or mag & ((1 << (drop - 1)) - 1)):
-        mag = (head >> 1) + 1
-    else:
-        mag = head >> 1
-    return (-mag if man < 0 else mag), exp + drop
-
-
-def _rounded(re: tuple, im: tuple) -> tuple:
-    """(mantissa, exponent) pairs re and im each rounded to the working
-    precision, as integer mantissas (re, im) at one exponent."""
-    (m, e), (k, f) = _nearest(*re), _nearest(*im)
-    if not k:
-        return m, 0, e
-    if not m:
-        return 0, k, f
-    return (m << (e - f), k, f) if e > f else (m, k << (f - e), e)
-
-
 def _scalar(re: int, im: int, exp: int, cplx: bool):
-    """The mpc (cplx) or mpf (re + i im) 2^exp, exactly."""
-    if not cplx:
-        return mpmath.mp.make_mpf(from_man_exp(re, exp))
-    return mpmath.mp.make_mpc((from_man_exp(re, exp), from_man_exp(im, exp)))
-
-
-class BlockFloat:
-    """A real or complex vector in block floating point: entry k is
-    (re[k] + i im[k]) 2^exp with Python-int mantissas; im is None when the
-    vector is real."""
-
-    __slots__ = ("re", "im", "exp")
-
-    def __init__(self, re: list, im, exp: int):
-        self.re, self.im, self.exp = re, im, exp
-
-    @classmethod
-    def of(cls, values, cplx: bool = False) -> "BlockFloat":
-        """The exact image of mpmath (or int, float, complex) scalars; complex
-        when `cplx` is set or any value is complex."""
-        raws = [_raw(x) for x in values]
-        if not (cplx or any(im is not None for _, im in raws)):
-            mants, exp = _align([re for re, _ in raws])
-            return cls(mants, None, exp)
-        mants, exp = _align([t for re, im in raws for t in (re, im or fzero)])
-        return cls(mants[0::2], mants[1::2], exp)
-
-    def dot(self, other: "BlockFloat") -> tuple:
-        """sum_k self[k] other[k] over the shorter length, exact, as integer
-        mantissas (re, im) and their exponent; im is 0 when both are real."""
-        exp = self.exp + other.exp
-        ac = sum(map(mul, self.re, other.re))
-        if self.im is None:
-            return ac, 0, exp
-        bd = sum(map(mul, self.im, other.im))
-        cross = sum(map(mul, map(add, self.re, self.im), map(add, other.re, other.im)))
-        return ac - bd, cross - ac - bd, exp
-
-    def rounded_dot(self, other: "BlockFloat"):
-        """The dot product rounded once to the working precision."""
-        re, im, exp = self.dot(other)
-        return _scalar(*_rounded((re, exp), (im, exp)), self.im is not None)
-
-    def times(self, other: "BlockFloat") -> "BlockFloat":
-        """Entrywise product over the shorter length, exact."""
-        exp = self.exp + other.exp
-        ac = list(map(mul, self.re, other.re))
-        if self.im is None:
-            return BlockFloat(ac, None, exp)
-        bd = list(map(mul, self.im, other.im))
-        cross = map(mul, map(add, self.re, self.im), map(add, other.re, other.im))
-        return BlockFloat(list(map(sub, ac, bd)),
-                          list(map(sub, map(sub, cross, ac), bd)), exp)
-
-
-def _half_order(x: tuple) -> int:
-    """floor(ord_2|x| / 2) for the (re, im) raw tuples of a scalar x, ord_2
-    taken of its larger part when complex; 0 when x = 0."""
-    orders = [exp + bc - 1 for _, man, exp, bc in filter(None, x) if man]
-    return max(orders) // 2 if orders else 0
-
-
-def _scaled(t: tuple, shift: int) -> tuple:
-    """The raw mpf tuple t times 2^-shift, exactly."""
-    sign, man, exp, bc = t
-    return (sign, man, exp - shift, bc) if man else t
+    """The mpc (cplx) or mpf (re + i im) 2^exp, each part rounded to the
+    working precision, to nearest with ties to even."""
+    re, im = (from_man_exp(re, exp, mpmath.mp.prec, round_nearest),
+              from_man_exp(im, exp, mpmath.mp.prec, round_nearest) if cplx else None)
+    return mpmath.mp.make_mpc((re, im)) if cplx else mpmath.mp.make_mpf(re)
 
 
 def _vector(cplx: bool) -> tuple:
-    """An empty fixed-point vector: ([re],) when real, ([re], [im], [re + im])
-    when complex, the sums kept for Gauss's trick."""
+    """An empty integer vector in BlockFloat's form: ([],) when real, else ([], [], [])."""
     return ([], [], []) if cplx else ([],)
 
 
@@ -175,13 +87,76 @@ def _push(vec: tuple, re: int, im: int):
         vec[2].append(re + im)
 
 
+def _gauss(ac, bd, cross) -> tuple:
+    """(re, im) of (a + ib)(c + id) from ac, bd and (a + b)(c + d): Gauss's trick."""
+    return ac - bd, cross - ac - bd
+
+
 def _dot(x: tuple, y: tuple) -> tuple:
-    """sum_k x_k y_k over the shorter length, exact, as integers (re, im)."""
+    """sum_k x_k y_k over the shorter length, exact, as integers (re, im):
+    one real sum when both are real, two when one is, three when neither is."""
     ac = sum(map(mul, x[0], y[0]))
-    if len(x) == 1:
-        return ac, 0
-    bd = sum(map(mul, x[1], y[1]))
-    return ac - bd, sum(map(mul, x[2], y[2])) - ac - bd
+    if len(x) == len(y):
+        return (ac, 0) if len(x) == 1 else _gauss(ac, sum(map(mul, x[1], y[1])),
+                                                   sum(map(mul, x[2], y[2])))
+    return ac, sum(map(mul, x[1], y[0]) if len(x) > 1 else map(mul, x[0], y[1]))
+
+
+class BlockFloat:
+    """A real or complex vector in block floating point: entry k is
+    (re[k] + i im[k]) 2^exp with Python-int mantissas, held in `parts` as
+    (re,) when im is None, else as (re, im, re + im)."""
+
+    __slots__ = ("parts", "exp")
+
+    def __init__(self, exp: int, re: list, im=None):
+        self.parts = (re,) if im is None else (re, im, list(map(add, re, im)))
+        self.exp = exp
+
+    @classmethod
+    def of(cls, values, cplx: bool = False) -> "BlockFloat":
+        """The exact image of mpmath (or int, float, complex) scalars; complex
+        when `cplx` is set or any value is complex."""
+        return cls.of_raw([_raw(x) for x in values], cplx)
+
+    @classmethod
+    def of_raw(cls, raws: list, cplx: bool, bits: int = 0) -> "BlockFloat":
+        """The exact image of (re, im) raw mpf tuples, im None when real, each
+        nonzero part at least `bits` bits wide (see `_align`)."""
+        if not (cplx or any(im is not None for _, im in raws)):
+            mants, exp = _align([re for re, _ in raws], bits)
+            return cls(exp, mants)
+        mants, exp = _align([t for re, im in raws for t in (re, im or fzero)], bits)
+        return cls(exp, mants[0::2], mants[1::2])
+
+    def pairs(self):
+        """The mantissas as integer pairs (re, im)."""
+        x = self.parts
+        return zip(x[0], x[1]) if len(x) == 3 else zip(x[0], repeat(0))
+
+    def rounded_dot(self, other: "BlockFloat"):
+        """sum_k self[k] other[k] over the shorter length, exact, rounded once
+        to the working precision; an mpc when either vector is complex."""
+        cplx = len(self.parts) + len(other.parts) > 2
+        return _scalar(*_dot(self.parts, other.parts), self.exp + other.exp, cplx)
+
+    def times(self, other: "BlockFloat") -> "BlockFloat":
+        """Entrywise product over the shorter length, exact; both real or both complex."""
+        products = [map(mul, u, v) for u, v in zip(self.parts, other.parts)]
+        if len(products) == 1:
+            return BlockFloat(self.exp + other.exp, list(products[0]))
+        return BlockFloat(self.exp + other.exp, *map(list, zip(*map(_gauss, *products))))
+
+
+def _half_order(x: tuple) -> int:
+    """floor(ord_2|x| / 2) for the (re, im) raw tuples of a scalar x, ord_2
+    taken of its larger part when complex; 0 when x = 0."""
+    return max((exp + bc - 1 for _, man, exp, bc in filter(None, x) if man), default=0) // 2
+
+
+def _scaled(t, shift: int):
+    """The raw mpf tuple t times 2^-shift, exactly; a zero or None is kept."""
+    return (t[0], t[1], t[2] - shift, t[3]) if t and t[1] else t
 
 
 def _ratio(v: tuple, d: tuple, shift: int) -> tuple:
@@ -292,15 +267,13 @@ def lu_det(rows: list):
     symmetric = all(x is y or x == y for i, row in enumerate(rows)
                     for x, y in zip(row[:i], (r[i] for r in rows)))
     cells = [row[:i + 1] for i, row in enumerate(rows)] if symmetric else rows
-    raws = [[_raw(x) for x in row] for row in cells]
-    shifts = [_half_order(row[i]) for i, row in enumerate(raws)] if symmetric else [0] * n
-    mants, exp = _align([_scaled(t, shifts[i] + shifts[k])
-                         for i, row in enumerate(raws) for k, (re, im) in enumerate(row)
-                         for t in ((re, im or fzero) if cplx else (re,))],
-                        mpmath.mp.prec + GUARD_BITS)
-    frac = max(map(int.bit_length, mants), default=0) + GUARD_BITS
-    pairs = iter(zip(mants[0::2], mants[1::2]) if cplx else zip(mants, repeat(0)))
-    a = [list(islice(pairs, len(row))) for row in cells]   # the lower triangle when symmetric
+    shifts = [_half_order(_raw(row[i])) for i, row in enumerate(rows)] if symmetric else [0] * n
+    block = BlockFloat.of_raw([(_scaled(re, s), _scaled(im, s)) for i, row in enumerate(cells)
+                               for k, (re, im) in enumerate(map(_raw, row))
+                               for s in [shifts[i] + shifts[k]]], cplx, mpmath.mp.prec + GUARD_BITS)
+    frac = max(max(map(int.bit_length, part), default=0) for part in block.parts[:2]) + GUARD_BITS
+    pairs = block.pairs()
+    a = [[next(pairs) for _ in row] for row in cells]   # the lower triangle when symmetric
     pivots, sign, scale = _ldl(a, frac, cplx) if symmetric else None, 1, 0
     if pivots is None:
         if symmetric:
@@ -311,7 +284,7 @@ def lu_det(rows: list):
     re, im = sign, 0
     for pr, pi in pivots:
         re, im = re * pr - im * pi, re * pi + im * pr
-    det = +_scalar(re, im, n * (exp + scale) + 2 * sum(shifts), cplx)
+    det = _scalar(re, im, n * (block.exp + scale) + 2 * sum(shifts), cplx)
     mags = [pr * pr + pi * pi for pr, pi in pivots]
     return det, mpmath.sqrt(mpmath.mpf(max(mags, default=1)) / min(mags, default=1))
 

@@ -26,7 +26,7 @@ from .logscale import LogScaledValue
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
                         mp_deriv, mp_eval)
 from .params import ModelParams, qgroup_prefactor
-from .quadrature import gauss_rule
+from .quadrature import decay_cutoff, gauss_rule
 
 CONVERGENCE_TOL = 1e-8  # N against N + 1 nodes, and the disordered rule's orthonormality
 DISCRETE_TOL = 1e-10    # truncation refinement of the discrete kernel
@@ -99,11 +99,8 @@ def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
 
 
 def discrete_cutoff(spec: KernelSpec) -> int:
-    pt_plus = spec.phi_tilde[0].real
-    x = 10.0
-    for _ in range(60):
-        x = (45.0 + 2 * spec.n * math.log(max(x, 2.0))) / (2 * pt_plus)
-    return int(math.ceil(x)) + 2
+    """Lattice sites past which e^{-2 phi~_+ x} x^{2N} is below 1e-18, plus two."""
+    return math.ceil(decay_cutoff(2 * spec.phi_tilde[0].real, 2 * spec.n)) + 2
 
 
 def nodes(spec: KernelSpec, refined: bool = False) -> tuple:
@@ -156,12 +153,13 @@ def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     """Fredholm determinant det(I - operator), refused unless refining the
     discretization moves log|det| by at most its tolerance; the disordered
     and discrete kernels' are refused too where their double-precision
-    roundoff shows.  At N = 1 the two Gauss rules give the same Gram
-    matrix, so only that estimate sees the digits lost in forming I - M."""
+    roundoff shows, and so is the rational kernel's at N = 1.  There the two
+    Gauss rules give the same Gram matrix, so only that estimate sees the
+    digits lost in forming I - M."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
         raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
     primary = operator_matrix(spec, *nodes(spec))
-    if spec.kind != "rational":
+    if spec.kind != "rational" or spec.n == 1:
         refuse_untrusted_i_minus(primary, f"fredholm-{spec.kind}")
     result = _logdet_i_minus(primary)
     refined = _logdet_i_minus(operator_matrix(spec, *nodes(spec, refined=True)))

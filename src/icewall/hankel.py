@@ -48,9 +48,7 @@ def _moments(c, count: int) -> list:
     """T_s(c) for s < count, each one exact dot product with one shared table
     of the powers of c, rounded once."""
     powers = BlockFloat.of([c ** e for e in range(count + 1)])
-    polys = (cot_derivative_poly(s) for s in range(count))
-    return [BlockFloat(list(t), None if powers.im is None else [0] * len(t), 0)
-            .rounded_dot(powers) for t in polys]
+    return [BlockFloat(0, list(cot_derivative_poly(s))).rounded_dot(powers) for s in range(count)]
 
 
 def hankel_H(n: int, p: ModelParams) -> list:

@@ -8,6 +8,7 @@ can be huge is passed around as a (log-magnitude, phase-angle) pair.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,11 @@ class LogScaledValue:
         a = cmath.exp(complex(self.log_magnitude - m, self.angle))
         b = cmath.exp(complex(other.log_magnitude - m, other.angle))
         return abs(a - b) / max(abs(a), abs(b))
+
+
+def worst_rel_diff(values) -> float:
+    """The largest rel_diff over all pairs of values; 0 for fewer than two."""
+    return max((a.rel_diff(b) for a, b in itertools.combinations(values, 2)), default=0.0)
 
 
 def mp_scalar(z: complex):

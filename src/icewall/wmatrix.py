@@ -60,10 +60,9 @@ def w_rows(n: int, beta, gamma) -> list:
     odd, g = BlockFloat.of(odd, cplx), BlockFloat.of(g, cplx)
 
     def binomial(j: int, mants):   # C(j, m) mants[j - m] for m <= j
-        return None if mants is None else [math.comb(j, m) * x
-                                           for m, x in enumerate(mants[j::-1])]
+        return [math.comb(j, m) * x for m, x in enumerate(mants[j::-1])]
 
-    low = [BlockFloat(binomial(j, g.re), binomial(j, g.im), g.exp) for j in range(n)]
+    low = [BlockFloat(g.exp, *(binomial(j, part) for part in g.parts[:2])) for j in range(n)]
     scaled = [row.times(odd) for row in low]
     tri = [[scaled[j].rounded_dot(low[k]) for k in range(j + 1)] for j in range(n)]
     return [[tri[max(j, k)][min(j, k)] for k in range(n)] for j in range(n)]

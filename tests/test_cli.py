@@ -102,6 +102,8 @@ def test_singular_parameters_exit_code(capsys):
     ("compute", "--rep", "all", "--n", "3", "--tol", "-1"),
     ("compute", "--rep", "all", "--n", "3", "--tol", "inf"),
     ("sweep", "--n", "1", "--n-max", "20000"),
+    # sweep runs no cross-check, so it takes no tolerance
+    ("sweep", "--n-max", "3", "--tol", "1e-6"),
 ])
 def test_bad_size_bits_or_range_exit_code(capsys, argv):
     try:
@@ -368,6 +370,11 @@ def test_dp_weight_underflow_is_refused_and_not_cached(capsys, tmp_path, monkeyp
     # 1.6e-6 off wdet, though its refinement check passed
     (["--rep", "fredholm-discrete", "--n", "8", "--lambda", "0,2", "--eta", "0,0.5"],
      "fredholm-discrete"),
+    # fredholm-rational at N=1: log|Z| -22.33270366654 where dp gives
+    # -22.33270374938; forming 1 - xi lost the digits, and the N- and
+    # (N+1)-node Gauss rules give the same 1 x 1 Gram matrix
+    (["--rep", "fredholm-rational", "--n", "1", "--lambda", "1", "--eta", "1e-10"],
+     "fredholm-rational"),
 ])
 def test_untrusted_values_exit_2_and_cache_nothing(capsys, tmp_path, monkeypatch, argv, named):
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
@@ -392,10 +399,12 @@ def test_records_say_the_bits_they_were_computed_with(capsys, argv, bits):
         assert rec["precision_bits"] == expected, rec["representation"]
 
 
-@pytest.mark.parametrize("lam, eta", [(-1, 0.3), (0.3, -0.5), (-0.2, -0.3), (0.9, 0.3)])
+@pytest.mark.parametrize("lam, eta", [(-1, 0.3), (0.3, -0.5), (-0.2, -0.3), (0.9, 0.3),
+                                      (1.0, 1e-5)])
 def test_rational_route_matches_dp_at_either_sign_of_lambda_plus_eta(capsys, lam, eta):
     # Z is homogeneous of degree N^2 in the weights (a, b, c) = (lam + eta,
-    # lam - eta, 2 eta), so a < 0 only adds N^2 pi to the phase
+    # lam - eta, 2 eta), so a < 0 only adds N^2 pi to the phase; at eta = 1e-5
+    # forming 1 - xi at N = 1 loses digits, but few enough for the route to answer
     a, b, c = lam + eta, lam - eta, 2 * eta
     for n in range(1, 6):
         values = []

@@ -13,8 +13,7 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from icewall import determinants
 from icewall.cli import ROUTES_BY_NAME
-from icewall.determinants import (BlockFloat, PrecisionWarning, _nearest, default_bits,
-                                  lu_det, mp_logdet)
+from icewall.determinants import BlockFloat, PrecisionWarning, default_bits, lu_det, mp_logdet
 from icewall.hankel import hankel_H
 from icewall.params import ModelParams
 from icewall.wmatrix import _w_matrix_mp, full_partition
@@ -179,7 +178,8 @@ def test_non_finite_entry_is_refused():
 
 def test_rounding_is_mpmath_round_nearest():
     # ties to even, carries into a new power of two, signs, and lengths around
-    # the precision, against mpmath's own rounding
+    # the precision, against mpmath's own rounding, through a one-entry dot
+    # product at exponent -40
     prec = 64
     ones = (1 << prec) - 1
     cases = [ones, ones << 1 | 1, (ones << 3) | 0b100, (ones << 3) | 0b101,
@@ -191,21 +191,23 @@ def test_rounding_is_mpmath_round_nearest():
     with mpmath.workprec(prec):
         for man in cases:
             for signed in (man, -man):
-                m, e = _nearest(signed, -40)
-                assert from_man_exp(m, e) == from_man_exp(signed, -40, prec, round_nearest)
+                got = BlockFloat(-40, [signed]).rounded_dot(BlockFloat(0, [1]))
+                assert got._mpf_ == from_man_exp(signed, -40, prec, round_nearest)
 
 
 def test_rounded_dot_is_fdot():
-    # one exact sum rounded once: fdot's result, bit for bit
+    # one exact sum rounded once: fdot's result, bit for bit, for real and
+    # complex vectors and a real one dotted with a complex one
     rng = np.random.default_rng(13)
     with mpmath.workprec(200):
-        for cplx in (False, True):
+        for cplx_a, cplx_b in ((False, False), (True, True), (False, True), (True, False)):
             for _ in range(20):
                 a, b = ([x * mpmath.ldexp(1, int(e)) for x, e in
                          zip(_random_rows(rng, 9, cplx)[0], rng.integers(-80, 80, 9))]
-                        for _ in range(2))
-                got = BlockFloat.of(a, cplx).rounded_dot(BlockFloat.of(b, cplx))
+                        for cplx in (cplx_a, cplx_b))
+                got = BlockFloat.of(a).rounded_dot(BlockFloat.of(b))
                 assert got == mpmath.fdot(a, b)
+                assert isinstance(got, mpmath.mpc if cplx_a or cplx_b else mpmath.mpf)
 
 
 def _i_minus_zeta_w(n, p):
