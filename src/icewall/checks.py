@@ -26,10 +26,9 @@ from .logscale import LogScaledValue, worst_rel_diff
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \
     mp_eval, su11_matrices
-from .params import ModelParams, check_unitarity, symmetric_weights
+from .params import ModelParams, check_unitarity, qgroup_prefactor, symmetric_weights
 from .wmatrix import BetaGamma, full_partition, rational_z_tilde, \
-    reconstruction_deviation, w_entry_integral, w_matrix, w_matrix_gauss, \
-    z_tilde_det
+    reconstruction_deviation, w_entry_integral, w_matrix, w_matrix_gauss
 
 CRITERIA = (
     "cross-representation equality",
@@ -45,6 +44,7 @@ DISORDERED_SAMPLES = ((0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.
 ALL_ROUTES = ("enumerate", "dp", "hankel", "wdet", "gauss", "fredholm-disordered")
 TAU, OMEGA, PHI = 1.1, 0.7, 0.9     # parameters of the overlap and connection identities
 P_REF = ModelParams(0.9, 0.3)
+P_FERRO = ModelParams(0.55j, 0.25j)     # phi~_pm = (0.8, 0.3) of the discrete kernel
 # Delta = -1/2: (lambda, eta) = (pi/2, pi/3), and its weights a = b = 1/2,
 # c = sqrt3/2 taken exactly
 DELTA_HALF = ModelParams(math.pi / 2, math.pi / 3)
@@ -215,8 +215,8 @@ CHECKS = (
     (4, "su(1,1) masked commutators, M=8",
      lambda: max(masked_commutator_residuals(su11_matrices(8, 0.5)).values()), 1e-12),
     (5, "discrete Nystrom vs continued W determinant, N<=4",
-     lambda: max(fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).rel_diff(
-         z_tilde_det(n, ModelParams(0.55j, 0.25j), default_bits(n)))
+     lambda: max(fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).scale_log(
+         qgroup_prefactor(n, P_FERRO)).rel_diff(full_partition(n, P_FERRO, default_bits(n)))
          for n in range(1, 5)), 1e-12),
     (5, "rational Nystrom vs finite determinant, N<=4",
      lambda: max(fredholm_det(KernelSpec.rational(n, (0.9 - 0.3) / (0.9 + 0.3))).rel_diff(

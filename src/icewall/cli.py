@@ -121,7 +121,6 @@ def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
 
 # the type of each field of every record; a cache entry must have them all
 FIELD_TYPES = {k: type(v) for k, v in record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, []).items()}
-COMMON_FIELDS = frozenset(FIELD_TYPES)
 JOB_FIELDS = ("representation", "n", "lambda", "eta")   # a hit must match the job's
 
 
@@ -206,9 +205,7 @@ class Route:
 
 
 def _disordered(p: ModelParams) -> Optional[str]:
-    if not 0 < complex(p.phi_plus).real < math.pi:
-        return "needs 0 < Re(lambda + eta) < pi"
-    return None
+    return None if p.disordered else "needs 0 < Re(lambda + eta) < pi"
 
 
 def _ferroelectric(p: ModelParams) -> Optional[str]:
@@ -319,7 +316,7 @@ def emit(records: list, fmt: str, out_path: Optional[str],
     else:
         lines = []
         for r in records:
-            extra = {k: v for k, v in r.items() if k not in COMMON_FIELDS}
+            extra = {k: v for k, v in r.items() if k not in FIELD_TYPES}
             lines.append(f"{r['representation']:>20s}  N={r['n']}  "
                          f"log|Z|={r['log_abs_z']:+.12e}  "
                          f"phase={r['phase']:+.12e}  "
@@ -459,8 +456,9 @@ def join_signed_values(argv: list) -> list:
     return out
 
 
-def _add_common(sub, rep_choices):
-    sub.add_argument("--rep", default="all", choices=rep_choices)
+def _add_common(sub, rep_choices, rep_default):
+    sub.add_argument("--rep", default=rep_default, choices=rep_choices,
+                     help="representation (default: %(default)s)")
     sub.add_argument("--lambda", dest="lam", type=parse_complex,
                      default=complex(0.9), help="spectral parameter, 're[,im]'")
     sub.add_argument("--eta", type=parse_complex, default=complex(0.3),
@@ -485,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = subs.add_parser("compute", help="compute Z_N by one or all representations")
     c.add_argument("--n", type=parse_size, required=True)
-    _add_common(c, tuple(ROUTES_BY_NAME) + ("all",))
+    _add_common(c, tuple(ROUTES_BY_NAME) + ("all",), "all")
     c.add_argument("--tol", type=parse_tol, default=1e-8,
                    help="cross-check tolerance of --rep all")
     c.set_defaults(fn=run_compute)
@@ -493,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sweep", help="sweep N over a range")
     s.add_argument("--n", type=parse_size, default=1, help="first N")
     s.add_argument("--n-max", type=parse_size, required=True)
-    _add_common(s, tuple(ROUTES_BY_NAME))
-    s.set_defaults(fn=run_sweep, rep="wdet")
+    _add_common(s, tuple(ROUTES_BY_NAME), "wdet")
+    s.set_defaults(fn=run_sweep)
 
     v = subs.add_parser("verify", help="run the acceptance checks")
     v.add_argument("criterion", nargs="?", default="all",

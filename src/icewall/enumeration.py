@@ -85,10 +85,12 @@ class EnumerationResult:
     z_value: LogScaledValue
 
 
-def _row_fillings(n: int, state: tuple) -> list:
+@functools.lru_cache(maxsize=None)
+def _row_fillings(n: int, state: tuple) -> tuple:
     """The completions of one vertex row whose top vertical edges are `state`,
     as (h_row, bottom_state, packed) in DFS order, rightward branch first.
-    `packed` is the row's vertex-type counts, sum of 1 << 6 (type - 1)."""
+    `packed` is the row's vertex-type counts, sum of 1 << 6 (type - 1).
+    Kept per (N, state) once first reached, as the histograms are."""
     out = []
     stack = [(0, False, (False,), (), 0)]
     while stack:
@@ -100,28 +102,13 @@ def _row_fillings(n: int, state: tuple) -> list:
         for right, down, ty in reversed(_COMPLETIONS[(left, state[col])]):
             stack.append((col + 1, right, h_row + (right,), bottom + (down,),
                           packed + (1 << _FIELD_BITS * (ty - 1))))
-    return out
-
-
-class _RowTable(dict):
-    """state -> _row_fillings(n, state), filled as states are first reached.
-    Each enumeration builds its own table; none is kept between calls, only
-    type_histogram's result."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        if not 1 <= n <= ENUM_LIMIT:
-            raise ValueError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
-        self.n = n
-
-    def __missing__(self, state: tuple) -> list:
-        rows = self[state] = _row_fillings(self.n, state)
-        return rows
+    return tuple(out)
 
 
 def config_iterator(n: int) -> Iterator[LatticeConfig]:
     """All DWBC configurations, row-major DFS, rightward branch first."""
-    table = _RowTable(n)
+    if not 1 <= n <= ENUM_LIMIT:
+        raise ValueError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
     up = (True,) * n  # arrows below the last row point up (inward)
     stack = [((), ((False,) * n,))]  # arrows above row 0 point down (inward)
     while stack:
@@ -130,7 +117,7 @@ def config_iterator(n: int) -> Iterator[LatticeConfig]:
             if rows_v[-1] == up:
                 yield LatticeConfig(n, rows_h, rows_v)
             continue
-        for h_row, bottom, _packed in reversed(table[rows_v[-1]]):
+        for h_row, bottom, _packed in reversed(_row_fillings(n, rows_v[-1])):
             stack.append((rows_h + (h_row,), rows_v + (bottom,)))
 
 
@@ -146,12 +133,13 @@ def _histogram(n: int) -> tuple:
     row, every state of the vertical edges below it maps to {packed counts of
     the rows so far: number of ways}.  Distinct pairs are few (at most 300 a
     row at N = 6), where the configurations number 7,436."""
-    table = _RowTable(n)
+    if not 1 <= n <= ENUM_LIMIT:
+        raise ValueError(f"explicit enumeration supports 1 <= N <= {ENUM_LIMIT}")
     layer = {(False,) * n: {0: 1}}  # arrows above row 0 point down (inward)
     for _row in range(n):
         below: dict = {}
         for state, ways in layer.items():
-            for _h, bottom, p in table[state]:
+            for _h, bottom, p in _row_fillings(n, state):
                 out = below.setdefault(bottom, {})
                 for packed, m in ways.items():
                     out[packed + p] = out.get(packed + p, 0) + m

@@ -43,7 +43,7 @@ class KernelSpec:
 
     @classmethod
     def disordered(cls, n: int, p: ModelParams) -> "KernelSpec":
-        if not 0 < complex(p.phi_plus).real < math.pi:
+        if not p.disordered:
             raise ValueError("disordered kernel needs 0 < Re phi_+ < pi")
         return cls("disordered", n, params=p)
 

@@ -148,24 +148,17 @@ def inm_closed(n: int, m: int, lam: float, tau: complex, omega: complex,
     (1/2 pi) int P_n^{(lam)}(x; tau) P_m^{(lam)}(x; omega)
              |Gamma(lam + ix)|^2 e^{(2 phi - pi) x} dx
 
-    as the finite sum over the shared connection index; degenerate
-    tau = phi or omega = phi just truncates the sum.
+    as the finite sum over the shared connection index k of the expansions
+    in the phi basis, whose squared norms are Gamma(k + 2 lam)/k! times
+    (2 sin phi)^(-2 lam); degenerate tau = phi or omega = phi just truncates
+    the sum.
     """
     if not 0 < phi < math.pi or lam <= 0:
         raise ValueError("need real lam > 0 and 0 < phi < pi")
-    s_phi = math.sin(phi)
-    if s_phi < SIN_CUTOFF:
-        raise ValueError("sin(phi) vanishes")
-    st, so = cmath.sin(complex(tau)), cmath.sin(complex(omega))
-    dt, do = cmath.sin(phi - complex(tau)), cmath.sin(phi - complex(omega))
-    norm = (2 * s_phi) ** (-2 * lam)
-    acc = 0j
-    for k in range(min(n, m) + 1):
-        c = math.exp(math.lgamma(n + 2 * lam) + math.lgamma(m + 2 * lam)
-                     - math.lgamma(k + 2 * lam) - math.lgamma(n - k + 1)
-                     - math.lgamma(m - k + 1) - math.lgamma(k + 1))
-        acc += c * dt ** (n - k) * do ** (m - k) * (st * so) ** k / s_phi ** (n + m)
-    return norm * acc
+    cn, cm = connection_coeffs(n, lam, tau, phi), connection_coeffs(m, lam, omega, phi)
+    return (2 * math.sin(phi)) ** (-2 * lam) * sum(
+        cn[k] * cm[k] * math.gamma(k + 2 * lam) / math.factorial(k)
+        for k in range(min(n, m) + 1))
 
 
 def _log_abs_gamma_sq(lam: float, x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ antiferroelectric regimes through the same code path.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -44,6 +45,11 @@ class ModelParams:
     @property
     def phi_minus(self) -> complex:
         return self.lam - self.eta
+
+    @property
+    def disordered(self) -> bool:
+        """0 < Re phi_+ < pi, where e^{2 phi_+ x}/(1 + e^{2 pi x}) decays both ways."""
+        return 0 < self.phi_plus.real < math.pi
 
     def mp_phis(self) -> tuple:
         """(phi_minus, phi_plus) as mpmath scalars: lambda -+ eta summed at the

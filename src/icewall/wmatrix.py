@@ -82,11 +82,10 @@ def w_matrix_gauss(n: int, bg: BetaGamma) -> np.ndarray:
 def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
     """Quadrature oracle: 2 sin(phi_-) int P_j P_k e^{2 x phi_+}/(1 + e^{2 pi x}) dx
     with P = P^{(1/2)}(.; phi_-)."""
-    pp = complex(p.phi_plus)
-    if not 0 < pp.real < math.pi:
+    if not p.disordered:
         raise ValueError("integral form needs 0 < Re phi_+ < pi")
-    x, dx = fermi_rule(pp.real, j + k)
-    weight = weight_shifted(2 * x, pp)
+    x, dx = fermi_rule(p.phi_plus.real, j + k)
+    weight = weight_shifted(2 * x, p.phi_plus)
     pj, pk = mp_eval(j, 0.5, x, p.phi_minus), mp_eval(k, 0.5, x, p.phi_minus)
     return 2 * cmath.sin(p.phi_minus) * complex(np.sum(pj * pk * weight * dx))
 
@@ -103,13 +102,6 @@ def _w_matrix_mp(n: int, p: ModelParams) -> tuple:
     for j, row in enumerate(rows):
         row[j] -= inv_zeta
     return rows, n * (1j * mpmath.pi - 2j * eta)
-
-
-def z_tilde_det(n: int, p: ModelParams, bits: int) -> LogScaledValue:
-    """det(I - zeta W) at `bits` precision; zeta is always recomputed from eta."""
-    with mpmath.workprec(bits):
-        rows, log_minus_zeta = _w_matrix_mp(n, p)
-        return mp_logdet(rows, "w-det", log_minus_zeta)
 
 
 def full_partition(n: int, p: ModelParams, bits: int) -> LogScaledValue:

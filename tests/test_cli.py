@@ -610,3 +610,41 @@ def test_a_negative_value_may_follow_its_option(capsys, monkeypatch, split, join
         assert code == 0, err
         docs.append(without_elapsed(json.loads(out)))
     assert docs[0] == docs[1]
+
+
+# Points where a route exits 0 with a wrong log|Z|, as measured at 0.2.8.  A
+# route must refuse such a point (exit 2) or land within 1e-8 of the reference.
+# Each case stays a strict xfail until its ROADMAP item mends it.
+TILTED_DELTA_HALF = ["--lambda", "1.5707963267948966,3", "--eta", "1.0471975511965976"]
+LARGE_IM_ETA = ["--lambda", "1.9695263596419796,-0.40721921442613085",
+                "--eta", "1.1275626576126219,83.12980679225902"]
+LARGE_IM_LAMBDA = ["--lambda", "0.9,360", "--eta", "0.3"]
+
+
+def known_wrong(rep, n, point, reference, item, gives):
+    return pytest.param(rep, n, point, reference, id=f"{rep}-N{n}", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"ROADMAP item {item}: {rep} gives {gives} with exit 0"))
+
+
+@pytest.mark.parametrize("rep, n, point, reference", [
+    # references: hankel and wdet agree at 1024 and 2048 bits
+    known_wrong("dp", 12, TILTED_DELTA_HALF, 217.67013178703286, 10, "235.506427"),
+    # hankel and wdet agree at 3072 and 4096 bits
+    known_wrong("dp", 15, LARGE_IM_ETA, 27941.916580157562, 10, "-inf, a false Z = 0"),
+    # hankel and wdet at 1024 bits
+    known_wrong("enumerate", 6, TILTED_DELTA_HALF, 42.73586059804466, 10, "42.734432"),
+    # dp; hankel and wdet agree with it at 4096 bits
+    known_wrong("wdet", 3, LARGE_IM_LAMBDA, 2155.172673426567, 4,
+                "4225.783 without a warning"),
+    known_wrong("hankel", 3, LARGE_IM_LAMBDA, 2155.172673426567, 4,
+                "4135.774 with a pivot-growth warning"),
+])
+def test_a_route_refuses_or_agrees_at_known_wrong_points(capsys, monkeypatch, rep, n,
+                                                          point, reference):
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    code, out, err = run(capsys, "compute", "--rep", rep, "--n", str(n), *point,
+                         "--format", "json")
+    assert code in (0, 2), err
+    if code == 0:
+        assert abs(json.loads(out)["records"][0]["log_abs_z"] - reference) < 1e-8

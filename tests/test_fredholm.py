@@ -21,9 +21,8 @@ from icewall.logscale import LogScaledValue
 from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
                                mp_deriv, mp_eval, weight_shifted)
 from icewall.quadrature import gauss_legendre
-from icewall.params import ModelParams, symmetric_weights
-from icewall.wmatrix import (BetaGamma, full_partition, rational_z_tilde, w_matrix,
-                             z_tilde_det)
+from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
+from icewall.wmatrix import BetaGamma, full_partition, rational_z_tilde, w_matrix
 
 P_REF = ModelParams(0.9, 0.3)
 DISORDERED_SAMPLES = [(0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.15)]
@@ -160,8 +159,8 @@ def test_discrete_kernel_confluent_diagonal():
 
 def test_disordered_determinant_matches_finite():
     for n in range(1, 6):
-        zt = fredholm_det(KernelSpec.disordered(n, P_REF))
-        assert zt.rel_diff(z_tilde_det(n, P_REF, default_bits(5))) < 1e-8
+        z = fredholm_det(KernelSpec.disordered(n, P_REF)).scale_log(qgroup_prefactor(n, P_REF))
+        assert z.rel_diff(full_partition(n, P_REF, default_bits(5))) < 1e-8
 
 
 def test_full_partition_fredholm_vs_enumeration():
@@ -182,8 +181,8 @@ def test_discrete_determinant_matches_continuation():
     # ferroelectric regime: phi_pm = i phi~_pm
     p = ModelParams(0.55j, 0.25j)
     for n in range(1, 5):
-        zt = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3))
-        assert zt.rel_diff(z_tilde_det(n, p, default_bits(4))) < 1e-8
+        z = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).scale_log(qgroup_prefactor(n, p))
+        assert z.rel_diff(full_partition(n, p, default_bits(4))) < 1e-8
 
 
 def test_discrete_truncation_stability():
@@ -303,8 +302,8 @@ def test_disordered_large_n_matches_wdet(n):
 @pytest.mark.parametrize("n", [12, 16])
 def test_discrete_and_rational_large_n(n):
     p = ModelParams(0.55j, 0.25j)
-    zt = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3))
-    assert zt.rel_diff(z_tilde_det(n, p, default_bits(n))) < 1e-10
+    z = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).scale_log(qgroup_prefactor(n, p))
+    assert z.rel_diff(full_partition(n, p, default_bits(n))) < 1e-10
     lam, eta = 0.9, 0.3
     zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
     assert zt.rel_diff(rational_z_tilde(n, lam, eta)) < 1e-10

@@ -16,8 +16,8 @@ from icewall.enumeration import enumerate_configs
 from icewall.hankel import (alpha_det_deviation, cot_derivative_poly, hankel_H,
                             matrix_A, partition_hankel)
 from icewall.logscale import LogScaledValue
-from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
-from icewall.wmatrix import full_partition, z_tilde_det
+from icewall.params import ModelParams, symmetric_weights
+from icewall.wmatrix import full_partition
 
 
 def test_cot_polynomial_table():
@@ -102,8 +102,7 @@ def test_determinant_ratio_route():
     p = ModelParams(0.9, 0.3)
     bits = default_bits(5)
     for n in range(1, 6):
-        zt = partition_hankel(n, p, bits).scale_log(-qgroup_prefactor(n, p))
-        assert zt.rel_diff(z_tilde_det(n, p, bits)) < 1e-12
+        assert partition_hankel(n, p, bits).rel_diff(full_partition(n, p, bits)) < 1e-12
 
 
 @pytest.mark.parametrize("lam, eta", [(0.9, 0.3), (0.9 + 0.1j, 0.3 + 0.05j)])

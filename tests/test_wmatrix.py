@@ -13,11 +13,11 @@ from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.hankel import partition_hankel
 from icewall.logscale import LogScaledValue
-from icewall.params import ModelParams, symmetric_weights
+from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
 from icewall.wmatrix import (BetaGamma, _w_matrix_mp, full_partition,
                              full_partition_gauss, rational_z_tilde,
                              reconstruction_deviation, w_entry_integral, w_matrix,
-                             w_matrix_gauss, z_tilde_det)
+                             w_matrix_gauss)
 
 P_REF = ModelParams(0.9, 0.3)
 
@@ -137,14 +137,14 @@ def test_triangular_reconstruction():
 def test_z_tilde_matches_qgroup_enumeration():
     # det(I - zeta W) is the partition function in the quantum-group
     # normalization w1 = w2 = 1, w3 = w4 = b/a, w5, w6 = (c/a) e^{-/+ i phi_-}:
-    # n6 - n5 = N, so the phase split strips the boundary factor e^{-i phi_- N}
+    # n6 - n5 = N, so the phase split strips the boundary factor e^{-i phi_- N};
+    # qgroup_prefactor restores it and [sin phi_+]^{N^2}, as full_partition does
     a, _, b, _, c, _ = symmetric_weights(P_REF)
     ph = cmath.exp(1j * P_REF.phi_minus)
     w = (1.0, 1.0, b / a, b / a, c / a / ph, c / a * ph)
     for n in range(1, 5):
-        ref = enumerate_configs(n, w).z_value
-        zt = z_tilde_det(n, P_REF, default_bits(4))
-        assert zt.rel_diff(ref) < 1e-12
+        ref = enumerate_configs(n, w).z_value.scale_log(qgroup_prefactor(n, P_REF))
+        assert full_partition(n, P_REF, default_bits(4)).rel_diff(ref) < 1e-12
 
 
 @pytest.mark.parametrize("n", [10, 20, 30, 40])
