@@ -13,15 +13,13 @@ import math
 import warnings
 from typing import Optional
 
-import mpmath
-
 from .cli import applicable
 from .determinants import PrecisionWarning, default_bits
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs, \
     partition_dp
 from .fredholm import KernelSpec, fredholm_det, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
-from .lazynp import np
+from .lazy import mpmath, np
 from .logscale import LogScaledValue, worst_rel_diff
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \

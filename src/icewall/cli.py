@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
 import os
 import re
 import sys
-import tempfile
 import time
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .determinants import default_bits
@@ -97,6 +94,7 @@ def cache_key(route: str, n: int, args) -> str:
     """Hash of the canonicalized job: the inputs a record depends on and the
     package version.  --bits is one of them only for a route that reads it;
     --tol never is."""
+    import hashlib   # imported here, not at the top: only a cached run needs it
     payload = {"command": "compute", "representation": route, "n": n,
                "lambda": [args.lam.real, args.lam.imag],
                "eta": [args.eta.real, args.eta.imag],
@@ -132,7 +130,11 @@ def cache_dir(flag_value: Optional[str]) -> Optional[str]:
     env = os.environ.get("ICEWALL_CACHE_DIR")
     path = env or flag_value
     if path:
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:   # say, a regular file at the path or above it
+            raise ValueError(f"cannot make the cache directory {path}: "
+                             f"{exc.strerror or exc}") from exc
     return path
 
 
@@ -165,6 +167,7 @@ def cache_store(path: Optional[str], key: str, rec: dict):
     and raises a ValueError naming the entry."""
     if not path:
         return
+    import tempfile   # imported here, not at the top: only a cached run needs it
     entry = os.path.join(path, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=path, suffix=".tmp")
     try:
@@ -182,8 +185,7 @@ def cache_store(path: Optional[str], key: str, rec: dict):
 # route registry
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One representation of Z_N.  `fn(n, params, weights, bits)` returns
     (value, extra record fields), for the six vertex weights and the mantissa
     bits of the extended-precision routes.  The route functions are looked
@@ -266,7 +268,7 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     reason = route.refusal(n, p, args.weights)
     if reason:
         raise ValueError(f"{route.name} {reason}")
-    key = cache_key(route.name, n, args)
+    key = cache_key(route.name, n, args) if cdir else None
     job = record(route.name, n, args.lam, args.eta, 0.0, 0.0, 0.0, 0, [])
     rec = cache_load(cdir, key)   # a record, but the key is only a hash of the job
     if rec is not None and all(rec[f] == job[f] for f in JOB_FIELDS):
@@ -335,8 +337,11 @@ def emit(records: list, fmt: str, out_path: Optional[str],
 def write_output(text: str, out_path: Optional[str]):
     """Write `text` to the --out file, or to stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

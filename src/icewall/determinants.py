@@ -28,10 +28,7 @@ import warnings
 from itertools import repeat
 from operator import add, mul
 
-import mpmath
-from mpmath.libmp import from_man_exp, fzero, round_nearest
-
-from .lazynp import np
+from .lazy import mpmath, np
 from .logscale import LogScaledValue
 
 
@@ -69,9 +66,10 @@ def _align(raws: list, bits: int = 0) -> tuple:
 def _scalar(re: int, im: int, exp: int, cplx: bool):
     """The mpc (cplx) or mpf (re + i im) 2^exp, each part rounded to the
     working precision, to nearest with ties to even."""
-    re, im = (from_man_exp(re, exp, mpmath.mp.prec, round_nearest),
-              from_man_exp(im, exp, mpmath.mp.prec, round_nearest) if cplx else None)
-    return mpmath.mp.make_mpc((re, im)) if cplx else mpmath.mp.make_mpf(re)
+    mp, libmp = mpmath.mp, mpmath.libmp
+    prec, rnd = mp.prec, libmp.round_nearest
+    re = libmp.from_man_exp(re, exp, prec, rnd)
+    return mp.make_mpc((re, libmp.from_man_exp(im, exp, prec, rnd))) if cplx else mp.make_mpf(re)
 
 
 def _vector(cplx: bool) -> tuple:
@@ -126,7 +124,7 @@ class BlockFloat:
         if not (cplx or any(im is not None for _, im in raws)):
             mants, exp = _align([re for re, _ in raws], bits)
             return cls(exp, mants)
-        mants, exp = _align([t for re, im in raws for t in (re, im or fzero)], bits)
+        mants, exp = _align([t for re, im in raws for t in (re, im or mpmath.libmp.fzero)], bits)
         return cls(exp, mants[0::2], mants[1::2])
 
     def pairs(self):

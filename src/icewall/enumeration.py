@@ -16,10 +16,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .lazynp import np
+from .lazy import np
 from .logscale import LogScaledValue
 
 ENUM_LIMIT = 6
@@ -49,8 +48,7 @@ for _opts in _COMPLETIONS.values():
 _FIELD_BITS = 6
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(NamedTuple):
     """One DWBC ice state: h_edges[row][0..N] and v_edges[row][0..N-1]."""
 
     n: int
@@ -79,8 +77,7 @@ class LatticeConfig:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     config_count: int
     z_value: LogScaledValue
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .determinants import refuse_untrusted_i_minus, slogdet_i_minus as _logdet_i_minus
-from .lazynp import np
+from .lazy import np
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
@@ -33,8 +32,7 @@ DISCRETE_TOL = 1e-10    # truncation refinement of the discrete kernel
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple):
     kind: str                      # disordered | discrete | rational
     n: int                         # operator order
     params: Optional[ModelParams] = None

@@ -16,9 +16,8 @@ import cmath
 import functools
 import math
 
-import mpmath
-
 from .determinants import BlockFloat, lu_det, mp_logdet
+from .lazy import mpmath
 from .logscale import LogScaledValue
 from .params import SIN_CUTOFF, ModelParams
 

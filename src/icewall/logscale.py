@@ -10,13 +10,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-import mpmath
+from .lazy import mpmath
 
 
-@dataclass(frozen=True)
-class LogScaledValue:
+class LogScaledValue(NamedTuple):
     """A complex number stored as exp(log_magnitude) * exp(i * angle)."""
 
     log_magnitude: float

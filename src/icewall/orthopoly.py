@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .lazynp import np
+from .lazy import np
 from .params import SIN_CUTOFF
 from .quadrature import fermi_rule
 
@@ -189,8 +189,7 @@ def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
 # su(1,1) triangular matrices
 
 
-@dataclass(frozen=True)
-class Su11Matrices:
+class Su11Matrices(NamedTuple):
     dimension: int
     j_plus: np.ndarray
     j_zero: np.ndarray

@@ -9,26 +9,26 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-import mpmath
-
-from .lazynp import np
+from .lazy import mpmath, np
 from .logscale import mp_scalar
 
 SIN_CUTOFF = 1e-9
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Spectral parameters (radians); phi_pm are always derived."""
-
+class _Spectral(NamedTuple):
     lam: complex
     eta: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", complex(self.lam))
-        object.__setattr__(self, "eta", complex(self.eta))
+
+class ModelParams(_Spectral):
+    """Spectral parameters (radians); phi_pm are always derived."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: complex, eta: complex) -> "ModelParams":
+        self = super().__new__(cls, complex(lam), complex(eta))
         for name, z in (("lambda+eta", self.phi_plus), ("lambda-eta", self.phi_minus),
                         ("2 eta", 2 * self.eta)):
             try:
@@ -37,6 +37,7 @@ class ModelParams:
                 raise ValueError(f"sin({name}) = sin({z}) overflows a double") from None
             if name != "2 eta" and abs(s) < SIN_CUTOFF:   # c = sin 2 eta may be 0
                 raise ValueError(f"sin({name}) = sin({z}) is below {SIN_CUTOFF}")
+        return self
 
     @property
     def phi_plus(self) -> complex:

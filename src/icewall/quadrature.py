@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .lazynp import np
+from .lazy import np
 
 
 def gauss_rule(alpha, b, mu0: complex) -> tuple:

@@ -7,12 +7,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
-import mpmath
+from typing import NamedTuple
 
 from .determinants import BlockFloat, mp_logdet, refuse_untrusted_i_minus, slogdet_i_minus
-from .lazynp import np
+from .lazy import mpmath, np
 from .logscale import LogScaledValue, mp_scalar
 from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
 from .params import ModelParams, qgroup_prefactor
@@ -21,8 +19,7 @@ from .quadrature import fermi_rule
 GAUSS_LIMIT = 12  # past it, gauss's double-precision determinant drifts from wdet
 
 
-@dataclass(frozen=True)
-class BetaGamma:
+class BetaGamma(NamedTuple):
     """The two R-matrix amplitudes plus the loop-counting factor zeta."""
 
     beta: complex

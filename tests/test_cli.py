@@ -271,6 +271,23 @@ def test_directory_at_a_cache_key_is_an_error_not_a_traceback(capsys, tmp_path, 
     assert not any(entry.iterdir())
 
 
+@pytest.mark.parametrize("option, relative", [
+    ("--out", "file/x.json"),
+    ("--cache", "file/c"),
+    ("--cache", "file"),
+], ids=["out", "cache", "cache-file"])
+def test_a_path_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch, option, relative):
+    # an OSError from open or os.makedirs is an error naming the path, exit 2:
+    # exit 1 means that a cross-check failed
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / relative)
+    code, out, err = run(capsys, "compute", "--rep", "wdet", "--n", "3", option, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch):
     # an entry stored under another package version is never re-emitted:
     # the point is recomputed and stored under the current version's key
@@ -547,29 +564,74 @@ def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     return proc
 
 
-LOADED_NUMPY_OR_SCIPY = """
-import contextlib, io, sys
+LOADED_AFTER = """
+import contextlib, io, json, sys
 from icewall.cli import main
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
-print(sorted(m for m in sys.modules if m.startswith(("numpy.", "scipy"))))
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:   # --help
+            code = exc.code
+        assert code == 0
+# numpy and mpmath sit in sys.modules unloaded until first use; a submodule
+# of theirs is there only once they have run
+print(json.dumps(sorted({m.split(".")[0] for m in sys.modules
+                         if m.startswith(("numpy.", "scipy", "mpmath.", "dataclasses"))})))
 """
 
+SWEEP_WDET = ["sweep", "--rep", "wdet", "--n", "1", "--n-max", "6"]
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["compute", "--rep", "hankel", "--n", "6"],
-    ["compute", "--rep", "wdet", "--n", "6"],
-    ["compute", "--rep", "wdet", "--n", "6", "--lambda", "0.9,0.1", "--eta", "0.3,0.05"],
-    ["compute", "--rep", "enumerate", "--n", "4"],
-    ["sweep", "--rep", "wdet", "--n", "1", "--n-max", "6"],
-    ["enumerate-dump", "--n", "3"],
-], ids=["import", "hankel", "wdet-real", "wdet-complex", "enumerate", "sweep-wdet",
-        "enumerate-dump"])
-def test_extended_precision_commands_load_neither_numpy_nor_scipy(argv):
-    # numpy is bound lazily (icewall.lazynp); only a double route loads it
-    assert fresh_python(LOADED_NUMPY_OR_SCIPY, *argv).stdout.strip() == "[]"
+# command -> (argv, the packages it loads of numpy and mpmath); none loads
+# scipy or dataclasses
+FRESH_STARTS = {
+    "import": ([], ()),
+    "help": (["--help"], ()),
+    "hankel": (["compute", "--rep", "hankel", "--n", "6"], ("mpmath",)),
+    "wdet-real": (["compute", "--rep", "wdet", "--n", "6"], ("mpmath",)),
+    "wdet-complex": (["compute", "--rep", "wdet", "--n", "6", "--lambda", "0.9,0.1",
+                      "--eta", "0.3,0.05"], ("mpmath",)),
+    "dp": (["compute", "--rep", "dp", "--n", "6"], ("numpy",)),
+    "enumerate": (["compute", "--rep", "enumerate", "--n", "4"], ()),
+    "sweep-wdet": (SWEEP_WDET, ("mpmath",)),
+    "sweep-cached": ([*SWEEP_WDET, "--cache", "{cache}"], ()),   # every point a hit
+    "enumerate-dump": (["enumerate-dump", "--n", "3"], ()),
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_after(tmp_path_factory):
+    """command -> the packages a fresh process has loaded after running it.
+    A command with a cache runs twice, so that the second finds every point."""
+    cache = str(tmp_path_factory.mktemp("cache"))
+    runs = {}
+
+    def loaded(command: str) -> list:
+        if command not in runs:
+            argv = [cache if a == "{cache}" else a for a in FRESH_STARTS[command][0]]
+            if cache in argv:
+                fresh_python(LOADED_AFTER, *argv)
+            proc = fresh_python(LOADED_AFTER, *argv)
+            assert cache not in argv or "cache: 6 hits, 0 computed" in proc.stderr
+            runs[command] = json.loads(proc.stdout)
+        return runs[command]
+    return loaded
+
+
+@pytest.mark.parametrize("command", [c for c, (_, loads) in FRESH_STARTS.items()
+                                     if "numpy" not in loads])
+def test_extended_precision_commands_load_neither_numpy_nor_scipy(loaded_after, command):
+    # numpy is bound lazily (icewall.lazy); only a double route loads it
+    assert not {"numpy", "scipy"} & set(loaded_after(command))
+
+
+@pytest.mark.parametrize("command", FRESH_STARTS)
+def test_a_fresh_process_loads_mpmath_only_for_its_routes_and_never_dataclasses(
+        loaded_after, command):
+    # mpmath is bound lazily too, and dataclasses would load inspect: a cold
+    # start that runs no extended-precision route pays for neither
+    assert "dataclasses" not in loaded_after(command)
+    assert ("mpmath" in loaded_after(command)) == ("mpmath" in FRESH_STARTS[command][1])
 
 
 def without_elapsed(doc: dict) -> dict:
@@ -581,10 +643,12 @@ def without_elapsed(doc: dict) -> dict:
     ["--rep", "all", "--n", "5", "--lambda", repr(math.pi / 2), "--eta", repr(math.pi / 6)],
     ["--rep", "all", "--n", "5", "--lambda", "0.9,0.1", "--eta", "0.3,0.05"],
     ["--rep", "dp", "--n", "7", "--weights", "1.1,0.9,0.7,0.8,1.3,0.6"],
+    ["--rep", "wdet", "--n", "7", "--lambda", "0.9,0.1", "--eta", "0.3,0.05"],
+    ["--rep", "hankel", "--n", "7", "--lambda", "0.9,0.1", "--eta", "0.3,0.05"],
 ])
 def test_a_lazily_loaded_numpy_gives_the_same_records(capsys, monkeypatch, argv):
-    # in this process numpy was imported before icewall, so icewall.lazynp
-    # bound numpy itself; the fresh process takes the lazy path
+    # in this process numpy and mpmath were imported before icewall, so
+    # icewall.lazy bound them themselves; the fresh process takes the lazy path
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
     argv = ["compute", *argv, "--format", "json"]
     code, out, _ = run(capsys, *argv)

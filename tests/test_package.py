@@ -71,3 +71,35 @@ def test_one_precision_scope_per_route():
     nested = sorted({f"{fn.name} -> {name}" for fn in functions for block in workprec_blocks(fn)
                      for name in called_names(block) if name in reaches})
     assert nested == []
+
+
+def imported_packages(tree, in_functions=True):
+    """The top-level package of every absolute import in `tree`, or only of
+    those outside any function body: the imports that run on import."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+        if in_functions or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_dataclasses():
+    # importing dataclasses loads inspect, about 12 ms of every cold start;
+    # the package's records are NamedTuples
+    offenders = [f.name for f in PACKAGE.glob("*.py")
+                 if "dataclasses" in imported_packages(ast.parse(f.read_text(encoding="utf-8")))]
+    assert offenders == []
+
+
+def test_only_lazy_imports_numpy_or_mpmath_at_module_level():
+    # every other module takes them from icewall.lazy, which loads each on
+    # first use, so that `import icewall.cli` loads neither
+    offenders = [f"{f.name}: {name}" for f in PACKAGE.glob("*.py") if f.name != "lazy.py"
+                 for name in imported_packages(ast.parse(f.read_text(encoding="utf-8")),
+                                               in_functions=False)
+                 if name in ("numpy", "mpmath")]
+    assert offenders == []
