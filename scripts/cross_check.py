@@ -6,7 +6,9 @@ For each (lambda, eta) sample and each N, computes Z_N by every route that
 `icewall compute --rep all` runs there (exact enumeration for N <= 6, the
 transfer DP, the moment (Hankel-type) determinant, the finite W determinant,
 its Gauss-factorized variant, and the rank-N Fredholm determinant), then
-prints the worst pairwise relative deviation.
+prints the worst pairwise relative deviation.  A value whose error
+estimate exceeds --tol is refused as `icewall compute` refuses it: one
+`error:` line, exit status 2.
 """
 
 import argparse
@@ -20,9 +22,9 @@ from icewall.logscale import worst_rel_diff
 from icewall.params import ModelParams, symmetric_weights
 
 
-def routes(n: int, p: ModelParams) -> dict:
+def routes(n: int, p: ModelParams, tol: float) -> dict:
     weights, bits = symmetric_weights(p), default_bits(n)
-    return {r.name: r.fn(n, p, weights, bits)[0] for r in applicable(n, p, None)}
+    return {r.name: r.answer(n, p, weights, bits, tol)[0] for r in applicable(n, p, None)}
 
 
 def main() -> int:
@@ -36,7 +38,11 @@ def main() -> int:
     for lam, eta in DISORDERED_SAMPLES:
         p = ModelParams(lam, eta)
         for n in range(1, args.n_max + 1):
-            vals = routes(n, p)
+            try:
+                vals = routes(n, p, args.tol)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             worst = worst_rel_diff(vals.values())
             worst_overall = max(worst_overall, worst)
             flag = "ok" if worst <= args.tol else "FAIL"

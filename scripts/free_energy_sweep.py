@@ -6,16 +6,17 @@ At the symmetric ice point (lambda = pi/2, eta = pi/6) all weights equal
 sin(2 pi/3), so Z_N = (sqrt(3)/2)^{N^2} A_N with A_N the alternating-sign
 matrix count, and f_N approaches -log[(sqrt(3)/2) * (3 sqrt(3)/4)] as N
 grows.  Any other disordered sample can be swept with --lambda / --eta.
+A value whose error estimate exceeds the CLI's default tolerance is refused
+as `icewall compute` refuses it: one `error:` line, exit status 2.
 """
 
 import argparse
 import math
 import sys
 
-from icewall.cli import join_signed_values, parse_complex, parse_size
+from icewall.cli import ROUTES_BY_NAME, TOL, join_signed_values, parse_complex, parse_size
 from icewall.determinants import default_bits
 from icewall.params import ModelParams
-from icewall.wmatrix import full_partition
 
 
 def main() -> int:
@@ -30,7 +31,11 @@ def main() -> int:
     print(f"lambda={args.lam}  eta={args.eta}")
     print(f"{'N':>3s} {'log|Z_N|':>22s} {'f_N':>20s}")
     for n in range(1, args.n_max + 1):
-        z = full_partition(n, p, default_bits(n))
+        try:
+            z = ROUTES_BY_NAME["wdet"].answer(n, p, None, default_bits(n), TOL)[0]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"{n:>3d} {z.log_magnitude:>22.12e} "
               f"{-z.log_magnitude / n ** 2:>20.12f}")
     return 0

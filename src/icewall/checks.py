@@ -3,18 +3,17 @@ acceptance gate (`tests/test_acceptance.py`) both iterate `CHECKS`.
 
 Every row belongs to one of the seven criteria in `CRITERIA`.  Its `fn()`
 returns a deviation, and the row passes iff ``deviation <= threshold``, so a
-NaN deviation fails.
+NaN deviation fails; so does a route's refusal.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from typing import Optional
 
-from .cli import applicable
-from .determinants import PrecisionWarning, default_bits
+from .cli import ROUTES_BY_NAME, TOL, applicable
+from .determinants import default_bits
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs, \
     partition_dp
 from .fredholm import KernelSpec, fredholm_det, trace_moments
@@ -58,7 +57,8 @@ def _seed7_draws() -> tuple:
 
 def _cross_representation() -> float:
     """Worst pairwise relative deviation among the routes `compute --rep all`
-    runs; inf where that set of routes is not ALL_ROUTES."""
+    runs, each held to the default tolerance; inf where that set of routes
+    is not ALL_ROUTES."""
     worst = 0.0
     for lam, eta in DISORDERED_SAMPLES:
         p = ModelParams(lam, eta)
@@ -67,7 +67,7 @@ def _cross_representation() -> float:
             routes = applicable(n, p, None)
             if tuple(r.name for r in routes) != ALL_ROUTES:
                 return math.inf
-            values = [r.fn(n, p, weights, default_bits(n))[0] for r in routes]
+            values = [r.answer(n, p, weights, default_bits(n), TOL)[0] for r in routes]
             worst = max(worst, worst_rel_diff(values))
     return worst
 
@@ -182,15 +182,11 @@ def _traces() -> float:
 
 
 def _precision_scaling() -> float:
-    """hankel against wdet at the size-adaptive bits; inf if either warns
-    that it lost precision."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PrecisionWarning)
-            return max(partition_hankel(n, P_REF, default_bits(n)).rel_diff(
-                full_partition(n, P_REF, default_bits(n))) for n in range(1, 13))
-    except PrecisionWarning:
-        return math.inf
+    """hankel against wdet at the size-adaptive bits, each held to the
+    row's threshold, 1e-10."""
+    hankel, wdet = ROUTES_BY_NAME["hankel"], ROUTES_BY_NAME["wdet"]
+    return max(hankel.answer(n, P_REF, None, default_bits(n), 1e-10)[0].rel_diff(
+        wdet.answer(n, P_REF, None, default_bits(n), 1e-10)[0]) for n in range(1, 13))
 
 
 # (criterion number, label, fn, threshold)
@@ -235,11 +231,15 @@ CHECKS = (
 
 
 def run(criterion: Optional[int] = None) -> list:
-    """One result row per check of `criterion`, or of every criterion."""
+    """One result row per check of `criterion`, or of every criterion; a
+    ValueError, such as a route's refusal, is an infinite deviation."""
     rows = []
     for k, label, fn, threshold in CHECKS:
         if criterion in (None, k):
-            dev = float(fn())
+            try:
+                dev = float(fn())
+            except ValueError:
+                dev = math.inf
             rows.append({"suite": CRITERIA[k - 1], "check": label, "deviation": dev,
                          "threshold": threshold, "pass": dev <= threshold})
     return rows

@@ -3,7 +3,8 @@ representation, sweep parameters, run the acceptance checks, and dump
 small-lattice configurations.  JSON output carries ``schema: 1``; CSV is
 RFC-4180 (CRLF, quoted as needed).  Results can be cached on disk keyed by
 a hash of the canonicalized job and the package version; a cache hit
-re-emits the stored record byte-for-byte.
+re-emits the stored record byte-for-byte.  `vouch`, the one error rule,
+decides from the estimate every value carries whether it is answered.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .wmatrix import GAUSS_LIMIT, full_partition, full_partition_gauss
 
 SCHEMA = 1
 DOUBLE_BITS = 53    # the precision_bits of every route but hankel and wdet
+TOL = 1e-8          # the default --tol; sweep, verify and the scripts hold values to it
 
 CSV_COLUMNS = ("representation", "n", "lambda_re", "lambda_im",
                "eta_re", "eta_im", "log_abs_z", "phase", "f_n",
@@ -93,7 +95,7 @@ def parse_weights(text: str) -> tuple:
 def cache_key(route: str, n: int, args) -> str:
     """Hash of the canonicalized job: the inputs a record depends on and the
     package version.  --bits is one of them only for a route that reads it;
-    --tol never is."""
+    --tol never is: a hit is held to the current one."""
     import hashlib   # imported here, not at the top: only a cached run needs it
     payload = {"command": "compute", "representation": route, "n": n,
                "lambda": [args.lam.real, args.lam.imag],
@@ -107,12 +109,13 @@ def cache_key(route: str, n: int, args) -> str:
 
 def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
            phase: float, elapsed_ms: float, precision_bits: int,
-           messages: list, extra: Optional[dict] = None) -> dict:
+           messages: list, extra: Optional[dict] = None, error_estimate: float = math.nan) -> dict:
     """One result, as the JSON dict that is emitted and cached.  `extra`
     holds a route's own fields, such as enumerate's config_count."""
     return {"schema": SCHEMA, "representation": route, "n": n,
             "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
-            "log_abs_z": log_abs_z, "phase": phase, "f_n": -log_abs_z / (n * n),
+            "log_abs_z": log_abs_z, "phase": phase, "error_estimate": error_estimate,
+            "f_n": -log_abs_z / (n * n),
             "elapsed_ms": elapsed_ms, "precision_bits": precision_bits,
             "warnings": messages, **(extra or {})}
 
@@ -185,11 +188,19 @@ def cache_store(path: Optional[str], key: str, rec: dict):
 # route registry
 
 
+def vouch(route: str, n: int, error: float, tol: float):
+    """Refuse a value unless its relative error estimate is at most tol; a
+    NaN estimate, which no estimator set, is refused."""
+    if not error <= tol:
+        raise ValueError(f"{route}: the error estimate {error:.2g} at N={n} "
+                         f"exceeds the tolerance {tol:g}")
+
+
 class Route(NamedTuple):
     """One representation of Z_N.  `fn(n, params, weights, bits)` returns
-    (value, extra record fields), for the six vertex weights and the mantissa
-    bits of the extended-precision routes.  The route functions are looked
-    up in this module's globals when called, not bound when it is imported."""
+    (value with its error estimate, extra record fields), for the six vertex
+    weights and the mantissa bits of the extended-precision routes.  The route
+    functions are looked up in this module's globals when called."""
 
     name: str
     fn: Callable[..., tuple]
@@ -205,9 +216,14 @@ class Route(NamedTuple):
             return "takes lambda, eta, not --weights (only enumerate and dp do)"
         return self.domain(p) or (f"supports N <= {self.limit}" if n > self.limit else None)
 
-
-def _disordered(p: ModelParams) -> Optional[str]:
-    return None if p.disordered else "needs 0 < Re(lambda + eta) < pi"
+    def answer(self, n: int, p: ModelParams, weights, bits: int, tol: float) -> tuple:
+        """fn's result, unless `vouch` refuses its value at tol or it is not finite."""
+        value, extra = self.fn(n, p, weights, bits)
+        vouch(self.name, n, value.error, tol)
+        if non_finite(value.log_magnitude, value.angle):
+            raise ValueError(f"{self.name} gave a non-finite value at N={n}: "
+                             f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
+        return value, extra
 
 
 def _ferroelectric(p: ModelParams) -> Optional[str]:
@@ -215,10 +231,6 @@ def _ferroelectric(p: ModelParams) -> Optional[str]:
     if not (abs(pp.real) < 1e-12 and abs(pm.real) < 1e-12 and pp.imag > 0):
         return "needs purely imaginary lambda, eta with Im(lambda + eta) > 0"
     return None
-
-
-def _real(p: ModelParams) -> Optional[str]:
-    return "needs real lambda, eta" if p.lam.imag or p.eta.imag else None
 
 
 def _enumerate(n, p, weights, bits):
@@ -249,9 +261,10 @@ ROUTES = (
     Route("wdet", lambda n, p, w, bits: (full_partition(n, p, bits), {}), takes_bits=True),
     Route("gauss", lambda n, p, w, bits: (full_partition_gauss(n, p), {}), GAUSS_LIMIT),
     Route("fredholm-disordered", lambda n, p, w, bits: (full_partition_fredholm(n, p), {}),
-          FREDHOLM_LIMIT, _disordered),
+          FREDHOLM_LIMIT, lambda p: None if p.disordered else "needs 0 < Re(lambda + eta) < pi"),
     Route("fredholm-discrete", _discrete, FREDHOLM_LIMIT, _ferroelectric),
-    Route("fredholm-rational", _rational, domain=_real, in_all=False),
+    Route("fredholm-rational", _rational, in_all=False,
+          domain=lambda p: "needs real lambda, eta" if p.lam.imag or p.eta.imag else None),
 )
 ROUTES_BY_NAME = {r.name: r for r in ROUTES}
 
@@ -263,7 +276,7 @@ def applicable(n: int, p: ModelParams, weights: Optional[tuple]) -> list:
 
 def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     """(record, whether it came from the cache) for one route at one N.
-    Raises when the route refuses the inputs or fails; nothing is cached then."""
+    Raises when the route or `vouch` refuses; nothing is cached then."""
     p = ModelParams(args.lam, args.eta)
     reason = route.refusal(n, p, args.weights)
     if reason:
@@ -272,20 +285,18 @@ def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
     job = record(route.name, n, args.lam, args.eta, 0.0, 0.0, 0.0, 0, [])
     rec = cache_load(cdir, key)   # a record, but the key is only a hash of the job
     if rec is not None and all(rec[f] == job[f] for f in JOB_FIELDS):
+        vouch(route.name, n, rec["error_estimate"], args.tol)
         return rec, True
     bits = args.bits or default_bits(n)
     weights = args.weights or symmetric_weights(p)
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value, extra = route.fn(n, p, weights, bits)
+        value, extra = route.answer(n, p, weights, bits, args.tol)
     elapsed = 1000.0 * (time.perf_counter() - t0)
-    if non_finite(value.log_magnitude, value.angle):
-        raise ValueError(f"{route.name} gave a non-finite value at N={n}: "
-                         f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
     rec = record(route.name, n, args.lam, args.eta, value.log_magnitude,
                  value.angle, elapsed, bits if route.takes_bits else DOUBLE_BITS,
-                 [str(w.message) for w in caught], extra)
+                 [str(w.message) for w in caught], extra, value.error)
     cache_store(cdir, key, rec)
     return rec, False
 
@@ -365,15 +376,12 @@ def run_compute(args) -> int:
             print(f"cache hit: {route.name}", file=sys.stderr)
         records.append(rec)
     summary = None
-    status = 0
     if len(records) > 1:
         worst = worst_rel_diff(LogScaledValue(r["log_abs_z"], r["phase"]) for r in records)
         summary = {"max_pairwise_rel_deviation": worst, "tol": args.tol,
                    "pass": worst <= args.tol}
-        if not summary["pass"]:
-            status = 1
     emit(records, args.format, args.out, summary)
-    return status
+    return 0 if summary is None or summary["pass"] else 1
 
 
 def run_sweep(args) -> int:
@@ -489,15 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     c = subs.add_parser("compute", help="compute Z_N by one or all representations")
     c.add_argument("--n", type=parse_size, required=True)
     _add_common(c, tuple(ROUTES_BY_NAME) + ("all",), "all")
-    c.add_argument("--tol", type=parse_tol, default=1e-8,
-                   help="cross-check tolerance of --rep all")
+    c.add_argument("--tol", type=parse_tol, default=TOL,
+                   help="largest error estimate of a record; cross-check tolerance of --rep all")
     c.set_defaults(fn=run_compute)
 
     s = subs.add_parser("sweep", help="sweep N over a range")
     s.add_argument("--n", type=parse_size, default=1, help="first N")
     s.add_argument("--n-max", type=parse_size, required=True)
     _add_common(s, tuple(ROUTES_BY_NAME), "wdet")
-    s.set_defaults(fn=run_sweep)
+    s.set_defaults(fn=run_sweep, tol=TOL)
 
     v = subs.add_parser("verify", help="run the acceptance checks")
     v.add_argument("criterion", nargs="?", default="all",

@@ -24,7 +24,6 @@ the determinant itself.
 from __future__ import annotations
 
 import math
-import warnings
 from itertools import repeat
 from operator import add, mul
 
@@ -32,12 +31,7 @@ from .lazy import mpmath, np
 from .logscale import LogScaledValue
 
 
-DOUBLE_TOL = 1e-9  # the largest error estimate a double-precision det(I - M) may carry
 GUARD_BITS = 32   # fixed-point bits past the working precision in lu_det
-
-
-class PrecisionWarning(UserWarning):
-    """The determinant condition estimate ate more than half the mantissa."""
 
 
 def default_bits(n: int) -> int:
@@ -287,42 +281,29 @@ def lu_det(rows: list):
     return det, mpmath.sqrt(mpmath.mpf(max(mags, default=1)) / min(mags, default=1))
 
 
-def mp_logdet(rows: list, warn_label: str, log_factor) -> LogScaledValue:
+def mp_logdet(rows: list, log_factor) -> LogScaledValue:
     """log det(rows) + log_factor at the caller's precision, rounded to
-    doubles once; warns when the pivot growth of lu_det's equilibrated
-    factorization eats more than half of the mantissa.  `log_factor` is an
-    mpmath scalar, such as a route's prefactor."""
-    det, growth = lu_det(rows)
-    if det == 0:
-        return LogScaledValue(float("-inf"), 0.0)
-    bits = mpmath.mp.prec
-    if mpmath.isfinite(growth):
-        growth_bits = math.log2(max(float(growth), 1.0))
-        if growth_bits > bits / 2:
-            warnings.warn(
-                f"{warn_label}: pivot growth ~2^{growth_bits:.0f} exceeds half "
-                f"of the {bits}-bit budget",
-                PrecisionWarning,
-            )
-    return LogScaledValue.from_mp_log(mpmath.log(det) + log_factor)
+    doubles once, with the relative error estimate 2^(2g - bits), g = log2
+    of the pivot growth of lu_det's equilibrated factorization: it reaches 1
+    where the growth eats half of the mantissa.  `log_factor` is an mpmath
+    scalar, such as a route's prefactor."""
+    det, growth = lu_det(rows)   # growth is inf, and log(det) -inf, for a singular matrix
+    error = float(mpmath.ldexp(growth ** 2, -mpmath.mp.prec))
+    return LogScaledValue.from_mp_log(mpmath.log(det) + log_factor)._replace(error=error)
 
 
-def refuse_untrusted_i_minus(m: np.ndarray, label: str) -> None:
-    """Refuse a double-precision det(I - m) whose relative error estimate
-    2^-52 max(sigma_1(I - m), |m|_2) / sigma_min(I - m) exceeds DOUBLE_TOL.
-    It is cond_2(I - m) 2^-52 unless forming I - m cancels: then the
-    rounding of m's entries, up to 2^-52 |m|_2, sets the error."""
-    error = math.inf
-    if np.isfinite(m).all():
-        s = np.linalg.svd(np.eye(len(m)) - m, compute_uv=False)
-        if s[-1]:
-            error = max(s[0], np.linalg.norm(m, 2)) / s[-1] * 2.0 ** -52
-    if error > DOUBLE_TOL:
-        raise ValueError(f"{label}: the error estimate {error:.2g} of its double-precision "
-                         f"det(I - M) at N={len(m)} exceeds {DOUBLE_TOL:g}; it cannot be trusted")
+def i_minus_error(m: np.ndarray) -> float:
+    """N 2^-52 max(sigma_1(I - m), |m|_2) / sigma_min(I - m), the relative error estimate
+    of a double-precision det(I - m) of order N: the n u cond_2 of an LU backward-error bound,
+    unless forming I - m cancels and the rounding of m, up to 2^-52 |m|_2, sets it; inf where
+    m is not finite or I - m singular."""
+    if not np.isfinite(m).all():
+        return math.inf
+    s = np.linalg.svd(np.eye(len(m)) - m, compute_uv=False)
+    return len(m) * max(s[0], np.linalg.norm(m, 2)) / s[-1] * 2.0 ** -52 if s[-1] else math.inf
 
 
 def slogdet_i_minus(m: np.ndarray) -> LogScaledValue:
-    """Log-scaled det(I - m) by LAPACK's LU in double precision."""
+    """Log-scaled det(I - m) by LAPACK's LU in double precision, no error estimate."""
     sign, logabs = np.linalg.slogdet(np.eye(m.shape[0]) - m)
     return LogScaledValue(float(logabs), float(np.angle(sign)))

@@ -13,6 +13,7 @@ the left of each row points left (False) and to the right points right
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -146,9 +147,25 @@ def _histogram(n: int) -> tuple:
                  for k, m in layer[(True,) * n].items())
 
 
+def _with_sum_error(n: int, w: tuple, sum_at) -> LogScaledValue:
+    """Z = sum_at(w), a sum of products of N^2 weights, with the relative
+    error estimate 4 N^2 2^-53 Z(|w|) / |Z(w)| (past e^709 a double
+    overflows: such estimates are refused anyway).  When the nonzero weights
+    share one phase, so do the terms, and Z(|w|) = |Z(w)| is not summed.
+    Z = 0 is exact only where the sum at w's support (1 where w != 0) is 0."""
+    z = sum_at(w)
+    if z.log_magnitude == -math.inf:
+        exact = sum_at([float(x != 0) for x in w]).log_magnitude == -math.inf
+        return z._replace(error=0.0 if exact else math.inf)
+    one_phase = len({cmath.phase(x) for x in w if x}) <= 1
+    excess = 0.0 if one_phase else sum_at([abs(x) for x in w]).log_magnitude - z.log_magnitude
+    return z._replace(error=4 * n * n * 2.0 ** -53 * math.exp(min(excess, 709.0)))
+
+
 def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
     """Sum of prod w_i^{n_i} over all DWBC configurations (N <= 6), taken as
-    sum over type_histogram(n) of multiplicity * prod w_i^{n_i}.
+    sum over type_histogram(n) of multiplicity * prod w_i^{n_i}, with the
+    error estimate of `_with_sum_error`.
 
     Every configuration has N^2 vertices, so the weights are divided by 2^e,
     the least power of two above their largest magnitude (an exact division),
@@ -156,19 +173,22 @@ def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
     when its weights differ by a factor of about 10^(300/N^2) or more.  A sum
     is refused when even its largest term underflows; one that cancels to 0 is Z = 0."""
     hist = type_histogram(n)
-    given = [complex(x) for x in w]
-    e = math.frexp(max(abs(x) for x in given))[1]
-    weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in given]
-    total = sum(m * math.prod(wi ** ni for wi, ni in zip(weights, counts))
-                for counts, m in hist.items())
-    if abs(total) < sys.float_info.min and all(given):
-        logs = [math.log(abs(x)) - e * math.log(2) for x in given]  # rescaled, exactly
-        largest = max(sum(ni * li for ni, li in zip(counts, logs)) for counts in hist)
-        if largest < math.log(sys.float_info.min):
-            raise ValueError(f"enumerate: every term underflows at N={n} "
-                             f"(the largest is e^{largest:.1f} after rescaling)")
-    z = LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
-    return EnumerationResult(sum(hist.values()), z)
+
+    def histogram_sum(w) -> LogScaledValue:
+        given = [complex(x) for x in w]
+        e = math.frexp(max(abs(x) for x in given))[1]
+        weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in given]
+        total = sum(m * math.prod(wi ** ni for wi, ni in zip(weights, counts))
+                    for counts, m in hist.items())
+        if abs(total) < sys.float_info.min and all(given):
+            logs = [math.log(abs(x)) - e * math.log(2) for x in given]  # rescaled, exactly
+            largest = max(sum(ni * li for ni, li in zip(counts, logs)) for counts in hist)
+            if largest < math.log(sys.float_info.min):
+                raise ValueError(f"enumerate: every term underflows at N={n} "
+                                 f"(the largest is e^{largest:.1f} after rescaling)")
+        return LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
+
+    return EnumerationResult(sum(hist.values()), _with_sum_error(n, w, histogram_sum))
 
 
 def partition_dp(n: int, w: tuple) -> LogScaledValue:
@@ -189,7 +209,12 @@ def partition_dp(n: int, w: tuple) -> LogScaledValue:
     The weights and each row are divided by their largest magnitude, so no
     weights overflow.  A nonzero weight that this division takes below the
     smallest normal double is refused: it would keep too few bits, or none
-    (a false Z = 0)."""
+    (a false Z = 0).  The value carries the error estimate of `_with_sum_error`."""
+    return _with_sum_error(n, w, functools.partial(_transfer, n))
+
+
+def _transfer(n: int, w) -> LogScaledValue:
+    """partition_dp's transfer at the weights w."""
     if not 1 <= n <= DP_LIMIT:
         raise ValueError(f"transfer DP supports 1 <= N <= {DP_LIMIT}")
     given = np.array(w, dtype=complex)

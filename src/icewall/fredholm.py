@@ -18,7 +18,7 @@ import cmath
 import math
 from typing import NamedTuple, Optional
 
-from .determinants import refuse_untrusted_i_minus, slogdet_i_minus as _logdet_i_minus
+from .determinants import i_minus_error, slogdet_i_minus as _logdet_i_minus
 from .lazy import np
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
@@ -27,8 +27,6 @@ from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F4
 from .params import ModelParams, qgroup_prefactor
 from .quadrature import decay_cutoff, gauss_rule
 
-CONVERGENCE_TOL = 1e-8  # N against N + 1 nodes, and the disordered rule's orthonormality
-DISCRETE_TOL = 1e-10    # truncation refinement of the discrete kernel
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
 
@@ -102,35 +100,25 @@ def discrete_cutoff(spec: KernelSpec) -> int:
 
 
 def nodes(spec: KernelSpec, refined: bool = False) -> tuple:
-    """(x, w), the one discretization of each kernel, with the kernel's
-    weight function folded into the weights w.  The discrete kernel takes
-    the lattice 0..discrete_cutoff - 1, ten more sites when refined.  The
-    continuous kernels take the N-node Gauss rule of their weight, exact for
-    the Gram matrix, and N + 1 nodes when refined: Gauss-Laguerre for the
+    """(x, w, defect), the one discretization of each kernel, with the
+    kernel's weight function folded into the weights w.  The discrete kernel
+    takes the lattice 0..discrete_cutoff - 1, ten more sites when refined.
+    The continuous kernels take the N-node Gauss rule of their weight, exact
+    for the Gram matrix, and N + 1 nodes when refined: Gauss-Laguerre for the
     rational kernel, and for the disordered kernel the rule of the
-    Meixner-Pollaczek weight, lambda = 1/2 at phi_+."""
+    Meixner-Pollaczek weight, lambda = 1/2 at phi_+, with gauss_rule's defect."""
     if spec.kind == "discrete":
         x = np.arange(discrete_cutoff(spec) + (10 if refined else 0), dtype=float)
-        return x, np.exp(-2 * spec.phi_tilde[0] * x)
+        return x, np.exp(-2 * spec.phi_tilde[0] * x), 0.0
     m = spec.n + refined
     if spec.kind == "rational":
-        return np.polynomial.laguerre.laggauss(m)
-    return _meixner_pollaczek_rule(m, complex(spec.params.phi_plus))
-
-
-def _meixner_pollaczek_rule(m: int, phi: complex) -> tuple:
-    """The m-node Gauss rule of e^{2 phi y}/(1 + e^{2 pi y}), the
-    Meixner-Pollaczek weight of lambda = 1/2: alpha_k = -(k + 1/2) cot phi,
-    b_k = k/(2 sin phi), mass 1/(2 sin phi).  Complex at complex phi, and
-    refused where it fails its orthonormality check, as it does at large
-    |Im phi|."""
-    s = cmath.sin(phi)
-    k = np.arange(m)
-    x, w, defect = gauss_rule(-(k + 0.5) * (cmath.cos(phi) / s), k[1:] / (2 * s), 1 / (2 * s))
-    if not defect <= CONVERGENCE_TOL:
-        raise ValueError(f"fredholm-disordered: its {m}-node Gauss rule misses "
-                         f"orthonormality by {defect:.2g}, above {CONVERGENCE_TOL:g}")
-    return x, w
+        return (*np.polynomial.laguerre.laggauss(m), 0.0)
+    # e^{2 phi y}/(1 + e^{2 pi y}) at phi = phi_+: alpha_k = -(k + 1/2) cot phi,
+    # b_k = k/(2 sin phi), mass 1/(2 sin phi); complex at complex phi, and the
+    # defect grows at large |Im phi|
+    phi = complex(spec.params.phi_plus)
+    s, k = cmath.sin(phi), np.arange(m)
+    return gauss_rule(-(k + 0.5) * (cmath.cos(phi) / s), k[1:] / (2 * s), 1 / (2 * s))
 
 
 def operator_matrix(spec: KernelSpec, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -148,26 +136,22 @@ def operator_matrix(spec: KernelSpec, x: np.ndarray, weights: np.ndarray) -> np.
 
 
 def fredholm_det(spec: KernelSpec) -> LogScaledValue:
-    """Fredholm determinant det(I - operator), refused unless refining the
-    discretization moves log|det| by at most its tolerance; the disordered
-    and discrete kernels' are refused too where their double-precision
-    roundoff shows, and so is the rational kernel's at N = 1.  There the two
-    Gauss rules give the same Gram matrix, so only that estimate sees the
-    digits lost in forming I - M."""
+    """Fredholm determinant det(I - operator).  Its error estimate is the
+    largest (or a NaN) of: how far refining the discretization moves log|det|;
+    both rules' defects; and i_minus_error, but for the rational kernel at
+    N > 1.  At N = 1 its two Gauss rules give the same Gram matrix, so only
+    that estimate sees the digits lost in forming I - M."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
         raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
-    primary = operator_matrix(spec, *nodes(spec))
-    if spec.kind != "rational" or spec.n == 1:
-        refuse_untrusted_i_minus(primary, f"fredholm-{spec.kind}")
+    x, w, defect = nodes(spec)
+    primary = operator_matrix(spec, x, w)
     result = _logdet_i_minus(primary)
-    refined = _logdet_i_minus(operator_matrix(spec, *nodes(spec, refined=True)))
-    tol = DISCRETE_TOL if spec.kind == "discrete" else CONVERGENCE_TOL
-    moved = abs(refined.log_magnitude - result.log_magnitude)
-    if not moved <= tol:   # a NaN is refused too
-        raise ValueError(f"fredholm-{spec.kind}: refining the discretization moves "
-                         f"log|det| by {moved:.2g} at N={spec.n}, above {tol:g}; "
-                         f"the Nystrom determinant has not converged")
-    return result
+    x, w, refined_defect = nodes(spec, refined=True)
+    refined = _logdet_i_minus(operator_matrix(spec, x, w))
+    parts = [abs(refined.log_magnitude - result.log_magnitude), defect, refined_defect]
+    if spec.kind != "rational" or spec.n == 1:
+        parts.append(i_minus_error(primary))
+    return result._replace(error=float(np.max(parts)))
 
 
 def full_partition_fredholm(n: int, p: ModelParams) -> LogScaledValue:
@@ -179,6 +163,6 @@ def full_partition_fredholm(n: int, p: ModelParams) -> LogScaledValue:
 def trace_moments(spec: KernelSpec) -> list:
     """tr(V^k) for k = 1, 2, 3 of the discretized operator; by cyclicity the
     N x N form has the traces of the m x m Nystrom matrix."""
-    d = operator_matrix(spec, *nodes(spec))
+    d = operator_matrix(spec, *nodes(spec)[:2])
     d2 = d @ d
     return [complex(np.trace(m)) for m in (d, d2, d2 @ d)]

@@ -66,13 +66,13 @@ def matrix_A(n: int, phi: complex, alpha: complex) -> list:
 
 
 def partition_hankel(n: int, p: ModelParams, bits: int) -> LogScaledValue:
-    """Z_N = [sin phi_- sin phi_+]^{N^2} / prod (k!)^2 * det H, log-scaled;
+    """Z_N = [sin phi_- sin phi_+]^{N^2} / prod (k!)^2 * det H by mp_logdet;
     matrix, determinant and the log of the prefactor all at `bits`."""
     with mpmath.workprec(bits):
         phi_minus, phi_plus = p.mp_phis()
         pref = n * n * mpmath.log(mpmath.sin(phi_minus) * mpmath.sin(phi_plus))
         pref -= 2 * mpmath.log(math.prod(math.factorial(k) for k in range(1, n)))
-        return mp_logdet(hankel_H(n, p), "hankel", pref)
+        return mp_logdet(hankel_H(n, p), pref)
 
 
 def alpha_det_deviation(n: int, phi: complex, alpha: complex, bits: int) -> float:

@@ -16,10 +16,12 @@ from .lazy import mpmath
 
 
 class LogScaledValue(NamedTuple):
-    """A complex number stored as exp(log_magnitude) * exp(i * angle)."""
+    """exp(log_magnitude) * exp(i * angle), with `error`, the relative error
+    estimate of its route: NaN, which the CLI refuses, unless one was set."""
 
     log_magnitude: float
     angle: float
+    error: float = math.nan
 
     @classmethod
     def from_complex(cls, z: complex) -> "LogScaledValue":
@@ -43,12 +45,10 @@ class LogScaledValue(NamedTuple):
 
     def scale_log(self, log_factor: complex) -> "LogScaledValue":
         """Multiply by exp(log_factor) without leaving log space; an mpmath
-        log_factor is rounded to doubles first."""
+        log_factor is rounded to doubles first.  The error is kept."""
         log_factor = complex(log_factor)
-        return LogScaledValue(
-            self.log_magnitude + log_factor.real,
-            _wrap_angle(self.angle + log_factor.imag),
-        )
+        return LogScaledValue(self.log_magnitude + log_factor.real,
+                              _wrap_angle(self.angle + log_factor.imag), self.error)
 
     def rel_diff(self, other: "LogScaledValue") -> float:
         """|a - b| / max(|a|, |b|), computed safely in log space."""

@@ -9,7 +9,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .determinants import BlockFloat, mp_logdet, refuse_untrusted_i_minus, slogdet_i_minus
+from .determinants import BlockFloat, i_minus_error, mp_logdet, slogdet_i_minus
 from .lazy import mpmath, np
 from .logscale import LogScaledValue, mp_scalar
 from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
@@ -104,22 +104,21 @@ def _w_matrix_mp(n: int, p: ModelParams) -> tuple:
 def full_partition(n: int, p: ModelParams, bits: int) -> LogScaledValue:
     """Restore the symmetric-weight normalization:
     Z_N = det(I - zeta W) [sin phi_+]^{N^2} e^{-i phi_- N}, the prefactor
-    added to log det at `bits`."""
+    added to log det at `bits`, with mp_logdet's error estimate."""
     with mpmath.workprec(bits):
         rows, log_minus_zeta = _w_matrix_mp(n, p)
-        return mp_logdet(rows, "w-det", log_minus_zeta + qgroup_prefactor(n, p))
+        return mp_logdet(rows, log_minus_zeta + qgroup_prefactor(n, p))
 
 
 def full_partition_gauss(n: int, p: ModelParams) -> LogScaledValue:
     """Same normalization as full_partition, but with W assembled from its
-    triangular Gauss factors (double precision; independent construction).
-    Refused where that determinant's error estimate exceeds DOUBLE_TOL."""
+    triangular Gauss factors (double precision; independent construction),
+    with that determinant's error estimate."""
     if n > GAUSS_LIMIT:
         raise ValueError(f"gauss supports N <= {GAUSS_LIMIT}")
     bg = BetaGamma.from_params(p)
     m = bg.zeta * w_matrix_gauss(n, bg)
-    refuse_untrusted_i_minus(m, "gauss")
-    zt = slogdet_i_minus(m)
+    zt = slogdet_i_minus(m)._replace(error=i_minus_error(m))
     return zt.scale_log(qgroup_prefactor(n, p))
 
 

@@ -294,7 +294,8 @@ def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch)
     monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
     argv = ["compute", "--rep", "dp", "--n", "3", "--format", "json",
             "--cache", str(tmp_path)]
-    stale = cli.record("dp", 3, 0.9 + 0j, 0.3 + 0j, 123.0, 0.0, 0.0, 128, [])
+    stale = cli.record("dp", 3, 0.9 + 0j, 0.3 + 0j, 123.0, 0.0, 0.0, 128, [],
+                       error_estimate=0.0)
     with monkeypatch.context() as m:
         m.setattr(cli, "__version__", "0.1.0")
         cli.cache_store(str(tmp_path), cli.cache_key("dp", 3, job_args("dp", 3)), stale)
@@ -408,12 +409,41 @@ def test_untrusted_values_exit_2_and_cache_nothing(capsys, tmp_path, monkeypatch
     (["--rep", "fredholm-rational", "--n", "8"], None),
 ])
 def test_records_say_the_bits_they_were_computed_with(capsys, argv, bits):
-    # hankel and wdet run at default_bits(N) or --bits; every other route in doubles
+    # hankel and wdet run at default_bits(N) or --bits; every other route in
+    # doubles.  Every record carries the error estimate it was vouched for by
     code, out, _ = run(capsys, "compute", *argv, "--format", "json")
     assert code == 0
     for rec in json.loads(out)["records"]:
         expected = bits if rec["representation"] in ("hankel", "wdet") else 53
         assert rec["precision_bits"] == expected, rec["representation"]
+        assert 0 <= rec["error_estimate"] <= 1e-8, rec["representation"]
+
+
+def test_a_cache_hit_is_held_to_the_current_tolerance(capsys, tmp_path, monkeypatch):
+    # --tol is not in the cache key: a stored record whose estimate is above
+    # it is refused (exit 2) and its entry stays in place
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    argv = ["compute", "--rep", "gauss", "--n", "4", "--format", "json", "--cache", str(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    entry, = tmp_path.iterdir()
+    stored = entry.read_bytes()
+    code, out, err = run(capsys, *argv, "--tol", "1e-20")
+    assert code == 2 and out == ""
+    assert err.startswith("error: gauss: the error estimate") and "1e-20" in err
+    assert list(tmp_path.iterdir()) == [entry] and entry.read_bytes() == stored
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and "cache hit: gauss" in err
+
+
+def test_a_value_without_an_error_estimate_is_refused(capsys, tmp_path, monkeypatch):
+    # LogScaledValue.error defaults to NaN, which the rule refuses
+    monkeypatch.delenv("ICEWALL_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cli, "partition_dp", lambda n, w: LogScaledValue(1.0, 0.0))
+    code, out, err = run(capsys, "compute", "--rep", "dp", "--n", "3", "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == "error: dp: the error estimate nan at N=3 exceeds the tolerance 1e-08\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lam, eta", [(-1, 0.3), (0.3, -0.5), (-0.2, -0.3), (0.9, 0.3),
@@ -676,9 +706,9 @@ def test_a_negative_value_may_follow_its_option(capsys, monkeypatch, split, join
     assert docs[0] == docs[1]
 
 
-# Points where a route exits 0 with a wrong log|Z|, as measured at 0.2.8.  A
-# route must refuse such a point (exit 2) or land within 1e-8 of the reference.
-# Each case stays a strict xfail until its ROADMAP item mends it.
+# Points where a route exited 0 with a wrong log|Z| at 0.2.8.  A route must
+# refuse such a point (exit 2) or land within 1e-8 of the reference.  A case
+# its route still gets wrong is a strict xfail until its ROADMAP item mends it.
 TILTED_DELTA_HALF = ["--lambda", "1.5707963267948966,3", "--eta", "1.0471975511965976"]
 LARGE_IM_ETA = ["--lambda", "1.9695263596419796,-0.40721921442613085",
                 "--eta", "1.1275626576126219,83.12980679225902"]
@@ -692,17 +722,19 @@ def known_wrong(rep, n, point, reference, item, gives):
 
 
 @pytest.mark.parametrize("rep, n, point, reference", [
-    # references: hankel and wdet agree at 1024 and 2048 bits
-    known_wrong("dp", 12, TILTED_DELTA_HALF, 217.67013178703286, 10, "235.506427"),
-    # hankel and wdet agree at 3072 and 4096 bits
-    known_wrong("dp", 15, LARGE_IM_ETA, 27941.916580157562, 10, "-inf, a false Z = 0"),
-    # hankel and wdet at 1024 bits
-    known_wrong("enumerate", 6, TILTED_DELTA_HALF, 42.73586059804466, 10, "42.734432"),
-    # dp; hankel and wdet agree with it at 4096 bits
+    # references: hankel and wdet agree at 1024 and 2048 bits.  dp gave
+    # 235.506427; its error estimate is 5.6e24
+    pytest.param("dp", 12, TILTED_DELTA_HALF, 217.67013178703286, id="dp-N12"),
+    # hankel and wdet agree at 3072 and 4096 bits.  dp gave -inf, a false
+    # Z = 0: the sum over the weights' support is not 0
+    pytest.param("dp", 15, LARGE_IM_ETA, 27941.916580157562, id="dp-N15"),
+    # hankel and wdet at 1024 bits.  enumerate gave 42.734432; its estimate is 1.5
+    pytest.param("enumerate", 6, TILTED_DELTA_HALF, 42.73586059804466, id="enumerate-N6"),
+    # dp; hankel and wdet agree with it at 4096 bits.  hankel gave 4135.774;
+    # its growth estimate is 2^124.6
     known_wrong("wdet", 3, LARGE_IM_LAMBDA, 2155.172673426567, 4,
-                "4225.783 without a warning"),
-    known_wrong("hankel", 3, LARGE_IM_LAMBDA, 2155.172673426567, 4,
-                "4135.774 with a pivot-growth warning"),
+                "4225.783, and its growth estimate 2^-126 misses the error,"),
+    pytest.param("hankel", 3, LARGE_IM_LAMBDA, 2155.172673426567, id="hankel-N3"),
 ])
 def test_a_route_refuses_or_agrees_at_known_wrong_points(capsys, monkeypatch, rep, n,
                                                           point, reference):

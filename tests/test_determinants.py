@@ -1,9 +1,8 @@
 """The fixed-point determinant kernel (unpivoted L D L^T for a symmetric
 matrix, pivoted LU otherwise), block-floating-point dot products, and the
-pivot-growth guard."""
+pivot-growth error estimate."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import mpmath
@@ -12,8 +11,8 @@ import pytest
 from mpmath.libmp import from_man_exp, round_nearest
 
 from icewall import determinants
-from icewall.cli import ROUTES_BY_NAME
-from icewall.determinants import BlockFloat, PrecisionWarning, default_bits, lu_det, mp_logdet
+from icewall.cli import ROUTES_BY_NAME, TOL
+from icewall.determinants import BlockFloat, default_bits, lu_det, mp_logdet
 from icewall.hankel import hankel_H
 from icewall.params import ModelParams
 from icewall.wmatrix import _w_matrix_mp, full_partition
@@ -308,28 +307,28 @@ def test_w_at_a_large_imaginary_eta_is_within_half_the_mantissa():
         assert abs(det - ref) <= 2.0 ** (-bits / 2) * abs(ref)
 
 
-def test_growth_guard_warns_past_half_the_mantissa():
-    # the budget is the caller's precision: the pivots 1 and 2^-10 are within
-    # half of 128 bits, 1 and 2^-100 are not.  The figure is read after
-    # equilibration, so diag(1, 2^-100), whose scaled pivots are equal, is silent
+def test_growth_estimate_passes_one_past_half_the_mantissa():
+    # the estimate is 2^(2g - bits), g = log2 of the pivot growth, at the
+    # caller's precision: the pivots 1 and 2^-10 give 2^-108 at 128 bits, 1
+    # and 2^-100 give 2^72.  The figure is read after equilibration, so
+    # diag(1, 2^-100), whose scaled pivots are equal, gives 2^-128
     def rows(k):
         return [[1, 1], [1, 1 + mpmath.mpf(2) ** -k]]
 
     with mpmath.workprec(128):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", PrecisionWarning)
-            value = mp_logdet(rows(10), "guard", 0)
-            mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], "guard", 0)
+        value = mp_logdet(rows(10), 0)
         assert value.log_magnitude == pytest.approx(-10 * np.log(2))
-        with pytest.warns(PrecisionWarning, match="guard: pivot growth .* 128-bit"):
-            mp_logdet(rows(100), "guard", 0)
+        assert value.error == pytest.approx(2.0 ** -108, rel=1e-9)
+        assert mp_logdet([[1, 0], [0, mpmath.mpf(2) ** -100]], 0).error == 2.0 ** -128
+        assert mp_logdet(rows(100), 0).error == pytest.approx(2.0 ** 72, rel=1e-9)
+        assert mp_logdet([[1, 2], [2, 4]], 0).error == math.inf   # singular
 
 
 def test_log_factor_joins_at_working_precision():
     # log det + log_factor is rounded to doubles once, angle reduced to [-pi, pi]
     with mpmath.workprec(256):
         factor = mpmath.mpf(10) ** 6 + mpmath.mpc(0, 7)
-        value = mp_logdet([[2]], "factor", factor)
+        value = mp_logdet([[2]], factor)
         assert value.log_magnitude == float(mpmath.log(2) + 10 ** 6)
         assert value.angle == float(7 - 2 * mpmath.pi)
 
@@ -353,7 +352,7 @@ def test_double_precision_routes_refuse_or_agree_in_the_ferroelectric_regime(rou
     for t, gamma, n in _ferroelectric_draws():
         p = ModelParams(1j * t, 1j * gamma)
         try:
-            z = ROUTES_BY_NAME[route].fn(n, p, None, None)[0]
+            z = ROUTES_BY_NAME[route].answer(n, p, None, None, TOL)[0]
         except ValueError:
             continue
         answered += 1

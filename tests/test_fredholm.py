@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from icewall import fredholm
-from icewall.cli import ROUTES_BY_NAME
+from icewall.cli import ROUTES_BY_NAME, TOL
 from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs, partition_dp
 from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_minus,
@@ -187,9 +187,9 @@ def test_discrete_determinant_matches_continuation():
 
 def test_discrete_truncation_stability():
     spec = KernelSpec.discrete(3, 0.8, 0.3)
-    a = np.linalg.slogdet(np.eye(spec.n) - operator_matrix(spec, *nodes(spec)))[1]
+    a = np.linalg.slogdet(np.eye(spec.n) - operator_matrix(spec, *nodes(spec)[:2]))[1]
     b = np.linalg.slogdet(np.eye(spec.n)
-                          - operator_matrix(spec, *nodes(spec, refined=True)))[1]
+                          - operator_matrix(spec, *nodes(spec, refined=True)[:2]))[1]
     assert abs(a - b) < 1e-10
 
 
@@ -213,7 +213,7 @@ def test_refined_nodes_extend_the_lattice_or_double_the_rule(kind, n):
     # lattice gains ten sites; a continuous kernel's N-node Gauss rule gains
     # one node, and both rules integrate the Gram integrand exactly
     spec = spec_of(kind, n)
-    (x, w), (xr, wr) = nodes(spec), nodes(spec, refined=True)
+    (x, w, _), (xr, wr, _) = nodes(spec), nodes(spec, refined=True)
     if kind == "discrete":
         assert np.array_equal(xr, np.arange(len(x) + 10, dtype=float))
         assert np.array_equal(wr[:len(x)], w)
@@ -231,8 +231,9 @@ def test_refined_nodes_extend_the_lattice_or_double_the_rule(kind, n):
 def test_meixner_pollaczek_rule_is_exact_at_complex_phi_plus(phi_plus, n):
     # sum_i w_i p_j(x_i) p_k(x_i) = delta_jk for j, k < N, complex nodes and all
     p = ModelParams(phi_plus - 0.3, 0.3)
-    x, w = nodes(KernelSpec.disordered(n, p))
+    x, w, defect = nodes(KernelSpec.disordered(n, p))
     assert orthonormality_defect(KernelSpec.disordered(n - 1, p), x, w) < 1e-12
+    assert defect < 1e-12   # the rule's own figure, which fredholm_det's estimate takes
 
 
 @pytest.mark.parametrize("kind", ["disordered", "rational"])
@@ -332,11 +333,19 @@ def test_no_convergence_warnings_on_defaults():
 def test_unconverged_refinement_is_refused(n, lam, eta):
     # on panel rules these gave log|Z| 2077.58 (wdet: 1393.76), and values
     # 2.0e-3 and 5.4e-7 off wdet, with only a warning; on Gauss rules the
-    # rule's orthonormality check refuses the first, the estimate of
-    # det(I - M) the others
-    reasons = "refining|the error estimate|its 3-node Gauss rule"
-    with pytest.raises(ValueError, match=f"fredholm-disordered: ({reasons})"):
-        full_partition_fredholm(n, ModelParams(lam, eta))
+    # rule's orthonormality defect puts the first's error estimate above the
+    # tolerance, the estimate of det(I - M) the others'
+    assert not full_partition_fredholm(n, ModelParams(lam, eta)).error <= TOL
+
+
+def test_a_gauss_rule_defect_enters_the_error_estimate(monkeypatch):
+    # at (0.9, 0.3) every other part of the estimate is below 1e-13, so a
+    # rule defect of 1e-3 is the estimate, and a NaN one makes it NaN
+    rule = fredholm.gauss_rule
+    monkeypatch.setattr(fredholm, "gauss_rule", lambda *args: (*rule(*args)[:2], 1e-3))
+    assert fredholm_det(KernelSpec.disordered(3, P_REF)).error == 1e-3
+    monkeypatch.setattr(fredholm, "gauss_rule", lambda *args: (*rule(*args)[:2], math.nan))
+    assert math.isnan(fredholm_det(KernelSpec.disordered(3, P_REF)).error)
 
 
 # (left, bottom) -> [(right, top, weight)] for lines that run up and to the
@@ -418,7 +427,7 @@ def test_continuous_kernels_refuse_or_agree(route, least):
         if ROUTES_BY_NAME[route].refusal(n, p, None):
             continue
         try:
-            z = ROUTES_BY_NAME[route].fn(n, p, None, None)[0]
+            z = ROUTES_BY_NAME[route].answer(n, p, None, None, TOL)[0]
         except ValueError:
             continue
         answered += 1
@@ -435,7 +444,7 @@ def test_continuous_kernels_refuse_or_agree(route, least):
 def test_disordered_kernel_refuses_or_agrees_where_panel_rules_were_wrong(n, lam, eta):
     p = ModelParams(lam, eta)
     try:
-        z = full_partition_fredholm(n, p)
+        z = ROUTES_BY_NAME["fredholm-disordered"].answer(n, p, None, None, TOL)[0]
     except ValueError:
         return
     ref = reference("fredholm-disordered", n, lam, eta) if n <= 6 else \

@@ -1,7 +1,6 @@
 """Moment (Hankel-type) determinant route and the closed-form determinants."""
 
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from icewall.checks import DELTA_HALF, delta_half_log_z
-from icewall.determinants import PrecisionWarning, default_bits
+from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.hankel import (alpha_det_deviation, cot_derivative_poly, hankel_H,
                             matrix_A, partition_hankel)
@@ -125,11 +124,9 @@ def test_determinants_match_the_three_enumeration_at_delta_minus_half(route, n):
 
 
 def test_large_size_uses_enough_precision():
-    p = ModelParams(0.9, 0.3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PrecisionWarning)
-        value = partition_hankel(12, p, default_bits(12))
-    assert np.isfinite(value.log_magnitude)
+    # the growth estimate 2^(2g - bits) at the size-adaptive 256 bits
+    value = partition_hankel(12, ModelParams(0.9, 0.3), default_bits(12))
+    assert np.isfinite(value.log_magnitude) and value.error < 2.0 ** -200
 
 
 def test_singular_phi_rejected():

@@ -46,6 +46,17 @@ def test_free_energy_sweep_runs():
     assert [int(r[0]) for r in rows] == list(range(1, 7))
 
 
+def test_free_energy_sweep_refuses_a_value_its_error_estimate_does_not_vouch_for():
+    # at (0.9 + 30i, 0.3) wdet's pivot growth eats most of the mantissa:
+    # 2g - bits is -25.8 at N=5, an estimate of 1.7e-8.  The script stops as
+    # `icewall compute` does, with one error line naming the route, N and the
+    # estimate
+    proc = run_script("free_energy_sweep.py", "--n-max", "6", "--lambda", "0.9,30")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: wdet: the error estimate ")
+    assert proc.stderr.count("\n") == 1 and " at N=" in proc.stderr
+
+
 def test_free_energy_sweep_takes_a_negative_lambda_after_its_option():
     split = run_script("free_energy_sweep.py", "--n-max", "3", "--lambda", "-0.9,0.1")
     joined = run_script("free_energy_sweep.py", "--n-max", "3", "--lambda=-0.9,0.1")

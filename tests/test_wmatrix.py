@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icewall.cli import ROUTES_BY_NAME, TOL
 from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs
 from icewall.hankel import partition_hankel
@@ -101,7 +102,7 @@ def test_gauss_refuses_an_ill_conditioned_determinant(lam, eta):
     # at N=10, cond_2(I - zeta W) 2^-52 is 3.6 and 2.4e-3 here: gauss was
     # off by 3.45 in log|Z| and by 2.9e-3
     with pytest.raises(ValueError, match="gauss: the error estimate"):
-        full_partition_gauss(10, ModelParams(lam, eta))
+        ROUTES_BY_NAME["gauss"].answer(10, ModelParams(lam, eta), None, None, TOL)
 
 
 def test_gauss_takes_the_ice_point_up_to_its_limit():
