@@ -7,4 +7,4 @@ Import each name from the module that defines it, e.g.
 ``from icewall.wmatrix import full_partition``.
 """
 
-__version__ = "0.2.9"  # part of every cache key
+__version__ = "0.2.10"  # part of every cache key

@@ -1,10 +1,10 @@
 """Command-line front end: compute the partition function by any
 representation, sweep parameters, run the acceptance checks, and dump
-small-lattice configurations.  JSON output carries ``schema: 1``; CSV is
-RFC-4180 (CRLF, quoted as needed).  Results can be cached on disk keyed by
-a hash of the canonicalized job and the package version; a cache hit
+small-lattice configurations.  JSON output is RFC 8259 (null for NaN and
+infinity) with ``schema: 2``; CSV is RFC-4180.  Results can be cached on disk
+keyed by a hash of the canonicalized job and the package version; a hit
 re-emits the stored record byte-for-byte.  `vouch`, the one error rule,
-decides from the estimate every value carries whether it is answered.
+decides whether a value is answered; `compute_one` makes a refusal a record.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from .logscale import LogScaledValue, worst_rel_diff
 from .params import ModelParams, qgroup_prefactor, symmetric_weights
 from .wmatrix import GAUSS_LIMIT, full_partition, full_partition_gauss
 
-SCHEMA = 1
+SCHEMA = 2          # compute, sweep and verify documents; records gained status and reason
+DUMP_SCHEMA = 1     # enumerate-dump documents, unchanged
 DOUBLE_BITS = 53    # the precision_bits of every route but hankel and wdet
 TOL = 1e-8          # the default --tol; sweep, verify and the scripts hold values to it
 
 CSV_COLUMNS = ("representation", "n", "lambda_re", "lambda_im",
                "eta_re", "eta_im", "log_abs_z", "phase", "f_n",
-               "elapsed_ms", "warnings")
+               "elapsed_ms", "warnings", "status", "reason")
 
 
 # --------------------------------------------------------------------------
@@ -108,21 +109,29 @@ def cache_key(route: str, n: int, args) -> str:
 
 
 def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
-           phase: float, elapsed_ms: float, precision_bits: int,
-           messages: list, extra: Optional[dict] = None, error_estimate: float = math.nan) -> dict:
-    """One result, as the JSON dict that is emitted and cached.  `extra`
-    holds a route's own fields, such as enumerate's config_count."""
-    return {"schema": SCHEMA, "representation": route, "n": n,
-            "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
-            "log_abs_z": log_abs_z, "phase": phase, "error_estimate": error_estimate,
-            "f_n": -log_abs_z / (n * n),
-            "elapsed_ms": elapsed_ms, "precision_bits": precision_bits,
-            "warnings": messages, **(extra or {})}
+           phase: float, elapsed_ms: float, precision_bits: int, messages: list,
+           extra: Optional[dict] = None, error_estimate: float = math.nan,
+           reason: Optional[str] = None) -> dict:
+    """One result, as the JSON dict that is emitted and cached; a `reason`
+    refuses it.  A non-finite number is null: Z = 0 has a null log_abs_z and
+    f_n, a refused record a NaN value.  `extra` holds a route's own fields."""
+    rec = {"schema": SCHEMA, "status": "refused" if reason else "ok", "representation": route,
+           "n": n, "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
+           "log_abs_z": log_abs_z, "phase": phase, "error_estimate": error_estimate,
+           "f_n": -log_abs_z / (n * n), "elapsed_ms": elapsed_ms, "precision_bits": precision_bits,
+           "warnings": messages, **({"reason": reason} if reason else {}), **(extra or {})}
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in rec.items()}
 
 
-# the type of each field of every record; a cache entry must have them all
-FIELD_TYPES = {k: type(v) for k, v in record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, []).items()}
-JOB_FIELDS = ("representation", "n", "lambda", "eta")   # a hit must match the job's
+def value_of(rec: dict) -> LogScaledValue:
+    """An answered record's value; a null log_abs_z is Z = 0."""
+    return LogScaledValue(-math.inf if rec["log_abs_z"] is None else rec["log_abs_z"], rec["phase"])
+
+
+# the types each field of an answered record may have; a cache entry must have them all
+FIELD_TYPES = {k: (type(v),) for k, v in record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, [],
+                                                 error_estimate=0.0).items()}
+FIELD_TYPES["log_abs_z"] = FIELD_TYPES["f_n"] = (float, type(None))
 
 
 # --------------------------------------------------------------------------
@@ -141,26 +150,22 @@ def cache_dir(flag_value: Optional[str]) -> Optional[str]:
     return path
 
 
-def non_finite(log_magnitude: float, angle: float) -> bool:
-    # log|Z| = -inf is Z = 0, which all-zero weights give
-    return math.isnan(log_magnitude) or log_magnitude == math.inf or not math.isfinite(angle)
-
-
 def cache_load(path: Optional[str], key: str) -> Optional[dict]:
     """The stored record, or None on a miss: no entry, or one that is not a
-    record (not JSON, say truncated, or not an object with every common
-    field at the type a record gives it), or whose value is not finite."""
+    record (not RFC 8259 JSON, say truncated or holding a NaN, or not an
+    object with every field of an answered record at a type it may have)."""
     if not path:
         return None
     try:
         with open(os.path.join(path, key + ".json"), "r", encoding="utf-8") as fh:
             rec = json.load(fh)
+        json.dumps(rec, allow_nan=False)   # raises on a NaN or an infinity
     except (OSError, ValueError):   # no entry, or not a readable file; invalid JSON or UTF-8
         return None
     if not (isinstance(rec, dict)
-            and all(type(rec.get(k)) is t for k, t in FIELD_TYPES.items())):
+            and all(k in rec and type(rec[k]) in t for k, t in FIELD_TYPES.items())):
         return None
-    return None if non_finite(rec["log_abs_z"], rec["phase"]) else rec   # a miss: recompute
+    return rec
 
 
 def cache_store(path: Optional[str], key: str, rec: dict):
@@ -175,7 +180,7 @@ def cache_store(path: Optional[str], key: str, rec: dict):
     fd, tmp = tempfile.mkstemp(dir=path, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(rec, fh, sort_keys=True)
+            json.dump(rec, fh, sort_keys=True, allow_nan=False)
         os.replace(tmp, entry)
     except BaseException as exc:
         os.unlink(tmp)
@@ -188,12 +193,15 @@ def cache_store(path: Optional[str], key: str, rec: dict):
 # route registry
 
 
-def vouch(route: str, n: int, error: float, tol: float):
-    """Refuse a value unless its relative error estimate is at most tol; a
-    NaN estimate, which no estimator set, is refused."""
-    if not error <= tol:
-        raise ValueError(f"{route}: the error estimate {error:.2g} at N={n} "
+def vouch(route: str, n: int, value: LogScaledValue, tol: float):
+    """Refuse a value unless its relative error estimate is at most tol (a NaN one,
+    which no estimator set, is refused) and it is finite, log|Z| = -inf (Z = 0) aside."""
+    if not value.error <= tol:
+        raise ValueError(f"{route}: the error estimate {value.error:.2g} at N={n} "
                          f"exceeds the tolerance {tol:g}")
+    if not (value.log_magnitude < math.inf and math.isfinite(value.angle)):
+        raise ValueError(f"{route} gave a non-finite value at N={n}: log|Z| = "
+                         f"{value.log_magnitude}, phase = {value.angle}")
 
 
 class Route(NamedTuple):
@@ -217,12 +225,9 @@ class Route(NamedTuple):
         return self.domain(p) or (f"supports N <= {self.limit}" if n > self.limit else None)
 
     def answer(self, n: int, p: ModelParams, weights, bits: int, tol: float) -> tuple:
-        """fn's result, unless `vouch` refuses its value at tol or it is not finite."""
+        """fn's result, unless `vouch` refuses its value at tol."""
         value, extra = self.fn(n, p, weights, bits)
-        vouch(self.name, n, value.error, tol)
-        if non_finite(value.log_magnitude, value.angle):
-            raise ValueError(f"{self.name} gave a non-finite value at N={n}: "
-                             f"log|Z| = {value.log_magnitude}, phase = {value.angle}")
+        vouch(self.name, n, value, tol)
         return value, extra
 
 
@@ -274,30 +279,41 @@ def applicable(n: int, p: ModelParams, weights: Optional[tuple]) -> list:
     return [r for r in ROUTES if r.in_all and r.refusal(n, p, weights) is None]
 
 
-def compute_one(route: Route, n: int, args, cdir: Optional[str]) -> tuple:
-    """(record, whether it came from the cache) for one route at one N.
-    Raises when the route or `vouch` refuses; nothing is cached then."""
-    p = ModelParams(args.lam, args.eta)
-    reason = route.refusal(n, p, args.weights)
-    if reason:
-        raise ValueError(f"{route.name} {reason}")
+def compute_one(route: Route, n: int, p: ModelParams, args, cdir: Optional[str]) -> tuple:
+    """(record, whether it came from the cache) for one route at one N.  A refusal
+    (`Route.refusal`, or a ValueError from the route or `vouch`) is a record, never
+    cached; any other error propagates.  A hit above --tol is recomputed, so refused."""
     key = cache_key(route.name, n, args) if cdir else None
-    job = record(route.name, n, args.lam, args.eta, 0.0, 0.0, 0.0, 0, [])
+    job = {"representation": route.name, "n": n, "lambda": [args.lam.real, args.lam.imag],
+           "eta": [args.eta.real, args.eta.imag]}
     rec = cache_load(cdir, key)   # a record, but the key is only a hash of the job
-    if rec is not None and all(rec[f] == job[f] for f in JOB_FIELDS):
-        vouch(route.name, n, rec["error_estimate"], args.tol)
+    if rec is not None and rec["error_estimate"] <= args.tol \
+            and all(rec[k] == v for k, v in job.items()):
         return rec, True
     bits = args.bits or default_bits(n)
-    weights = args.weights or symmetric_weights(p)
+    value = LogScaledValue(math.nan, math.nan)
+    extra = {}
+    caught = []
     t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value, extra = route.answer(n, p, weights, bits, args.tol)
+    reason = route.refusal(n, p, args.weights)
+    if reason:
+        reason = f"{route.name} {reason}"
+    else:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:   # Route.answer, keeping the estimate of a value vouch refuses
+                value, extra = route.fn(n, p, args.weights or symmetric_weights(p), bits)
+                vouch(route.name, n, value, args.tol)
+            except ValueError as exc:   # the route's, or vouch's
+                value = LogScaledValue(math.nan, math.nan, value.error)
+                extra = {}
+                reason = str(exc)
     elapsed = 1000.0 * (time.perf_counter() - t0)
-    rec = record(route.name, n, args.lam, args.eta, value.log_magnitude,
-                 value.angle, elapsed, bits if route.takes_bits else DOUBLE_BITS,
-                 [str(w.message) for w in caught], extra, value.error)
-    cache_store(cdir, key, rec)
+    rec = record(route.name, n, args.lam, args.eta, value.log_magnitude, value.angle,
+                 elapsed, bits if route.takes_bits else DOUBLE_BITS,
+                 [str(w.message) for w in caught], extra, value.error, reason)
+    if reason is None:
+        cache_store(cdir, key, rec)
     return rec, False
 
 
@@ -315,34 +331,38 @@ def csv_text(header, rows) -> str:
 
 
 def emit(records: list, fmt: str, out_path: Optional[str],
-         summary: Optional[dict] = None):
+         summary: Optional[dict] = None) -> int:
+    """Write the records (and --rep all's summary); return the exit status, 1
+    when the summary fails or, without one, a record is refused, else 0."""
     if fmt == "json":
-        doc = {"schema": SCHEMA, "records": records}
-        if summary is not None:
-            doc["summary"] = summary
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = {"schema": SCHEMA, "records": records, **({"summary": summary} if summary else {})}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         text = csv_text(CSV_COLUMNS, (
             [r["representation"], r["n"], *map(repr, r["lambda"] + r["eta"]),
-             *map(repr, (r["log_abs_z"], r["phase"], r["f_n"], r["elapsed_ms"])),
-             ";".join(r["warnings"])] for r in records))
+             *("" if v is None else repr(v)
+               for v in (r["log_abs_z"], r["phase"], r["f_n"], r["elapsed_ms"])),
+             ";".join(r["warnings"]), r["status"], r.get("reason", "")] for r in records))
     else:
         lines = []
         for r in records:
-            extra = {k: v for k, v in r.items() if k not in FIELD_TYPES}
-            lines.append(f"{r['representation']:>20s}  N={r['n']}  "
-                         f"log|Z|={r['log_abs_z']:+.12e}  "
-                         f"phase={r['phase']:+.12e}  "
+            extra = {k: v for k, v in r.items() if k not in FIELD_TYPES and k != "reason"}
+            z = value_of(r) if r["status"] == "ok" else None
+            body = (f"log|Z|={z.log_magnitude:+.12e}  phase={z.angle:+.12e}" if z
+                    else f"REFUSED: {r['reason']}")
+            lines.append(f"{r['representation']:>20s}  N={r['n']}  {body}  "
                          f"({r['elapsed_ms']:.1f} ms)"
                          + (f"  {extra}" if extra else "")
                          + (f"  WARN: {'; '.join(r['warnings'])}" if r["warnings"] else ""))
         if summary is not None:
-            lines.append(f"max pairwise relative deviation: "
+            lines.append(f"{sum(r['status'] == 'ok' for r in records)} of {len(records)} routes "
+                         f"answered; max pairwise relative deviation: "
                          f"{summary['max_pairwise_rel_deviation']:.3e} "
                          f"(tol {summary['tol']:.1e}) -> "
                          + ("OK" if summary["pass"] else "FAIL"))
         text = "\n".join(lines) + "\n"
     write_output(text, out_path)
+    return int(not summary["pass"] if summary else any(r["status"] != "ok" for r in records))
 
 
 def write_output(text: str, out_path: Optional[str]):
@@ -362,8 +382,9 @@ def write_output(text: str, out_path: Optional[str]):
 
 
 def run_compute(args) -> int:
+    p = ModelParams(args.lam, args.eta)
     if args.rep == "all":
-        routes = applicable(args.n, ModelParams(args.lam, args.eta), args.weights)
+        routes = applicable(args.n, p, args.weights)
         if not routes:
             raise ValueError(f"no route takes these inputs at N={args.n}")
     else:
@@ -371,46 +392,42 @@ def run_compute(args) -> int:
     cdir = cache_dir(args.cache)
     records = []
     for route in routes:
-        rec, hit = compute_one(route, args.n, args, cdir)
+        rec, hit = compute_one(route, args.n, p, args, cdir)
         if hit:
             print(f"cache hit: {route.name}", file=sys.stderr)
         records.append(rec)
     summary = None
-    if len(records) > 1:
-        worst = worst_rel_diff(LogScaledValue(r["log_abs_z"], r["phase"]) for r in records)
+    if len(records) > 1:   # compared among the records that answered
+        answered = [value_of(r) for r in records if r["status"] == "ok"]
+        worst = worst_rel_diff(answered)
         summary = {"max_pairwise_rel_deviation": worst, "tol": args.tol,
-                   "pass": worst <= args.tol}
-    emit(records, args.format, args.out, summary)
-    return 0 if summary is None or summary["pass"] else 1
+                   "pass": len(answered) > 1 and worst <= args.tol}
+    return emit(records, args.format, args.out, summary)
 
 
 def run_sweep(args) -> int:
     """Points run in order, one at a time: mpmath's working precision is
-    process-global.  A failed point is recorded, never cached, and makes the
-    sweep exit 1."""
+    process-global.  A refused point is recorded, never cached, and makes
+    the sweep exit 1."""
     ns = range(args.n, args.n_max + 1)
     if not ns:
         raise ValueError(f"empty sweep: --n-max {args.n_max} is below --n {args.n}")
     if len(ns) > 10_000:
         raise ValueError("sweep grid exceeds 10^4 points")
+    p = ModelParams(args.lam, args.eta)
     route = ROUTES_BY_NAME[args.rep]
     cdir = cache_dir(args.cache)
-    records, hits, failed = [], 0, 0
+    records, hits = [], 0
     for n in ns:
-        try:
-            rec, hit = compute_one(route, n, args, cdir)
-        except Exception as exc:  # per-point errors recorded, sweep continues
-            rec, hit = record(args.rep, n, args.lam, args.eta, float("nan"),
-                              float("nan"), 0.0, 0, [f"error: {exc}"]), False
-            failed += 1
+        rec, hit = compute_one(route, n, p, args, cdir)
         records.append(rec)
         hits += hit
     if cdir:
         print(f"cache: {hits} hits, {len(ns) - hits} computed", file=sys.stderr)
-    if failed:
-        print(f"sweep: {failed} of {len(ns)} points failed", file=sys.stderr)
-    emit(records, args.format, args.out)
-    return 1 if failed else 0
+    refused = sum(r["status"] != "ok" for r in records)
+    if refused:
+        print(f"sweep: {refused} of {len(ns)} points refused", file=sys.stderr)
+    return emit(records, args.format, args.out)
 
 
 def run_verify(args) -> int:
@@ -422,8 +439,9 @@ def run_verify(args) -> int:
     rows = checks.run(None if args.criterion == "all" else int(args.criterion))
     all_pass = all(r["pass"] for r in rows)
     if args.format == "json":
-        text = json.dumps({"schema": SCHEMA, "checks": rows,
-                           "pass": all_pass}, indent=2) + "\n"
+        text = json.dumps({"schema": SCHEMA, "checks": [
+            dict(r, deviation=r["deviation"] if math.isfinite(r["deviation"]) else None)
+            for r in rows], "pass": all_pass}, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = csv_text(("suite", "check", "deviation", "threshold", "pass"), (
             [r["suite"], r["check"], repr(r["deviation"]), repr(r["threshold"]), r["pass"]]
@@ -439,9 +457,9 @@ def run_verify(args) -> int:
 
 def run_enumerate_dump(args) -> int:
     if args.format == "json":
-        text = json.dumps({"schema": SCHEMA, "n": args.n,
+        text = json.dumps({"schema": DUMP_SCHEMA, "n": args.n,
                            "configurations": dump_configs(args.n, fmt="json")},
-                          indent=2) + "\n"
+                          indent=2, allow_nan=False) + "\n"
     else:
         text = dump_configs(args.n, fmt="text") + "\n"
     write_output(text, args.out)

@@ -171,7 +171,8 @@ def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
     the least power of two above their largest magnitude (an exact division),
     and N^2 e log 2 is added back.  No term overflows; a term underflows only
     when its weights differ by a factor of about 10^(300/N^2) or more.  A sum
-    is refused when even its largest term underflows; one that cancels to 0 is Z = 0."""
+    below the smallest normal double is taken as 0, which the support rule of
+    `_with_sum_error` refuses unless Z = 0 exactly."""
     hist = type_histogram(n)
 
     def histogram_sum(w) -> LogScaledValue:
@@ -180,12 +181,8 @@ def enumerate_configs(n: int, w: tuple) -> EnumerationResult:
         weights = [complex(math.ldexp(x.real, -e), math.ldexp(x.imag, -e)) for x in given]
         total = sum(m * math.prod(wi ** ni for wi, ni in zip(weights, counts))
                     for counts, m in hist.items())
-        if abs(total) < sys.float_info.min and all(given):
-            logs = [math.log(abs(x)) - e * math.log(2) for x in given]  # rescaled, exactly
-            largest = max(sum(ni * li for ni, li in zip(counts, logs)) for counts in hist)
-            if largest < math.log(sys.float_info.min):
-                raise ValueError(f"enumerate: every term underflows at N={n} "
-                                 f"(the largest is e^{largest:.1f} after rescaling)")
+        if abs(total) < sys.float_info.min:   # subnormal: too few bits kept, or none
+            total = 0.0
         return LogScaledValue.from_complex(total).scale_log(n * n * e * math.log(2))
 
     return EnumerationResult(sum(hist.values()), _with_sum_error(n, w, histogram_sum))

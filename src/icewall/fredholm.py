@@ -137,18 +137,19 @@ def operator_matrix(spec: KernelSpec, x: np.ndarray, weights: np.ndarray) -> np.
 
 def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     """Fredholm determinant det(I - operator).  Its error estimate is the
-    largest (or a NaN) of: how far refining the discretization moves log|det|;
-    both rules' defects; and i_minus_error, but for the rational kernel at
-    N > 1.  At N = 1 its two Gauss rules give the same Gram matrix, so only
-    that estimate sees the digits lost in forming I - M."""
+    largest (or a NaN) of: how far refining the discretization moves det,
+    relatively; both rules' defects; and i_minus_error, but for the rational
+    kernel at N > 1 (at N = 1 its two rules give one Gram matrix, so only that
+    estimate sees I - M cancel).  A non-finite defect: NaN, estimate inf, no matrix."""
     if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
         raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
-    x, w, defect = nodes(spec)
+    (x, w, defect), (xr, wr, refined_defect) = nodes(spec), nodes(spec, refined=True)
+    if not math.isfinite(defect + refined_defect):   # a rule's polynomials overflow
+        return LogScaledValue(math.nan, math.nan, math.inf)
     primary = operator_matrix(spec, x, w)
     result = _logdet_i_minus(primary)
-    x, w, refined_defect = nodes(spec, refined=True)
-    refined = _logdet_i_minus(operator_matrix(spec, x, w))
-    parts = [abs(refined.log_magnitude - result.log_magnitude), defect, refined_defect]
+    refined = _logdet_i_minus(operator_matrix(spec, xr, wr))
+    parts = [result.rel_diff(refined), defect, refined_defect]
     if spec.kind != "rational" or spec.n == 1:
         parts.append(i_minus_error(primary))
     return result._replace(error=float(np.max(parts)))

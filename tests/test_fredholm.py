@@ -340,12 +340,15 @@ def test_unconverged_refinement_is_refused(n, lam, eta):
 
 def test_a_gauss_rule_defect_enters_the_error_estimate(monkeypatch):
     # at (0.9, 0.3) every other part of the estimate is below 1e-13, so a
-    # rule defect of 1e-3 is the estimate, and a NaN one makes it NaN
+    # rule defect of 1e-3 is the estimate, and a NaN one gives a NaN value
+    # with an infinite estimate, before any matrix is built
     rule = fredholm.gauss_rule
     monkeypatch.setattr(fredholm, "gauss_rule", lambda *args: (*rule(*args)[:2], 1e-3))
     assert fredholm_det(KernelSpec.disordered(3, P_REF)).error == 1e-3
     monkeypatch.setattr(fredholm, "gauss_rule", lambda *args: (*rule(*args)[:2], math.nan))
-    assert math.isnan(fredholm_det(KernelSpec.disordered(3, P_REF)).error)
+    monkeypatch.setattr(fredholm, "operator_matrix", None)   # never called
+    z = fredholm_det(KernelSpec.disordered(3, P_REF))
+    assert math.isnan(z.log_magnitude) and z.error == math.inf
 
 
 # (left, bottom) -> [(right, top, weight)] for lines that run up and to the
