@@ -16,7 +16,7 @@ import sys
 import time
 
 from icewall.checks import DISORDERED_SAMPLES
-from icewall.cli import applicable, parse_size, parse_tol
+from icewall.cli import TOL, applicable, parse_size, parse_tol
 from icewall.determinants import default_bits
 from icewall.logscale import worst_rel_diff
 from icewall.params import ModelParams, symmetric_weights
@@ -30,7 +30,7 @@ def routes(n: int, p: ModelParams, tol: float) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=parse_size, default=6)
-    ap.add_argument("--tol", type=parse_tol, default=1e-8)
+    ap.add_argument("--tol", type=parse_tol, default=TOL)
     args = ap.parse_args()
 
     t0 = time.perf_counter()

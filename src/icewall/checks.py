@@ -16,7 +16,7 @@ from .cli import ROUTES_BY_NAME, TOL, applicable
 from .determinants import default_bits
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs, \
     partition_dp
-from .fredholm import KernelSpec, fredholm_det, trace_moments
+from .fredholm import KernelSpec, fredholm_det, nodes, operator_matrix, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
 from .lazy import mpmath, np
 from .logscale import LogScaledValue, worst_rel_diff
@@ -25,7 +25,7 @@ from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     mp_eval, su11_matrices
 from .params import ModelParams, check_unitarity, qgroup_prefactor, symmetric_weights
 from .wmatrix import BetaGamma, full_partition, rational_z_tilde, \
-    reconstruction_deviation, w_entry_integral, w_matrix, w_matrix_gauss
+    reconstruction_deviation, w_matrix, w_matrix_gauss
 
 CRITERIA = (
     "cross-representation equality",
@@ -166,12 +166,14 @@ def _unitarity() -> float:
 
 
 def _w_three_way() -> float:
-    """W at N=5 by the binomial sum, the Gauss factorization and the integral."""
+    """W at N=5 by the binomial sum, the Gauss factorization and the integral:
+    the disordered kernel's Gram matrix on its 5-node Gauss rule, exact
+    through degree 9."""
     bg = BetaGamma.from_params(P_REF)
     w = w_matrix(5, bg)
-    return max([float(np.max(np.abs(w - w_matrix_gauss(5, bg))))]
-               + [abs(w_entry_integral(j, k, P_REF) - w[j, k])
-                  for j in range(5) for k in range(j + 1)])
+    spec = KernelSpec.disordered(5, P_REF)
+    gram = operator_matrix(spec, *nodes(spec)[:2]) / bg.zeta
+    return max(float(np.max(np.abs(w - other))) for other in (w_matrix_gauss(5, bg), gram))
 
 
 def _traces() -> float:

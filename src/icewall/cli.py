@@ -93,15 +93,19 @@ def parse_weights(text: str) -> tuple:
     return tuple(parts)
 
 
+def job_fields(route: str, n: int, args) -> dict:
+    """The fields of a record that name its job; a cache hit must have them."""
+    return {"representation": route, "n": n, "lambda": [args.lam.real, args.lam.imag],
+            "eta": [args.eta.real, args.eta.imag],
+            "weights": list(args.weights) if args.weights else None}
+
+
 def cache_key(route: str, n: int, args) -> str:
     """Hash of the canonicalized job: the inputs a record depends on and the
     package version.  --bits is one of them only for a route that reads it;
     --tol never is: a hit is held to the current one."""
     import hashlib   # imported here, not at the top: only a cached run needs it
-    payload = {"command": "compute", "representation": route, "n": n,
-               "lambda": [args.lam.real, args.lam.imag],
-               "eta": [args.eta.real, args.eta.imag],
-               "weights": list(args.weights) if args.weights else None,
+    payload = {"command": "compute", **job_fields(route, n, args),
                "bits": args.bits if ROUTES_BY_NAME[route].takes_bits else None,
                "version": __version__}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -111,12 +115,14 @@ def cache_key(route: str, n: int, args) -> str:
 def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
            phase: float, elapsed_ms: float, precision_bits: int, messages: list,
            extra: Optional[dict] = None, error_estimate: float = math.nan,
-           reason: Optional[str] = None) -> dict:
+           reason: Optional[str] = None, weights: Optional[tuple] = None) -> dict:
     """One result, as the JSON dict that is emitted and cached; a `reason`
     refuses it.  A non-finite number is null: Z = 0 has a null log_abs_z and
-    f_n, a refused record a NaN value.  `extra` holds a route's own fields."""
+    f_n, a refused record a NaN value.  `weights` are --weights, null without
+    them.  `extra` holds a route's own fields."""
     rec = {"schema": SCHEMA, "status": "refused" if reason else "ok", "representation": route,
            "n": n, "lambda": [lam.real, lam.imag], "eta": [eta.real, eta.imag],
+           "weights": list(weights) if weights else None,
            "log_abs_z": log_abs_z, "phase": phase, "error_estimate": error_estimate,
            "f_n": -log_abs_z / (n * n), "elapsed_ms": elapsed_ms, "precision_bits": precision_bits,
            "warnings": messages, **({"reason": reason} if reason else {}), **(extra or {})}
@@ -132,6 +138,7 @@ def value_of(rec: dict) -> LogScaledValue:
 FIELD_TYPES = {k: (type(v),) for k, v in record("", 1, 0j, 0j, 0.0, 0.0, 0.0, 0, [],
                                                  error_estimate=0.0).items()}
 FIELD_TYPES["log_abs_z"] = FIELD_TYPES["f_n"] = (float, type(None))
+FIELD_TYPES["weights"] = (list, type(None))
 
 
 # --------------------------------------------------------------------------
@@ -284,11 +291,9 @@ def compute_one(route: Route, n: int, p: ModelParams, args, cdir: Optional[str])
     (`Route.refusal`, or a ValueError from the route or `vouch`) is a record, never
     cached; any other error propagates.  A hit above --tol is recomputed, so refused."""
     key = cache_key(route.name, n, args) if cdir else None
-    job = {"representation": route.name, "n": n, "lambda": [args.lam.real, args.lam.imag],
-           "eta": [args.eta.real, args.eta.imag]}
     rec = cache_load(cdir, key)   # a record, but the key is only a hash of the job
     if rec is not None and rec["error_estimate"] <= args.tol \
-            and all(rec[k] == v for k, v in job.items()):
+            and all(rec[k] == v for k, v in job_fields(route.name, n, args).items()):
         return rec, True
     bits = args.bits or default_bits(n)
     value = LogScaledValue(math.nan, math.nan)
@@ -311,7 +316,7 @@ def compute_one(route: Route, n: int, p: ModelParams, args, cdir: Optional[str])
     elapsed = 1000.0 * (time.perf_counter() - t0)
     rec = record(route.name, n, args.lam, args.eta, value.log_magnitude, value.angle,
                  elapsed, bits if route.takes_bits else DOUBLE_BITS,
-                 [str(w.message) for w in caught], extra, value.error, reason)
+                 [str(w.message) for w in caught], extra, value.error, reason, args.weights)
     if reason is None:
         cache_store(cdir, key, rec)
     return rec, False

@@ -13,7 +13,6 @@ the left of each row points left (False) and to the right points right
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import sys
@@ -157,7 +156,8 @@ def _with_sum_error(n: int, w: tuple, sum_at) -> LogScaledValue:
     if z.log_magnitude == -math.inf:
         exact = sum_at([float(x != 0) for x in w]).log_magnitude == -math.inf
         return z._replace(error=0.0 if exact else math.inf)
-    one_phase = len({cmath.phase(x) for x in w if x}) <= 1
+    # atan2: cmath.phase raises OverflowError where the angle underflows to 0
+    one_phase = len({math.atan2(x.imag, x.real) for x in w if x}) <= 1
     excess = 0.0 if one_phase else sum_at([abs(x) for x in w]).log_magnitude - z.log_magnitude
     return z._replace(error=4 * n * n * 2.0 ** -53 * math.exp(min(excess, 709.0)))
 

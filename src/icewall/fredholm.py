@@ -23,9 +23,9 @@ from .lazy import np
 from .logscale import LogScaledValue
 # mp_deriv and laguerre_deriv are unused here: perfbench/layers.py wraps them by name
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
-                        mp_deriv, mp_eval)
+                        mp_deriv, mp_eval, mp_rule)
 from .params import ModelParams, qgroup_prefactor
-from .quadrature import decay_cutoff, gauss_rule
+from .quadrature import decay_cutoff
 
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
@@ -113,12 +113,7 @@ def nodes(spec: KernelSpec, refined: bool = False) -> tuple:
     m = spec.n + refined
     if spec.kind == "rational":
         return (*np.polynomial.laguerre.laggauss(m), 0.0)
-    # e^{2 phi y}/(1 + e^{2 pi y}) at phi = phi_+: alpha_k = -(k + 1/2) cot phi,
-    # b_k = k/(2 sin phi), mass 1/(2 sin phi); complex at complex phi, and the
-    # defect grows at large |Im phi|
-    phi = complex(spec.params.phi_plus)
-    s, k = cmath.sin(phi), np.arange(m)
-    return gauss_rule(-(k + 0.5) * (cmath.cos(phi) / s), k[1:] / (2 * s), 1 / (2 * s))
+    return mp_rule(m, 0.5, spec.params.phi_plus)
 
 
 def operator_matrix(spec: KernelSpec, x: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ class LogScaledValue(NamedTuple):
         z = complex(z)
         if z == 0:
             return cls(float("-inf"), 0.0)
-        return cls(math.log(abs(z)), cmath.phase(z))
+        # atan2: cmath.phase raises OverflowError where the angle underflows to 0
+        return cls(math.log(abs(z)), math.atan2(z.imag, z.real))
 
     @classmethod
     def from_mp_log(cls, w) -> "LogScaledValue":

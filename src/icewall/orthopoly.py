@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .lazy import np
 from .params import SIN_CUTOFF
-from .quadrature import fermi_rule
+from .quadrature import gauss_rule
 
 # --------------------------------------------------------------------------
 # basic families
@@ -93,23 +93,20 @@ def laguerre_deriv(n: int, x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# weight functions
+# the weight's Gauss rule
 
 
-def weight_shifted(x, phi):
-    """Pole-free weight e^{phi x} / (1 + e^{pi x}) after the contour shift.
-
-    The caller owns the e^{-i phi} prefactor of the shifted orthogonality
-    relation.  Valid for 0 < Re phi < pi; evaluated in a form that never
-    overflows for large |x|.
-    """
-    phi = complex(phi)
-    if not 0 < phi.real < math.pi:
-        raise ValueError("shifted weight needs 0 < Re phi < pi")
-    x = np.asarray(x, dtype=float)
-    # log(1 + e^{pi x}) is stable via logaddexp; the full exponent keeps a
-    # bounded real part for any x.
-    return np.exp(phi * x - np.logaddexp(0.0, math.pi * x))
+def mp_rule(m: int, lam: float, phi: complex) -> tuple:
+    """(nodes, weights, defect) of the m-node Gauss rule of the
+    Meixner-Pollaczek weight (1/2 pi) |Gamma(lam + ix)|^2 e^{(2 phi - pi) x},
+    exact for polynomials of degree up to 2m - 1: alpha_k = -(k + lam) cot phi,
+    b_k = sqrt(k (k + 2 lam - 1))/(2 sin phi), mass Gamma(2 lam)/(2 sin phi)^{2 lam}.
+    At lam = 1/2 the weight is e^{2 phi x}/(1 + e^{2 pi x}).  Complex at
+    complex phi, where the defect grows with |Im phi|."""
+    s, k = cmath.sin(complex(phi)), np.arange(m)
+    return gauss_rule(-(k + lam) * (cmath.cos(complex(phi)) / s),
+                      np.sqrt(k[1:] * (k[1:] + 2 * lam - 1)) / (2 * s),
+                      math.gamma(2 * lam) / (2 * s) ** (2 * lam))
 
 
 # --------------------------------------------------------------------------
@@ -161,28 +158,14 @@ def inm_closed(n: int, m: int, lam: float, tau: complex, omega: complex,
         for k in range(min(n, m) + 1))
 
 
-def _log_abs_gamma_sq(lam: float, x: np.ndarray) -> np.ndarray:
-    """log |Gamma(lam + ix)|^2 for real lam > 0 and real x: Stirling's series
-    through the z^-9 term at z = lam + K + ix with Re z >= 12, brought back
-    by Gamma(z + 1) = z Gamma(z)."""
-    shift = max(0, math.ceil(12 - lam))
-    z = lam + shift + 1j * np.asarray(x, dtype=float)
-    r = 1 / (z * z)
-    series = ((z - 0.5) * np.log(z) - z + 0.5 * math.log(2 * math.pi)
-              + (1 / 12 + r * (-1 / 360 + r * (1 / 1260 + r * (-1 / 1680 + r / 1188)))) / z)
-    return 2 * series.real - sum(np.log((lam + j) ** 2 + z.imag ** 2) for j in range(shift))
-
-
 def inm_quadrature(n: int, m: int, lam: float, tau: complex, omega: complex,
                    phi: float) -> complex:
-    """Direct quadrature of the overlap integral; |Gamma(lam+ix)|^2 goes
-    through log-gamma so large |x| never overflows."""
+    """The overlap integral on the (max(n, m) + 1)-node Gauss rule of its
+    weight, which integrates the degree n + m integrand exactly."""
     if not 0 < phi < math.pi or lam <= 0:
         raise ValueError("need real lam > 0 and 0 < phi < pi")
-    x, dx = fermi_rule(phi, n + m + int(2 * lam))
-    log_w = _log_abs_gamma_sq(lam, x) + (2 * phi - math.pi) * x
-    vals = mp_eval(n, lam, x, tau) * mp_eval(m, lam, x, omega) * np.exp(log_w)
-    return complex(np.sum(vals * dx)) / (2 * math.pi)
+    x, w, _ = mp_rule(max(n, m) + 1, lam, phi)
+    return complex(np.sum(w * mp_eval(n, lam, x, tau) * mp_eval(m, lam, x, omega)))
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,13 @@ from .logscale import mp_scalar
 SIN_CUTOFF = 1e-9
 
 
+def _rounding_error(a: float, b: float) -> float:
+    """a + b minus its rounded sum, exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return (a - (s - b_part)) + (b - b_part)
+
+
 class _Spectral(NamedTuple):
     lam: complex
     eta: complex
@@ -29,15 +36,27 @@ class ModelParams(_Spectral):
 
     def __new__(cls, lam: complex, eta: complex) -> "ModelParams":
         self = super().__new__(cls, complex(lam), complex(eta))
-        for name, z in (("lambda+eta", self.phi_plus), ("lambda-eta", self.phi_minus),
-                        ("2 eta", 2 * self.eta)):
-            try:
-                s = cmath.sin(z)
-            except OverflowError:
-                raise ValueError(f"sin({name}) = sin({z}) overflows a double") from None
-            if name != "2 eta" and abs(s) < SIN_CUTOFF:   # c = sin 2 eta may be 0
+        sp, sm, _ = self.sines()   # c = sin 2 eta may be 0
+        for name, z, s in (("lambda+eta", self.phi_plus, sp), ("lambda-eta", self.phi_minus, sm)):
+            if abs(s) < SIN_CUTOFF:
                 raise ValueError(f"sin({name}) = sin({z}) is below {SIN_CUTOFF}")
         return self
+
+    def sines(self) -> tuple:
+        """(sin(lambda+eta), sin(lambda-eta), sin 2 eta) in doubles, each taken
+        at the exact sum s + e of its inputs as sin s + e cos s, where s is the
+        rounded sum and e its rounding error, found part by part.  An exact sum
+        (e = 0) keeps sin s as it is, signed zeros too."""
+        out = []
+        for name, x, y in (("lambda+eta", self.lam, self.eta),
+                           ("lambda-eta", self.lam, -self.eta), ("2 eta", self.eta, self.eta)):
+            s = x + y
+            e = complex(_rounding_error(x.real, y.real), _rounding_error(x.imag, y.imag))
+            try:
+                out.append(cmath.sin(s) + e * cmath.cos(s) if e else cmath.sin(s))
+            except OverflowError:
+                raise ValueError(f"sin({name}) = sin({s}) overflows a double") from None
+        return tuple(out)
 
     @property
     def phi_plus(self) -> complex:
@@ -53,16 +72,16 @@ class ModelParams(_Spectral):
         return 0 < self.phi_plus.real < math.pi
 
     def mp_phis(self) -> tuple:
-        """(phi_minus, phi_plus) as mpmath scalars: lambda -+ eta summed at the
-        working precision, where the sum in doubles would round."""
+        """(phi_minus, phi_plus) as mpmath scalars: lambda -+ eta summed
+        exactly, where the sum in doubles, or at 53 bits, would round."""
         lam, eta = mp_scalar(self.lam), mp_scalar(self.eta)
-        return lam - eta, lam + eta
+        return mpmath.fsub(lam, eta, exact=True), mpmath.fadd(lam, eta, exact=True)
 
 
 def symmetric_weights(p: ModelParams) -> tuple:
     """The six vertex weights (a, a, b, b, c, c), with a = sin(lambda+eta),
     b = sin(lambda-eta) and c = sin(2 eta)."""
-    a, b, c = cmath.sin(p.phi_plus), cmath.sin(p.phi_minus), cmath.sin(2 * p.eta)
+    a, b, c = p.sines()
     return (a, a, b, b, c, c)
 
 

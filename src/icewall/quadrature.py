@@ -1,10 +1,6 @@
-"""Gauss rules: the N-node rule of a three-term recurrence for the Fredholm
-kernels, and panel Gauss-Legendre rules over the interval that covers the
-Fermi weight for the integral-form oracles.
-
-The oracles' integrands are analytic on the (shifted) real contour, so fixed
-panels of unit width with 32 nodes converge far below the target
-tolerances; panel placement just has to cover the exponential tails.
+"""Gauss rules: the N-node rule of a three-term recurrence, which the
+Fredholm kernels and the integral-form oracles take on their own weights, and
+the decay cutoff of the discrete kernel's lattice.
 """
 
 from __future__ import annotations
@@ -35,24 +31,6 @@ def gauss_rule(alpha, b, mu0: complex) -> tuple:
             p[k + 1] = ((x - alpha[k]) * p[k] - (b[k - 1] * p[k - 1] if k else 0)) / b[k]
         w = 1 / np.sum(p * p, axis=0)
         return x, w, float(np.max(np.abs((p * w) @ p.T - np.eye(m))))
-
-
-def gauss_legendre(a: float, b: float, panels: int) -> tuple:
-    """(nodes, weights) of `panels` equal panels on [a, b], each carrying
-    the 32-point Gauss-Legendre rule."""
-    x, w = np.polynomial.legendre.leggauss(32)
-    edges = np.linspace(a, b, panels + 1)[:, None]
-    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
-def fermi_rule(phi: float, order: int) -> tuple:
-    """(nodes, weights) for the Fermi weight e^{2 phi x}/(1 + e^{2 pi x}),
-    0 < phi < pi, times a polynomial of degree `order`: unit panels over the
-    interval outside which that integrand is below 1e-18."""
-    lo = -decay_cutoff(2 * phi, order)
-    hi = decay_cutoff(2 * math.pi - 2 * phi, order)
-    return gauss_legendre(lo, hi, math.ceil(hi - lo))
 
 
 def decay_cutoff(rate: float, poly_order: int) -> float:

@@ -12,9 +12,8 @@ from typing import NamedTuple
 from .determinants import BlockFloat, i_minus_error, mp_logdet, slogdet_i_minus
 from .lazy import mpmath, np
 from .logscale import LogScaledValue, mp_scalar
-from .orthopoly import exp_jplus_entries, mp_eval, su11_matrices, weight_shifted
+from .orthopoly import exp_jplus_entries, su11_matrices
 from .params import ModelParams, qgroup_prefactor
-from .quadrature import fermi_rule
 
 GAUSS_LIMIT = 12  # past it, gauss's double-precision determinant drifts from wdet
 
@@ -28,12 +27,8 @@ class BetaGamma(NamedTuple):
 
     @classmethod
     def from_params(cls, p: ModelParams) -> "BetaGamma":
-        sp = cmath.sin(p.phi_plus)
-        return cls(
-            beta=cmath.sin(p.phi_minus) / sp,
-            gamma=cmath.sin(2 * p.eta) / sp,
-            zeta=cmath.exp(-2j * p.eta),
-        )
+        sp, sm, s2 = p.sines()
+        return cls(beta=sm / sp, gamma=s2 / sp, zeta=cmath.exp(-2j * p.eta))
 
     @classmethod
     def rational(cls, lam: float, eta: float) -> "BetaGamma":
@@ -74,17 +69,6 @@ def w_matrix_gauss(n: int, bg: BetaGamma) -> np.ndarray:
     lower = exp_jplus_entries(bg.gamma, 0.5, n)
     diag = np.diag([bg.beta ** (2 * m + 1) for m in range(n)])
     return lower @ diag @ lower.T
-
-
-def w_entry_integral(j: int, k: int, p: ModelParams) -> complex:
-    """Quadrature oracle: 2 sin(phi_-) int P_j P_k e^{2 x phi_+}/(1 + e^{2 pi x}) dx
-    with P = P^{(1/2)}(.; phi_-)."""
-    if not p.disordered:
-        raise ValueError("integral form needs 0 < Re phi_+ < pi")
-    x, dx = fermi_rule(p.phi_plus.real, j + k)
-    weight = weight_shifted(2 * x, p.phi_plus)
-    pj, pk = mp_eval(j, 0.5, x, p.phi_minus), mp_eval(k, 0.5, x, p.phi_minus)
-    return 2 * cmath.sin(p.phi_minus) * complex(np.sum(pj * pk * weight * dx))
 
 
 def _w_matrix_mp(n: int, p: ModelParams) -> tuple:

@@ -182,6 +182,13 @@ def test_gauge_scaling(s):
     assert scaled.rel_diff(expected) < 1e-12
 
 
+def test_a_weight_whose_phase_underflows_is_summed():
+    # w * (3 + 5e-324i) raised OverflowError from cmath.phase, whose angle underflows
+    w = tuple(complex(3, 5e-324) * x for x in symmetric_weights(ModelParams(0.9, 0.3)))
+    for z in (enumerate_configs(3, w).z_value, partition_dp(3, w)):
+        assert z.rel_diff(enumerate_configs(3, tuple(x.real for x in w)).z_value) < 1e-15
+
+
 @pytest.mark.parametrize("x", [1e40, 1e-30])
 def test_enumeration_takes_weights_beyond_double_range(x):
     # each term x^16 overflows (1e640) or underflows (1e-480) a double

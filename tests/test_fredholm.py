@@ -18,9 +18,7 @@ from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_
                               fredholm_det, full_partition_fredholm, nodes, operator_matrix,
                               trace_moments)
 from icewall.logscale import LogScaledValue
-from icewall.orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,
-                               mp_deriv, mp_eval, weight_shifted)
-from icewall.quadrature import gauss_legendre
+from icewall.orthopoly import laguerre_deriv, laguerre_eval, meixner_poly, mp_deriv, mp_eval
 from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
 from icewall.wmatrix import BetaGamma, full_partition, rational_z_tilde, w_matrix
 
@@ -51,8 +49,8 @@ def bracket_family(kind: str, n: int):
 
 def weight(spec: KernelSpec, y):
     """The kernel's weight function w(y), which `nodes` folds into its weights."""
-    if spec.kind == "disordered":
-        return weight_shifted(2 * y, spec.params.phi_plus)
+    if spec.kind == "disordered":   # e^{2 phi_+ y}/(1 + e^{2 pi y}), overflow-free
+        return np.exp(2 * spec.params.phi_plus * y - np.logaddexp(0.0, 2 * math.pi * y))
     if spec.kind == "rational":
         return np.exp(-y)
     return np.exp(-2 * spec.phi_tilde[0] * y)
@@ -278,8 +276,10 @@ def test_operator_matrix_has_the_nystrom_determinant(kind):
     spec = spec_of(kind, n)
     if kind == "discrete":
         x, dx = np.arange(14, dtype=float), np.ones(14)
-    else:
-        x, dx = gauss_legendre(*{"disordered": (-12.0, 8.0), "rational": (0.0, 30.0)}[kind], 4)
+    else:   # any nodes serve: Gauss-Legendre over [lo, hi]
+        lo, hi = {"disordered": (-12.0, 8.0), "rational": (0.0, 30.0)}[kind]
+        t, dt = np.polynomial.legendre.leggauss(32)
+        x, dx = lo + (hi - lo) * (t + 1) / 2, (hi - lo) / 2 * dt
     c, poly, deriv, w = bracket_family(kind, n)
     pn, pn1 = poly(n, x), poly(n - 1, x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -342,10 +342,10 @@ def test_a_gauss_rule_defect_enters_the_error_estimate(monkeypatch):
     # at (0.9, 0.3) every other part of the estimate is below 1e-13, so a
     # rule defect of 1e-3 is the estimate, and a NaN one gives a NaN value
     # with an infinite estimate, before any matrix is built
-    rule = fredholm.gauss_rule
-    monkeypatch.setattr(fredholm, "gauss_rule", lambda *args: (*rule(*args)[:2], 1e-3))
+    rule = fredholm.mp_rule
+    monkeypatch.setattr(fredholm, "mp_rule", lambda *args: (*rule(*args)[:2], 1e-3))
     assert fredholm_det(KernelSpec.disordered(3, P_REF)).error == 1e-3
-    monkeypatch.setattr(fredholm, "gauss_rule", lambda *args: (*rule(*args)[:2], math.nan))
+    monkeypatch.setattr(fredholm, "mp_rule", lambda *args: (*rule(*args)[:2], math.nan))
     monkeypatch.setattr(fredholm, "operator_matrix", None)   # never called
     z = fredholm_det(KernelSpec.disordered(3, P_REF))
     assert math.isnan(z.log_magnitude) and z.error == math.inf

@@ -1,7 +1,6 @@
 """Orthogonal-polynomial families, kernels, moments, and the triangular
 su(1,1) identities."""
 
-import cmath
 import math
 
 import mpmath
@@ -11,16 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg import expm
-from scipy.special import eval_laguerre, loggamma
+from scipy.special import eval_laguerre
 
 from icewall.hankel import cot_derivative_poly
-from icewall.orthopoly import (_log_abs_gamma_sq, connection_coeffs,
-                               exp_jplus_entries, inm_closed, inm_quadrature,
-                               key_conjugation_check, laguerre_deriv,
+from icewall.orthopoly import (connection_coeffs, exp_jplus_entries, inm_closed,
+                               inm_quadrature, key_conjugation_check, laguerre_deriv,
                                laguerre_eval, masked_commutator_residuals,
-                               meixner_poly, mp_deriv, mp_eval, su11_matrices,
-                               weight_shifted)
-from icewall.quadrature import gauss_legendre
+                               meixner_poly, mp_deriv, mp_eval, su11_matrices)
 
 
 # --------------------------------------------------------------------------
@@ -72,19 +68,6 @@ def test_laguerre_derivative_near_zero():
 # the weight and its moments
 
 
-def test_weight_normalization():
-    # integral of e^{phi x}/(1 + e^{pi x}) over the real axis is 1/sin(phi)
-    phi = 0.9
-    x, dx = gauss_legendre(-45.0, 25.0, 70)
-    total = np.sum(weight_shifted(x, phi) * dx)
-    assert complex(total).real == pytest.approx(1 / math.sin(phi), rel=1e-12)
-
-
-def test_weight_no_overflow_far_out():
-    vals = weight_shifted(np.array([-500.0, 500.0]), 1.8)
-    assert np.all(np.isfinite(vals))
-
-
 def test_moments_reproduce_cot_polynomials():
     # the v.p. moment of x^m e^{phi x}/(1 - e^{pi x}), taken on the shifted
     # contour as e^{-i phi} int (x - i)^m e^{phi x}/(1 + e^{pi x}) dx,
@@ -110,13 +93,6 @@ def test_connection_formula(n, x):
     coeffs = connection_coeffs(n, 0.5, tau, phi)
     expanded = sum(c * mp_eval(k, 0.5, x, phi) for k, c in enumerate(coeffs))
     assert abs(mp_eval(n, 0.5, x, tau) - expanded) < 1e-11 * (1 + abs(expanded))
-
-
-def test_log_abs_gamma_against_scipy():
-    x = np.linspace(-80.0, 80.0, 1601)
-    for lam in (0.25, 0.5, 1.0, 2.5, 7.0):
-        reference = 2 * np.real(loggamma(lam + 1j * x))
-        assert np.max(np.abs(_log_abs_gamma_sq(lam, x) - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])

@@ -15,10 +15,10 @@ from icewall.enumeration import enumerate_configs
 from icewall.hankel import partition_hankel
 from icewall.logscale import LogScaledValue
 from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
+from icewall.fredholm import KernelSpec, nodes, operator_matrix
 from icewall.wmatrix import (BetaGamma, _w_matrix_mp, full_partition,
                              full_partition_gauss, rational_z_tilde,
-                             reconstruction_deviation, w_entry_integral, w_matrix,
-                             w_matrix_gauss)
+                             reconstruction_deviation, w_matrix, w_matrix_gauss)
 
 P_REF = ModelParams(0.9, 0.3)
 
@@ -84,10 +84,12 @@ def test_gauss_factorization_reproduces_matrix():
 
 
 def test_integral_oracle_matches_entries():
-    w = w_matrix(5, BetaGamma.from_params(P_REF))
-    for j, k in [(0, 0), (3, 2), (1, 4)]:
-        quad = w_entry_integral(j, k, P_REF)
-        assert abs(quad - w[j, k]) < 1e-10
+    # W is the Gram matrix of the disordered kernel's weight, which its
+    # 5-node Gauss rule takes exactly
+    bg = BetaGamma.from_params(P_REF)
+    spec = KernelSpec.disordered(5, P_REF)
+    gram = operator_matrix(spec, *nodes(spec)[:2]) / bg.zeta
+    assert np.max(np.abs(gram - w_matrix(5, bg))) < 1e-10
 
 
 def test_full_partition_vs_enumeration():
