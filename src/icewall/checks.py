@@ -16,14 +16,15 @@ from .cli import ROUTES_BY_NAME, TOL, applicable
 from .determinants import default_bits
 from .enumeration import ASM_COUNTS, config_iterator, enumerate_configs, \
     partition_dp
-from .fredholm import KernelSpec, fredholm_det, nodes, operator_matrix, trace_moments
+from .fredholm import KernelSpec, fredholm_det, full_partition_fredholm, nodes, \
+    operator_matrix, trace_moments
 from .hankel import alpha_det_deviation, partition_hankel
 from .lazy import mpmath, np
 from .logscale import LogScaledValue, worst_rel_diff
 from .orthopoly import connection_coeffs, inm_closed, inm_quadrature, \
     key_conjugation_check, laguerre_eval, masked_commutator_residuals, \
     mp_eval, su11_matrices
-from .params import ModelParams, check_unitarity, qgroup_prefactor, symmetric_weights
+from .params import ModelParams, check_unitarity, symmetric_weights
 from .wmatrix import BetaGamma, full_partition, rational_z_tilde, \
     reconstruction_deviation, w_matrix, w_matrix_gauss
 
@@ -171,14 +172,14 @@ def _w_three_way() -> float:
     through degree 9."""
     bg = BetaGamma.from_params(P_REF)
     w = w_matrix(5, bg)
-    spec = KernelSpec.disordered(5, P_REF)
+    spec = KernelSpec("disordered", 5, P_REF)
     gram = operator_matrix(spec, *nodes(spec)[:2]) / bg.zeta
     return max(float(np.max(np.abs(w - other))) for other in (w_matrix_gauss(5, bg), gram))
 
 
 def _traces() -> float:
     bg = BetaGamma.from_params(P_REF)
-    return max(abs(trace_moments(KernelSpec.disordered(n, P_REF))[k - 1]
+    return max(abs(trace_moments(KernelSpec("disordered", n, P_REF))[k - 1]
                    - bg.zeta ** k * np.trace(np.linalg.matrix_power(w_matrix(n, bg), k)))
                for n in (2, 3) for k in (1, 2, 3))
 
@@ -211,11 +212,10 @@ CHECKS = (
     (4, "su(1,1) masked commutators, M=8",
      lambda: max(masked_commutator_residuals(su11_matrices(8, 0.5)).values()), 1e-12),
     (5, "discrete Nystrom vs continued W determinant, N<=4",
-     lambda: max(fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).scale_log(
-         qgroup_prefactor(n, P_FERRO)).rel_diff(full_partition(n, P_FERRO, default_bits(n)))
-         for n in range(1, 5)), 1e-12),
+     lambda: max(full_partition_fredholm(n, P_FERRO, "discrete").rel_diff(
+         full_partition(n, P_FERRO, default_bits(n))) for n in range(1, 5)), 1e-12),
     (5, "rational Nystrom vs finite determinant, N<=4",
-     lambda: max(fredholm_det(KernelSpec.rational(n, (0.9 - 0.3) / (0.9 + 0.3))).rel_diff(
+     lambda: max(fredholm_det(KernelSpec("rational", n, P_REF)).rel_diff(
          rational_z_tilde(n, 0.9, 0.3)) for n in range(1, 5)), 1e-12),
     (5, "eps-limits: Laguerre and the Fermi step", _eps_limits, 1e-5),
     (6, "vertices of type 6 outnumber type 5 by N, N<=6",

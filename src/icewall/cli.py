@@ -26,11 +26,12 @@ from . import __version__
 from .determinants import default_bits
 from .enumeration import DP_LIMIT, ENUM_LIMIT, dump_configs, \
     enumerate_configs, partition_dp
-from .fredholm import FREDHOLM_LIMIT, KernelSpec, fredholm_det, \
-    full_partition_fredholm
+# fredholm_det is unused here: perfbench/layers.py wraps it by name
+from .fredholm import (FREDHOLM_LIMIT, fredholm_det,  # noqa: F401
+                       full_partition_fredholm, refusal)
 from .hankel import partition_hankel
 from .logscale import LogScaledValue, worst_rel_diff
-from .params import ModelParams, qgroup_prefactor, symmetric_weights
+from .params import ModelParams, symmetric_weights
 from .wmatrix import GAUSS_LIMIT, full_partition, full_partition_gauss
 
 SCHEMA = 2          # compute, sweep and verify documents; records gained status and reason
@@ -238,30 +239,9 @@ class Route(NamedTuple):
         return value, extra
 
 
-def _ferroelectric(p: ModelParams) -> Optional[str]:
-    pp, pm = complex(p.phi_plus), complex(p.phi_minus)
-    if not (abs(pp.real) < 1e-12 and abs(pm.real) < 1e-12 and pp.imag > 0):
-        return "needs purely imaginary lambda, eta with Im(lambda + eta) > 0"
-    return None
-
-
 def _enumerate(n, p, weights, bits):
     res = enumerate_configs(n, weights)
     return res.z_value, {"config_count": res.config_count}
-
-
-def _discrete(n, p, weights, bits):
-    spec = KernelSpec.discrete(n, complex(p.phi_plus).imag, complex(p.phi_minus).imag)
-    return fredholm_det(spec).scale_log(qgroup_prefactor(n, p)), {}
-
-
-def _rational(n, p, weights, bits):
-    # rational degeneration: weights (a, b, c) = (lam+eta, lam-eta, 2 eta); Z is
-    # homogeneous of degree N^2 in them, so a < 0 adds N^2 pi to the phase
-    lam, eta = p.lam.real, p.eta.real
-    a = lam + eta
-    zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / a))
-    return zt.scale_log(n * n * complex(math.log(abs(a)), math.pi * (a < 0))), {}
 
 
 ROUTES = (
@@ -273,10 +253,13 @@ ROUTES = (
     Route("wdet", lambda n, p, w, bits: (full_partition(n, p, bits), {}), takes_bits=True),
     Route("gauss", lambda n, p, w, bits: (full_partition_gauss(n, p), {}), GAUSS_LIMIT),
     Route("fredholm-disordered", lambda n, p, w, bits: (full_partition_fredholm(n, p), {}),
-          FREDHOLM_LIMIT, lambda p: None if p.disordered else "needs 0 < Re(lambda + eta) < pi"),
-    Route("fredholm-discrete", _discrete, FREDHOLM_LIMIT, _ferroelectric),
-    Route("fredholm-rational", _rational, in_all=False,
-          domain=lambda p: "needs real lambda, eta" if p.lam.imag or p.eta.imag else None),
+          FREDHOLM_LIMIT, lambda p: refusal("disordered", p)),
+    Route("fredholm-discrete",
+          lambda n, p, w, bits: (full_partition_fredholm(n, p, "discrete"), {}),
+          FREDHOLM_LIMIT, lambda p: refusal("discrete", p)),
+    Route("fredholm-rational",
+          lambda n, p, w, bits: (full_partition_fredholm(n, p, "rational"), {}),
+          domain=lambda p: refusal("rational", p), in_all=False),
 )
 ROUTES_BY_NAME = {r.name: r for r in ROUTES}
 

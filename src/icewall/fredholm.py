@@ -3,7 +3,9 @@
 Three kernel families share one entry point: the continuous kernel on the
 real line (real spectral parameters), the discrete kernel on the
 nonnegative integers (imaginary parameters), and the Laguerre kernel on
-the positive half-axis (rational degeneration).  Each kernel is a
+the positive half-axis (rational degeneration).  This module is the one
+place that knows each kernel: its parameters at (lambda, eta), its domain,
+its N cap and the factor that takes its determinant Z~_N to Z_N.  Each is a
 Christoffel-Darboux sum of N rank-one terms, so on any set of nodes the
 determinant of I minus the m x m Nystrom matrix equals that of an N x N
 Gram matrix (Sylvester's identity); only the N x N matrix is built.  The
@@ -25,33 +27,42 @@ from .logscale import LogScaledValue
 from .orthopoly import (laguerre_deriv, laguerre_eval, meixner_poly,  # noqa: F401
                         mp_deriv, mp_eval, mp_rule)
 from .params import ModelParams, qgroup_prefactor
-from .quadrature import decay_cutoff
 
 FREDHOLM_LIMIT = 16  # disordered, discrete: past it, double-precision Gram roundoff shows
 
 
 class KernelSpec(NamedTuple):
-    kind: str                      # disordered | discrete | rational
-    n: int                         # operator order
-    params: Optional[ModelParams] = None
-    phi_tilde: Optional[tuple] = None   # (phi~_+, phi~_-) for the discrete kernel
-    xi: Optional[float] = None          # phi_- / phi_+ for the rational kernel
+    kind: str               # disordered | discrete | rational
+    n: int                  # operator order
+    params: ModelParams
 
-    @classmethod
-    def disordered(cls, n: int, p: ModelParams) -> "KernelSpec":
-        if not p.disordered:
-            raise ValueError("disordered kernel needs 0 < Re phi_+ < pi")
-        return cls("disordered", n, params=p)
+    @property
+    def phi_tilde(self) -> tuple:
+        """(phi~_+, phi~_-) = (Im phi_+, Im phi_-) of the discrete kernel, as
+        complex numbers, so that the lattice weights are a complex array."""
+        p = self.params
+        return complex(p.phi_plus.imag), complex(p.phi_minus.imag)
 
-    @classmethod
-    def discrete(cls, n: int, phi_tilde_plus: complex, phi_tilde_minus: complex) -> "KernelSpec":
-        if complex(phi_tilde_plus).real <= 0:
-            raise ValueError("discrete kernel needs Re phi~_+ > 0")
-        return cls("discrete", n, phi_tilde=(complex(phi_tilde_plus), complex(phi_tilde_minus)))
+    @property
+    def xi(self) -> float:
+        """phi_- / phi_+ of the rational kernel, at real lambda, eta."""
+        return self.params.phi_minus.real / self.params.phi_plus.real
 
-    @classmethod
-    def rational(cls, n: int, xi: float) -> "KernelSpec":
-        return cls("rational", n, xi=float(xi))
+
+def refusal(kind: str, p: ModelParams) -> Optional[str]:
+    """Why the kernel does not give Z_N at p, or None: the disordered kernel's
+    weight decays both ways only in the strip, the discrete kernel takes
+    phi_pm = i phi~_pm, and the rational one real weights."""
+    if kind == "disordered":
+        return None if p.disordered else "needs 0 < Re(lambda + eta) < pi"
+    if kind == "discrete":
+        if abs(p.phi_plus.real) < 1e-12 and abs(p.phi_minus.real) < 1e-12 \
+                and p.phi_plus.imag > 0:
+            return None
+        return "needs purely imaginary lambda, eta with Im(lambda + eta) > 0"
+    if kind == "rational":
+        return "needs real lambda, eta" if p.lam.imag or p.eta.imag else None
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -85,8 +96,6 @@ def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
         q = q.real if abs(q.imag) < 1e-15 else q
         polys = [meixner_poly(k, 1.0, q)(x) for k in range(n)]
         d = (1 - q) * q ** np.arange(n)
-    else:
-        raise ValueError(f"unknown kernel kind {spec.kind!r}")
     return np.column_stack([np.broadcast_to(v, x.shape) for v in polys]), d
 
 
@@ -94,22 +103,38 @@ def _expansion(spec: KernelSpec, x: np.ndarray) -> tuple:
 # discretized operators
 
 
-def discrete_cutoff(spec: KernelSpec) -> int:
-    """Lattice sites past which e^{-2 phi~_+ x} x^{2N} is below 1e-18, plus two."""
-    return math.ceil(decay_cutoff(2 * spec.phi_tilde[0].real, 2 * spec.n)) + 2
+def decay_cutoff(rate: float, poly_order: int) -> float:
+    """Smallest L with exp(-rate*L) * L^poly_order below 1e-18.
+
+    `rate` must be positive; poly_order accounts for polynomial growth of
+    the non-exponential part of the integrand.
+    """
+    if rate <= 0:
+        raise ValueError("decay rate must be positive")
+    target = 18 * math.log(10) + 5.0   # the 1e-18 tail, plus a margin of e^5
+    L = target / rate
+    for _ in range(40):
+        new = (target + poly_order * math.log(max(L, 2.0))) / rate
+        if abs(new - L) < 1e-9:
+            break
+        L = new
+    return L
 
 
 def nodes(spec: KernelSpec, refined: bool = False) -> tuple:
     """(x, w, defect), the one discretization of each kernel, with the
     kernel's weight function folded into the weights w.  The discrete kernel
-    takes the lattice 0..discrete_cutoff - 1, ten more sites when refined.
+    takes the lattice 0..ceil(L) + 1, L where e^{-2 phi~_+ x} x^{2N} falls
+    below 1e-18, and ten more sites when refined.
     The continuous kernels take the N-node Gauss rule of their weight, exact
     for the Gram matrix, and N + 1 nodes when refined: Gauss-Laguerre for the
     rational kernel, and for the disordered kernel the rule of the
     Meixner-Pollaczek weight, lambda = 1/2 at phi_+, with gauss_rule's defect."""
     if spec.kind == "discrete":
-        x = np.arange(discrete_cutoff(spec) + (10 if refined else 0), dtype=float)
-        return x, np.exp(-2 * spec.phi_tilde[0] * x), 0.0
+        rate = spec.phi_tilde[0]
+        sites = math.ceil(decay_cutoff(2 * rate.real, 2 * spec.n)) + 2
+        x = np.arange(sites + (10 if refined else 0), dtype=float)
+        return x, np.exp(-2 * rate * x), 0.0
     m = spec.n + refined
     if spec.kind == "rational":
         return (*np.polynomial.laguerre.laggauss(m), 0.0)
@@ -135,9 +160,13 @@ def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     largest (or a NaN) of: how far refining the discretization moves det,
     relatively; both rules' defects; and i_minus_error, but for the rational
     kernel at N > 1 (at N = 1 its two rules give one Gram matrix, so only that
-    estimate sees I - M cancel).  A non-finite defect: NaN, estimate inf, no matrix."""
-    if spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
-        raise ValueError(f"the {spec.kind} kernel supports N <= {FREDHOLM_LIMIT}")
+    estimate sees I - M cancel).  A non-finite defect: NaN, estimate inf, no matrix.
+    A `refusal`, or N past FREDHOLM_LIMIT but for the rational kernel, is a ValueError."""
+    reason = refusal(spec.kind, spec.params)
+    if reason is None and spec.kind != "rational" and spec.n > FREDHOLM_LIMIT:
+        reason = f"supports N <= {FREDHOLM_LIMIT}"
+    if reason:
+        raise ValueError(f"the {spec.kind} kernel {reason}")
     (x, w, defect), (xr, wr, refined_defect) = nodes(spec), nodes(spec, refined=True)
     if not math.isfinite(defect + refined_defect):   # a rule's polynomials overflow
         return LogScaledValue(math.nan, math.nan, math.inf)
@@ -150,10 +179,16 @@ def fredholm_det(spec: KernelSpec) -> LogScaledValue:
     return result._replace(error=float(np.max(parts)))
 
 
-def full_partition_fredholm(n: int, p: ModelParams) -> LogScaledValue:
-    """Symmetric-weight Z_N through the disordered Fredholm determinant."""
-    zt = fredholm_det(KernelSpec.disordered(n, p))
-    return zt.scale_log(qgroup_prefactor(n, p))
+def full_partition_fredholm(n: int, p: ModelParams, kind: str = "disordered") -> LogScaledValue:
+    """Symmetric-weight Z_N from the kernel's determinant Z~_N: Z~ exp(qgroup_prefactor)
+    but for the rational kernel, whose Z~ is Z at the weights (a, b, c) =
+    (lambda+eta, lambda-eta, 2 eta) over a; Z is homogeneous of degree N^2 in
+    them, so Z = a^{N^2} Z~, and a < 0 adds N^2 pi to the phase."""
+    zt = fredholm_det(KernelSpec(kind, n, p))
+    if kind != "rational":
+        return zt.scale_log(qgroup_prefactor(n, p))
+    a = p.phi_plus.real
+    return zt.scale_log(n * n * complex(math.log(abs(a)), math.pi * (a < 0)))
 
 
 def trace_moments(spec: KernelSpec) -> list:

@@ -568,8 +568,18 @@ def test_all_fails_when_fewer_than_two_routes_answer_or_answers_disagree(capsys,
     assert code == 1 and not json.loads(out)["summary"]["pass"]
 
 
+# ModelParams refuses a vanishing sin(lambda + eta) or sin(lambda - eta), which
+# the rational weights do not need: the library's rational kernel agrees with
+# dp at these points within 7.1e-15 at N <= 6, where the route exits 2
+RATIONAL_FALSE_REFUSAL = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 11: fredholm-rational refuses a point where a trigonometric weight vanishes"))
+
+
 @pytest.mark.parametrize("lam, eta", [(-1, 0.3), (0.3, -0.5), (-0.2, -0.3), (0.9, 0.3),
-                                      (1.0, 1e-5)])
+                                      (1.0, 1e-5),
+                                      pytest.param(2, 1.1415926535897931,
+                                                   marks=RATIONAL_FALSE_REFUSAL),
+                                      pytest.param(0.7, 0.7, marks=RATIONAL_FALSE_REFUSAL)])
 def test_rational_route_matches_dp_at_either_sign_of_lambda_plus_eta(capsys, lam, eta):
     # Z is homogeneous of degree N^2 in the weights (a, b, c) = (lam + eta,
     # lam - eta, 2 eta), so a < 0 only adds N^2 pi to the phase; at eta = 1e-5

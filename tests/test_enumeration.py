@@ -162,7 +162,7 @@ def test_dp_memory_stays_within_its_sectors():
     assert peak <= 3e6, f"{peak / 1e6:.2f} MB"
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(ws=st.tuples(*[weight_value] * 6))
 def test_dp_matches_enumeration(ws):
     for n in (2, 3, 4):
@@ -170,7 +170,7 @@ def test_dp_matches_enumeration(ws):
         assert partition_dp(n, ws).rel_diff(ref) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(s=st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0,
                             allow_nan=False, allow_infinity=False))
 def test_gauge_scaling(s):

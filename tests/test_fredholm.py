@@ -15,17 +15,28 @@ from icewall.cli import ROUTES_BY_NAME, TOL
 from icewall.determinants import default_bits
 from icewall.enumeration import enumerate_configs, partition_dp
 from icewall.fredholm import (FREDHOLM_LIMIT, KernelSpec, _expansion, _logdet_i_minus,
-                              fredholm_det, full_partition_fredholm, nodes, operator_matrix,
-                              trace_moments)
+                              decay_cutoff, fredholm_det, full_partition_fredholm, nodes,
+                              operator_matrix, trace_moments)
 from icewall.logscale import LogScaledValue
 from icewall.orthopoly import laguerre_deriv, laguerre_eval, meixner_poly, mp_deriv, mp_eval
-from icewall.params import ModelParams, qgroup_prefactor, symmetric_weights
+from icewall.params import ModelParams, symmetric_weights
 from icewall.wmatrix import BetaGamma, full_partition, rational_z_tilde, w_matrix
 
 P_REF = ModelParams(0.9, 0.3)
 DISORDERED_SAMPLES = [(0.9, 0.3), (1.2, 0.45), (0.7, 0.2), (1.5, 0.35), (0.8, 0.15)]
 PT_PLUS, PT_MINUS = 0.8, 0.3     # discrete kernel phi~_+, phi~_-
 XI = 0.5                         # rational kernel phi_- / phi_+
+
+
+def discrete_params(pt_plus: float, pt_minus: float) -> ModelParams:
+    """The point whose discrete kernel has phi~_pm = (pt_plus, pt_minus):
+    phi_pm = i phi~_pm."""
+    return ModelParams(1j * (pt_plus + pt_minus) / 2, 1j * (pt_plus - pt_minus) / 2)
+
+
+def rational_params(xi: float) -> ModelParams:
+    """A real point whose rational kernel has phi_- / phi_+ = xi, at phi_+ = 1."""
+    return ModelParams((1 + xi) / 2, (1 - xi) / 2)
 
 
 def bracket_family(kind: str, n: int):
@@ -63,11 +74,9 @@ def kernel(spec: KernelSpec, x: float, y: float) -> complex:
 
 
 def spec_of(kind: str, n: int) -> KernelSpec:
-    if kind == "disordered":
-        return KernelSpec.disordered(n, P_REF)
-    if kind == "rational":
-        return KernelSpec.rational(n, XI)
-    return KernelSpec.discrete(n, PT_PLUS, PT_MINUS)
+    params = {"disordered": P_REF, "rational": rational_params(XI),
+              "discrete": discrete_params(PT_PLUS, PT_MINUS)}[kind]
+    return KernelSpec(kind, n, params)
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +84,7 @@ def spec_of(kind: str, n: int) -> KernelSpec:
 
 
 def test_disordered_kernel_real_for_real_parameters():
-    v = kernel(KernelSpec.disordered(3, P_REF), 0.4, -0.3)
+    v = kernel(KernelSpec("disordered", 3, P_REF), 0.4, -0.3)
     assert abs(complex(v).imag) < 1e-14
 
 
@@ -86,28 +95,30 @@ def test_disordered_kernel_rank_one_case():
     for x, y in [(0.5, -0.7), (0.0, 2.0), (1.3, 1.3)]:
         w = math.exp(2 * phi_p * y) / (1 + math.exp(2 * math.pi * y))
         expected = 2 * math.sin(phi_m) * w
-        assert complex(kernel(KernelSpec.disordered(1, P_REF), x, y)).real == \
+        assert complex(kernel(KernelSpec("disordered", 1, P_REF), x, y)).real == \
             pytest.approx(expected, rel=1e-12)
 
 
 def test_disordered_kernel_decay():
-    assert abs(kernel(KernelSpec.disordered(2, P_REF), 0.2, 30.0)) < 1e-30
+    assert abs(kernel(KernelSpec("disordered", 2, P_REF), 0.2, 30.0)) < 1e-30
 
 
 def test_disordered_validity_strip():
-    with pytest.raises(ValueError, match="disordered kernel needs 0 < Re phi_"):
-        KernelSpec.disordered(2, ModelParams(2.9, 0.5))  # Re phi_+ > pi
+    with pytest.raises(ValueError) as refused:
+        fredholm_det(KernelSpec("disordered", 2, ModelParams(2.9, 0.5)))  # Re phi_+ > pi
+    assert str(refused.value) == "the disordered kernel needs 0 < Re(lambda + eta) < pi"
 
 
 def test_rational_kernel_rank_one_case():
     for x, y in [(0.3, 1.7), (2.0, 0.1), (0.8, 0.8)]:
-        assert kernel(KernelSpec.rational(1, 1.0), x, y) == pytest.approx(math.exp(-y))
+        assert kernel(KernelSpec("rational", 1, rational_params(1.0)), x, y) == \
+            pytest.approx(math.exp(-y))
 
 
 def test_rational_kernel_confluent_limit():
     x = 1.3
-    near = kernel(KernelSpec.rational(3, 0.7), x, x + 1e-9)
-    diag = kernel(KernelSpec.rational(3, 0.7), x, x)
+    near = kernel(KernelSpec("rational", 3, rational_params(0.7)), x, x + 1e-9)
+    diag = kernel(KernelSpec("rational", 3, rational_params(0.7)), x, x)
     assert near == pytest.approx(diag, rel=1e-6)
 
 
@@ -116,9 +127,10 @@ def test_discrete_kernel_bracket_symmetry():
     # bracket; only the one-sided weight e^{-2 phi~_+ y} breaks x <-> y
     pt_p, pt_m = 0.7, 0.4
     n = 2
+    spec = KernelSpec("discrete", n, discrete_params(pt_p, pt_m))
     for x, y in [(0, 1), (2, 5), (1, 4)]:
-        a = kernel(KernelSpec.discrete(n, pt_p, pt_m), x, y)
-        b = kernel(KernelSpec.discrete(n, pt_p, pt_m), y, x)
+        a = kernel(spec, x, y)
+        b = kernel(spec, y, x)
         ratio = math.exp(-2 * pt_p * y) / math.exp(-2 * pt_p * x)
         assert complex(a) == pytest.approx(complex(b) * ratio, rel=1e-10)
 
@@ -130,8 +142,8 @@ def test_discrete_kernel_polynomial_oracle():
     m2, m1 = meixner_poly(2, 1.0, c), meixner_poly(1, 1.0, c)
     bracket = -(m2(0.0) * m1(1.0) - m1(0.0) * m2(1.0)) / (0.0 - 1.0)
     expected = (n * math.exp(-2 * n * pt_m) * bracket * math.exp(-2 * pt_p))
-    assert complex(kernel(KernelSpec.discrete(n, pt_p, pt_m), 0, 1)).real == \
-        pytest.approx(expected, rel=1e-12)
+    spec = KernelSpec("discrete", n, discrete_params(pt_p, pt_m))
+    assert complex(kernel(spec, 0, 1)).real == pytest.approx(expected, rel=1e-12)
 
 
 def test_discrete_kernel_confluent_diagonal():
@@ -147,8 +159,8 @@ def test_discrete_kernel_confluent_diagonal():
     bracket = -(mn(x) * mn1(x + h) - mn1(x) * mn(x + h)) / (-h)
     expected = (n * math.exp(-2 * n * pt_m) * bracket
                 * math.exp(-2 * pt_p * x))
-    assert complex(kernel(KernelSpec.discrete(n, pt_p, pt_m), x, x)).real == \
-        pytest.approx(expected, rel=1e-4)
+    spec = KernelSpec("discrete", n, discrete_params(pt_p, pt_m))
+    assert complex(kernel(spec, x, x)).real == pytest.approx(expected, rel=1e-4)
 
 
 # --------------------------------------------------------------------------
@@ -157,7 +169,7 @@ def test_discrete_kernel_confluent_diagonal():
 
 def test_disordered_determinant_matches_finite():
     for n in range(1, 6):
-        z = fredholm_det(KernelSpec.disordered(n, P_REF)).scale_log(qgroup_prefactor(n, P_REF))
+        z = full_partition_fredholm(n, P_REF)
         assert z.rel_diff(full_partition(n, P_REF, default_bits(5))) < 1e-8
 
 
@@ -169,9 +181,8 @@ def test_full_partition_fredholm_vs_enumeration():
 
 def test_rational_determinant_matches_finite():
     lam, eta = 0.9, 0.3
-    xi = (lam - eta) / (lam + eta)
     for n in range(1, 5):
-        zt = fredholm_det(KernelSpec.rational(n, xi))
+        zt = fredholm_det(KernelSpec("rational", n, ModelParams(lam, eta)))
         assert zt.rel_diff(rational_z_tilde(n, lam, eta)) < 1e-8
 
 
@@ -179,12 +190,12 @@ def test_discrete_determinant_matches_continuation():
     # ferroelectric regime: phi_pm = i phi~_pm
     p = ModelParams(0.55j, 0.25j)
     for n in range(1, 5):
-        z = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).scale_log(qgroup_prefactor(n, p))
+        z = full_partition_fredholm(n, p, "discrete")
         assert z.rel_diff(full_partition(n, p, default_bits(4))) < 1e-8
 
 
 def test_discrete_truncation_stability():
-    spec = KernelSpec.discrete(3, 0.8, 0.3)
+    spec = KernelSpec("discrete", 3, discrete_params(0.8, 0.3))
     a = np.linalg.slogdet(np.eye(spec.n) - operator_matrix(spec, *nodes(spec)[:2]))[1]
     b = np.linalg.slogdet(np.eye(spec.n)
                           - operator_matrix(spec, *nodes(spec, refined=True)[:2]))[1]
@@ -229,8 +240,8 @@ def test_refined_nodes_extend_the_lattice_or_double_the_rule(kind, n):
 def test_meixner_pollaczek_rule_is_exact_at_complex_phi_plus(phi_plus, n):
     # sum_i w_i p_j(x_i) p_k(x_i) = delta_jk for j, k < N, complex nodes and all
     p = ModelParams(phi_plus - 0.3, 0.3)
-    x, w, defect = nodes(KernelSpec.disordered(n, p))
-    assert orthonormality_defect(KernelSpec.disordered(n - 1, p), x, w) < 1e-12
+    x, w, defect = nodes(KernelSpec("disordered", n, p))
+    assert orthonormality_defect(KernelSpec("disordered", n - 1, p), x, w) < 1e-12
     assert defect < 1e-12   # the rule's own figure, which fredholm_det's estimate takes
 
 
@@ -303,10 +314,10 @@ def test_disordered_large_n_matches_wdet(n):
 @pytest.mark.parametrize("n", [12, 16])
 def test_discrete_and_rational_large_n(n):
     p = ModelParams(0.55j, 0.25j)
-    z = fredholm_det(KernelSpec.discrete(n, 0.8, 0.3)).scale_log(qgroup_prefactor(n, p))
+    z = full_partition_fredholm(n, p, "discrete")
     assert z.rel_diff(full_partition(n, p, default_bits(n))) < 1e-10
     lam, eta = 0.9, 0.3
-    zt = fredholm_det(KernelSpec.rational(n, (lam - eta) / (lam + eta)))
+    zt = fredholm_det(KernelSpec("rational", n, ModelParams(lam, eta)))
     assert zt.rel_diff(rational_z_tilde(n, lam, eta)) < 1e-10
 
 
@@ -317,16 +328,51 @@ def test_disordered_size_limit():
 
 def test_discrete_size_limit():
     with pytest.raises(ValueError, match="the discrete kernel supports N <="):
-        fredholm_det(KernelSpec.discrete(FREDHOLM_LIMIT + 1, PT_PLUS, PT_MINUS))
+        fredholm_det(spec_of("discrete", FREDHOLM_LIMIT + 1))
+
+
+@pytest.mark.parametrize("kind", ["disordered", "discrete", "rational"])
+def test_the_library_and_the_cli_refuse_the_same_points(kind):
+    # fredholm_det raises exactly where the route refuses: one domain and one cap
+    route = ROUTES_BY_NAME["fredholm-" + kind]
+    points = seeded_draws(200, 3) + [(0.55j, 0.25j, n) for n in (1, 16, 17)] + [
+        (2j, 0.5j, 3), (math.pi / 2 - 0.2j, math.pi / 2 + 0.6j, 3), (0.9, 0.3, 17),
+        (1e-13 + 0.55j, 0.25j, 3), (1e-11 + 0.55j, 0.25j, 3)]
+    for lam, eta, n in points:
+        try:
+            p = ModelParams(lam, eta)
+        except ValueError:
+            continue
+        try:
+            fredholm_det(KernelSpec(kind, n, p))
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised == (route.refusal(n, p, None) is not None), (lam, eta, n)
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.6, 1.6, 4.0])
+@pytest.mark.parametrize("order", [0, 2, 10, 32])
+def test_decay_cutoff_solves_its_tail_equation(rate, order):
+    # e^{-rate L} L^order = 1e-18 e^{-5}, with log L taken at L >= 2
+    cutoff = decay_cutoff(rate, order)
+    target = 18 * math.log(10) + 5
+    assert abs(rate * cutoff - order * math.log(max(cutoff, 2.0)) - target) <= 1e-7
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.3])
+def test_decay_cutoff_needs_a_positive_rate(rate):
+    with pytest.raises(ValueError, match="decay rate must be positive"):
+        decay_cutoff(rate, 4)
 
 
 def test_no_convergence_warnings_on_defaults():
     # the refinement check refuses rather than warns: these pass it, silently
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fredholm_det(KernelSpec.disordered(3, P_REF))
-        fredholm_det(KernelSpec.rational(3, 0.5))
-        fredholm_det(KernelSpec.discrete(3, 0.8, 0.3))
+        fredholm_det(KernelSpec("disordered", 3, P_REF))
+        fredholm_det(KernelSpec("rational", 3, rational_params(0.5)))
+        fredholm_det(KernelSpec("discrete", 3, discrete_params(0.8, 0.3)))
 
 
 @pytest.mark.parametrize("n, lam, eta", [(3, 0.9, 0.3 + 100j), (16, 3.0, 0.1), (12, 2.9, 0.2)])
@@ -344,10 +390,10 @@ def test_a_gauss_rule_defect_enters_the_error_estimate(monkeypatch):
     # with an infinite estimate, before any matrix is built
     rule = fredholm.mp_rule
     monkeypatch.setattr(fredholm, "mp_rule", lambda *args: (*rule(*args)[:2], 1e-3))
-    assert fredholm_det(KernelSpec.disordered(3, P_REF)).error == 1e-3
+    assert fredholm_det(KernelSpec("disordered", 3, P_REF)).error == 1e-3
     monkeypatch.setattr(fredholm, "mp_rule", lambda *args: (*rule(*args)[:2], math.nan))
     monkeypatch.setattr(fredholm, "operator_matrix", None)   # never called
-    z = fredholm_det(KernelSpec.disordered(3, P_REF))
+    z = fredholm_det(KernelSpec("disordered", 3, P_REF))
     assert math.isnan(z.log_magnitude) and z.error == math.inf
 
 
@@ -459,7 +505,7 @@ def test_trace_moments_match_finite_traces():
     bg = BetaGamma.from_params(P_REF)
     for n in (2, 3):
         w = w_matrix(n, bg)
-        tm = trace_moments(KernelSpec.disordered(n, P_REF))
+        tm = trace_moments(KernelSpec("disordered", n, P_REF))
         for k in (1, 2, 3):
             target = bg.zeta ** k * np.trace(np.linalg.matrix_power(w, k))
             assert abs(tm[k - 1] - target) < 1e-8 * (1 + abs(target))

@@ -32,7 +32,7 @@ def test_cot_polynomial_shape(k):
     assert coeffs[-1] == (-1) ** k * math.factorial(k)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(k=st.integers(0, 10), c=st.floats(-3.0, 3.0))
 def test_cot_polynomial_recurrence(k, c):
     # T_{k+1}(c) = -(1+c^2) T_k'(c), with the derivative taken exactly
@@ -82,7 +82,7 @@ def test_partition_hankel_complex_parameters():
         assert partition_hankel(n, p, default_bits(n)).rel_diff(ref) < 1e-12
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(re=st.floats(0.3, 2.8), im=st.floats(-0.4, 0.4))
 def test_closed_determinant_matches_lu(re, im):
     phi = complex(re, im)
@@ -90,7 +90,7 @@ def test_closed_determinant_matches_lu(re, im):
     assert alpha_det_deviation(8, phi, -1j, bits) < 2 ** (-bits / 2)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(re=st.floats(0.3, 2.8), a_re=st.floats(-1.5, 1.5), a_im=st.floats(-1.5, 1.5))
 def test_alpha_variant_matches_lu(re, a_re, a_im):
     bits = default_bits(6)

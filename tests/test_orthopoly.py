@@ -23,7 +23,7 @@ from icewall.orthopoly import (connection_coeffs, exp_jplus_entries, inm_closed,
 # recurrences vs mpmath's terminating hypergeometric sums
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(n=st.integers(0, 12), lam=st.floats(0.2, 2.0),
        x=st.floats(-3.0, 3.0), phi=st.floats(0.2, 2.9))
 def test_mp_recurrence_matches_hypergeometric(n, lam, x, phi):
@@ -34,7 +34,7 @@ def test_mp_recurrence_matches_hypergeometric(n, lam, x, phi):
     assert abs(a - b) < 1e-9 * (1 + abs(a))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(n=st.integers(1, 10), lam=st.floats(0.3, 1.5), x=st.floats(-2.0, 2.0))
 def test_mp_derivative_by_finite_differences(n, lam, x):
     phi, h = 0.9, 1e-6
@@ -86,7 +86,7 @@ def test_moments_reproduce_cot_polynomials():
 # parameter-connection identities
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(n=st.integers(0, 10), x=st.floats(-2.0, 2.0))
 def test_connection_formula(n, x):
     tau, phi = 0.7, 1.1
@@ -132,7 +132,7 @@ def test_exp_jplus_matches_scaling_and_squaring():
     assert np.max(np.abs(direct - closed)) < 1e-12
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(alpha=st.floats(-1.2, 1.2), m=st.integers(3, 12))
 def test_key_conjugation_identity(alpha, m):
     assert key_conjugation_check(alpha, 0.5, m) < 1e-10

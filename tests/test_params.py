@@ -54,7 +54,7 @@ def test_r_matrix_at_zero_is_permutation():
                                     [0, 0, 0, 1]], dtype=complex))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(nu_re=st.floats(-1.0, 1.0), nu_im=st.floats(-0.5, 0.5),
        eta_re=st.floats(-0.8, 0.8), eta_im=st.floats(-0.4, 0.4))
 def test_r_matrix_unitarity(nu_re, nu_im, eta_re, eta_im):

@@ -38,7 +38,7 @@ def test_rational_degeneration_values():
     assert bg.zeta == 1
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(j=st.integers(0, 8), k=st.integers(0, 8))
 def test_entry_binomial_matches_hypergeometric(j, k):
     bg = BetaGamma.from_params(P_REF)
@@ -87,7 +87,7 @@ def test_integral_oracle_matches_entries():
     # W is the Gram matrix of the disordered kernel's weight, which its
     # 5-node Gauss rule takes exactly
     bg = BetaGamma.from_params(P_REF)
-    spec = KernelSpec.disordered(5, P_REF)
+    spec = KernelSpec("disordered", 5, P_REF)
     gram = operator_matrix(spec, *nodes(spec)[:2]) / bg.zeta
     assert np.max(np.abs(gram - w_matrix(5, bg))) < 1e-10
 
