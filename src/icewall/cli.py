@@ -1,8 +1,9 @@
 """Command-line front end: compute the partition function by any
 representation, sweep parameters, run the acceptance checks, and dump
 small-lattice configurations.  JSON output is RFC 8259 (null for NaN and
-infinity) with ``schema: 2``; CSV is RFC-4180.  Results can be cached on disk
-keyed by a hash of the canonicalized job and the package version; a hit
+infinity) with ``schema: 2``; CSV is RFC-4180.  Results can be cached on disk,
+one directory per package version, each entry named by a checksum of the
+canonical job; a hit is checked field by field against the job and
 re-emits the stored record byte-for-byte.  `vouch`, the one error rule,
 decides whether a value is answered; `compute_one` makes a refusal a record.
 """
@@ -20,6 +21,7 @@ import re
 import sys
 import time
 import warnings
+import zlib
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
@@ -95,22 +97,22 @@ def parse_weights(text: str) -> tuple:
 
 
 def job_fields(route: str, n: int, args) -> dict:
-    """The fields of a record that name its job; a cache hit must have them."""
+    """The fields of a record that name its job; a cache hit must have them.
+    precision_bits is --bits or default_bits(N) for a route that reads them."""
+    bits = (args.bits or default_bits(n)) if ROUTES_BY_NAME[route].takes_bits else DOUBLE_BITS
     return {"representation": route, "n": n, "lambda": [args.lam.real, args.lam.imag],
             "eta": [args.eta.real, args.eta.imag],
-            "weights": list(args.weights) if args.weights else None}
+            "weights": list(args.weights) if args.weights else None, "precision_bits": bits}
 
 
 def cache_key(route: str, n: int, args) -> str:
-    """Hash of the canonicalized job: the inputs a record depends on and the
-    package version.  --bits is one of them only for a route that reads it;
-    --tol never is: a hit is held to the current one."""
-    import hashlib   # imported here, not at the top: only a cached run needs it
-    payload = {"command": "compute", **job_fields(route, n, args),
-               "bits": args.bits if ROUTES_BY_NAME[route].takes_bits else None,
-               "version": __version__}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The entry name of a job: route, N and a CRC-32 of the canonical job, the
+    inputs a record depends on (`job_fields`).  --tol is not one: a hit is held
+    to the current one.  Two jobs may share a name, so a hit is checked against
+    every job field: a collision is a miss."""
+    canonical = json.dumps({"command": "compute", **job_fields(route, n, args)},
+                           sort_keys=True, separators=(",", ":"))
+    return f"{route}-{n}-{zlib.crc32(canonical.encode('utf-8')):08x}"
 
 
 def record(route: str, n: int, lam: complex, eta: complex, log_abs_z: float,
@@ -147,14 +149,17 @@ FIELD_TYPES["weights"] = (list, type(None))
 
 
 def cache_dir(flag_value: Optional[str]) -> Optional[str]:
-    env = os.environ.get("ICEWALL_CACHE_DIR")
-    path = env or flag_value
-    if path:
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:   # say, a regular file at the path or above it
-            raise ValueError(f"cannot make the cache directory {path}: "
-                             f"{exc.strerror or exc}") from exc
+    """This version's directory of the cache, <dir>/<version>, made if it is
+    not there: a release never reads another release's entries."""
+    root = os.environ.get("ICEWALL_CACHE_DIR") or flag_value
+    if not root:
+        return None
+    path = os.path.join(root, __version__)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:   # say, a regular file at the path or above it
+        raise ValueError(f"cannot make the cache directory {path}: "
+                         f"{exc.strerror or exc}") from exc
     return path
 
 
@@ -185,10 +190,11 @@ def cache_store(path: Optional[str], key: str, rec: dict):
         return
     import tempfile   # imported here, not at the top: only a cached run needs it
     entry = os.path.join(path, key + ".json")
+    text = json.dumps(rec, sort_keys=True, allow_nan=False)
     fd, tmp = tempfile.mkstemp(dir=path, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(rec, fh, sort_keys=True, allow_nan=False)
+            fh.write(text)
         os.replace(tmp, entry)
     except BaseException as exc:
         os.unlink(tmp)
@@ -274,11 +280,12 @@ def compute_one(route: Route, n: int, p: ModelParams, args, cdir: Optional[str])
     (`Route.refusal`, or a ValueError from the route or `vouch`) is a record, never
     cached; any other error propagates.  A hit above --tol is recomputed, so refused."""
     key = cache_key(route.name, n, args) if cdir else None
-    rec = cache_load(cdir, key)   # a record, but the key is only a hash of the job
+    fields = job_fields(route.name, n, args)
+    rec = cache_load(cdir, key)   # a record, but the key is only a checksum of the job
     if rec is not None and rec["error_estimate"] <= args.tol \
-            and all(rec[k] == v for k, v in job_fields(route.name, n, args).items()):
+            and all(rec[k] == v for k, v in fields.items()):
         return rec, True
-    bits = args.bits or default_bits(n)
+    bits = fields["precision_bits"]
     value = LogScaledValue(math.nan, math.nan)
     extra = {}
     caught = []
@@ -298,7 +305,7 @@ def compute_one(route: Route, n: int, p: ModelParams, args, cdir: Optional[str])
                 reason = str(exc)
     elapsed = 1000.0 * (time.perf_counter() - t0)
     rec = record(route.name, n, args.lam, args.eta, value.log_magnitude, value.angle,
-                 elapsed, bits if route.takes_bits else DOUBLE_BITS,
+                 elapsed, bits,
                  [str(w.message) for w in caught], extra, value.error, reason, args.weights)
     if reason is None:
         cache_store(cdir, key, rec)

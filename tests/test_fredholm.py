@@ -484,6 +484,23 @@ def test_continuous_kernels_refuse_or_agree(route, least):
     assert answered >= least
 
 
+def test_dp_and_enumeration_refuse_or_agree():
+    # at the trigonometric weights: dp answered all 600 draws and enumerate
+    # 594, refusing 6
+    answered = {"dp": 0, "enumerate": 0}
+    for lam, eta, n in seeded_draws(600, 1):
+        p = ModelParams(lam, eta)
+        ref = reference("dp", n, lam, eta)
+        for route in answered:
+            try:
+                z = ROUTES_BY_NAME[route].answer(n, p, symmetric_weights(p), None, TOL)[0]
+            except ValueError:
+                continue
+            answered[route] += 1
+            assert z.rel_diff(ref) <= 1e-8, (route, lam, eta, n)
+    assert answered["dp"] == 600 and answered["enumerate"] >= 594
+
+
 @pytest.mark.parametrize("n, lam, eta", [
     # on panel rules: log|Z| 71.84016456577 with phase -2.34417586676 where
     # dp gives 71.84016456188 and -2.34417588061
